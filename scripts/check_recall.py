@@ -22,10 +22,12 @@ Two kinds of check:
           entries with no same-run exact reference — bench_filtered's
           per-tier recalls are graded against per-predicate ground truth,
           so they compare to their own committed values, not to f32.
-  pin     every --pin KEY names a TOP-LEVEL scalar (e.g. a result or
-          attribute checksum) that must equal the baseline's exactly.
-          Pins are how byte-identity guarantees get wired into the gate:
-          a checksum drift fails even when every recall still matches.
+  pin     every --pin KEY names a scalar (e.g. a result or attribute
+          checksum) that must equal the baseline's exactly. A plain KEY is
+          top-level; a dotted KEY walks nested maps, so
+          variants.full.results_checksum pins one entry's field. Pins are
+          how byte-identity guarantees get wired into the gate: a checksum
+          drift fails even when every recall still matches.
 
 With no --eps flags and a "codecs" file, the legacy defaults apply:
 f16=0.001 (--f16-eps) and int8=0.01 (--int8-eps), so the existing
@@ -36,6 +38,15 @@ import json
 import sys
 
 CONFIG_KEYS = ("dataset", "n_base", "dim", "queries", "topk", "candidate_len")
+
+
+def lookup(doc, dotted):
+    """Value at a dotted path through nested maps; None when absent."""
+    for part in dotted.split("."):
+        if not isinstance(doc, dict) or part not in doc:
+            return None
+        doc = doc[part]
+    return doc
 
 
 def entries_of(doc):
@@ -60,8 +71,8 @@ def main() -> int:
                     help="entry KEY must land within EPS of the baseline's "
                          "same entry (two-sided); repeatable")
     ap.add_argument("--pin", action="append", default=[], metavar="KEY",
-                    help="top-level scalar KEY must equal the baseline's "
-                         "exactly; repeatable")
+                    help="scalar KEY (dotted for nested maps) must equal "
+                         "the baseline's exactly; repeatable")
     ap.add_argument("--f16-eps", type=float, default=0.001,
                     help="legacy codec default when no --eps given")
     ap.add_argument("--int8-eps", type=float, default=0.01,
@@ -127,7 +138,7 @@ def main() -> int:
         return 2
 
     for key in args.pin:
-        m_val, b_val = measured.get(key), baseline.get(key)
+        m_val, b_val = lookup(measured, key), lookup(baseline, key)
         verdict = "OK" if m_val == b_val and m_val is not None else "DRIFT"
         print(f"{key}: {m_val!r} vs baseline {b_val!r} (pin) {verdict}")
         if verdict != "OK":

@@ -37,6 +37,15 @@ const char* host_sync_name(HostSync s) {
 
 namespace {
 
+class CtaActor;
+
+/// An idle CTA waiting for its slot's Work or Quit write.
+struct ParkedCta {
+  CtaActor* cta = nullptr;
+  SimTime at = 0.0;    ///< instant of the idle read that parked it
+  SimTime from = 0.0;  ///< instant of the step that scheduled that read
+};
+
 /// Per-slot runtime shared between the slot's CTAs and its host worker —
 /// the in-memory half of the Fig 9 single-writer matrix. Host-side fields
 /// are owned by the slot's HostWorker outright; the per-query scratch
@@ -71,6 +80,10 @@ struct SlotRuntime {
   bool complete ALGAS_GUARDED_BY_EPOCH(CtaActor, HostWorker) = false;
   SimTime gpu_done_ns ALGAS_GUARDED_BY_EPOCH(CtaActor, HostWorker) = 0.0;
   std::uint64_t flow_id ALGAS_OWNED_BY(HostWorker) = 0;  // trace flow arrow
+  /// Idle CTAs of this slot in the order they parked. CTAs join while the
+  /// host owns the states; the host's Work/Quit write
+  /// (RunState::write_slot) re-arms and empties the list.
+  std::vector<ParkedCta> parked ALGAS_GUARDED_BY_EPOCH(CtaActor, RunState);
 };
 
 struct RunState;
@@ -97,7 +110,9 @@ metrics::QueryRecord shed_record(const PendingQuery& q, SimTime when,
 }
 
 /// One persistent-kernel CTA: polls its slot state, runs maintenance rounds
-/// when in Work, pushes results and flags Finish, exits on Quit.
+/// when in Work, pushes results and flags Finish, exits on Quit. Between
+/// queries it parks instead of stepping through polls that read the same
+/// idle state (see step()).
 class CtaActor final : public sim::Actor {
  public:
   CtaActor(RunState& run, std::size_t slot, std::size_t cta);
@@ -112,7 +127,58 @@ class CtaActor final : public sim::Actor {
   search::IntraCtaSearch search_;
   bool active_ = false;
   double busy_ns_ = 0.0;
+  SimTime scheduled_from_ns_ = 0.0;  ///< step that scheduled the next one
 };
+
+/// The idle loop's recurrence: a CTA whose poll runs at `t` polls next at
+/// (t + poll_local_ns) + cta_poll_interval_ns, summed left to right exactly
+/// as CtaActor::step charges it.
+SimTime next_idle_poll(const sim::CostModel& cm, SimTime t) {
+  return t + cm.poll_local_ns + cm.cta_poll_interval_ns;
+}
+
+/// `n` steps of the idle recurrence after `t`, one at a time: a closed form
+/// would round differently.
+SimTime idle_poll_after(const sim::CostModel& cm, SimTime t, std::uint64_t n) {
+  for (; n > 0; --n) t = next_idle_poll(cm, t);
+  return t;
+}
+
+/// Where a parked CTA re-enters the queue after a Work or Quit write.
+struct Wake {
+  ParkedCta parked;
+  SimTime at = 0.0;         ///< first poll instant at or after the write
+  std::uint64_t polls = 0;  ///< idle-loop steps from the parking read to `at`
+  std::size_t rank = 0;     ///< position in the slot's park order
+};
+
+/// Whether `a` would have polled before `b` at their common instant in a
+/// loop that ran every idle poll. That queue ran two polls of one instant
+/// in the order of the steps that scheduled them, so along two poll
+/// sequences that rounding has merged, the one that was earlier at the
+/// merge point stays first. The recurrence is monotone, so the sequence
+/// that is earlier at any depth both reach back to was earlier there too,
+/// which lets the comparison jump to the shorter sequence's parking read.
+bool polls_before(const sim::CostModel& cm, const Wake& a, const Wake& b) {
+  const bool a_short = a.polls <= b.polls;
+  const Wake& s = a_short ? a : b;
+  const Wake& l = a_short ? b : a;
+  const std::uint64_t lag = l.polls - s.polls;
+  // l at the depth of s's parking read, and what scheduled l there.
+  SimTime l_at = l.parked.at;
+  SimTime l_from = l.parked.from;
+  if (lag > 0) {
+    l_from = idle_poll_after(cm, l_at, lag - 1);
+    l_at = next_idle_poll(cm, l_from);
+  }
+  const SimTime s_at = s.parked.at;
+  if (s_at != l_at) return (s_at < l_at) == a_short;
+  if (lag == 0) return a.rank < b.rank;  // parked together: park order
+  // s parked where l polled: the one scheduled first ran first.
+  const SimTime s_from = s.parked.from;
+  if (s_from != l_from) return (s_from < l_from) == a_short;
+  return a_short;  // scheduled at one instant too: undecidable, see DESIGN.md
+}
 
 /// One engine run's trace wiring: lane ids under one process group.
 struct TraceLanes {
@@ -200,10 +266,18 @@ struct RunState {
   double worker_busy_ns ALGAS_OWNED_BY(HostWorker) = 0.0;
   TraceLanes trace;
   std::size_t in_flight ALGAS_OWNED_BY(HostWorker) = 0;  // dispatched, undelivered
+  /// Idle CTA polls skipped by parking (EngineReport::elided_polls).
+  std::uint64_t elided_polls ALGAS_OWNED_BY(RunState) = 0;
+  std::vector<Wake> wakes ALGAS_OWNED_BY(RunState);  // write_slot scratch
   /// Non-null iff the run has a bounded admission queue: arrivals then flow
   /// through the actor at their arrival instants instead of being
   /// pre-loaded, so workload exhaustion must also wait for it.
   AdmissionActor* admission = nullptr;
+
+  /// The one host write path for slot states: moves all n_parallel words of
+  /// `slot` to `next` at the current host step, and on Work or Quit — the
+  /// states an idle CTA acts on — re-arms the slot's parked CTAs.
+  void write_slot(std::size_t slot, SlotState next, double* elapsed);
 
   bool workload_exhausted() const;
   /// Earliest instant new work can appear: the queue's next arrival or the
@@ -350,6 +424,7 @@ void CtaActor::step(sim::Simulation& sim) {
             std::move(args), "cta");
       }
       sim.schedule(this, sim.now() + elapsed);
+      scheduled_from_ns_ = sim.now();
       return;
     }
     case SlotState::kQuit:
@@ -361,9 +436,49 @@ void CtaActor::step(sim::Simulation& sim) {
       // Idle polling between queries (the cost dynamic batching pays
       // instead of kernel relaunches). Expired is host-owned just like
       // Done: the CTA waits for the host to recycle or retire the slot.
-      sim.schedule(this, sim.now() + elapsed + cm.cta_poll_interval_ns);
+      // The modeled CTA polls again at next_idle_poll(now), but every such
+      // poll reads an idle state until the host writes Work or Quit. So the
+      // CTA parks instead, and write_slot re-arms it at the first instant
+      // of this poll sequence at or after that write.
+      assert(elapsed == cm.poll_local_ns);
+      run_.slots[slot_].parked.push_back({this, sim.now(), scheduled_from_ns_});
       return;
   }
+}
+
+void RunState::write_slot(std::size_t slot, SlotState next,
+                          double* elapsed) {
+  for (std::size_t c = 0; c < plan.n_parallel; ++c) {
+    sync.host_write(sim.now(), slot, c, next, elapsed);
+  }
+  if (next != SlotState::kWork && next != SlotState::kQuit) return;
+  // Each parked CTA's first poll at or after this step. A poll tying with
+  // the step ran after it and read the write: the host scheduled its step
+  // before the CTA scheduled that poll (DESIGN.md, "Idle CTAs park").
+  SlotRuntime& rt = slots[slot];
+  wakes.clear();
+  for (std::size_t i = 0; i < rt.parked.size(); ++i) {
+    Wake w{rt.parked[i], rt.parked[i].at, 0, i};
+    do {
+      w.at = next_idle_poll(cfg.cost, w.at);
+      ++w.polls;
+    } while (w.at < sim.now());
+    elided_polls += w.polls - 1;
+    wakes.push_back(w);
+  }
+  rt.parked.clear();
+  // Wakes of one instant enter the queue in the order the per-poll loop ran
+  // them. Insertion sort: a handful of siblings, and it needs no strict
+  // weak order from polls_before's undecidable case.
+  const auto earlier = [&](const Wake& a, const Wake& b) {
+    return a.at < b.at || (a.at == b.at && polls_before(cfg.cost, a, b));
+  };
+  for (std::size_t i = 1; i < wakes.size(); ++i) {
+    for (std::size_t j = i; j > 0 && earlier(wakes[j], wakes[j - 1]); --j) {
+      std::swap(wakes[j], wakes[j - 1]);
+    }
+  }
+  for (const Wake& w : wakes) sim.schedule(w.parked.cta, w.at);
 }
 
 bool HostWorker::dispatch(sim::Simulation& sim, std::size_t slot,
@@ -405,9 +520,7 @@ bool HostWorker::dispatch(sim::Simulation& sim, std::size_t slot,
                                 run_.ds.dim() * run_.ds.elem_bytes(),
                                 sim::Xfer::kQuery);
   rt.dispatch_ns = sim.now() + *elapsed;
-  for (std::size_t c = 0; c < run_.plan.n_parallel; ++c) {
-    run_.sync.host_write(sim.now(), slot, c, SlotState::kWork, elapsed);
-  }
+  run_.write_slot(slot, SlotState::kWork, elapsed);
   ++run_.in_flight;
   if (run_.trace.tracer) {
     auto& tr = *run_.trace.tracer;
@@ -425,9 +538,7 @@ void HostWorker::fetch_and_complete(sim::Simulation& sim, std::size_t slot,
                                     double* elapsed) {
   const sim::CostModel& cm = run_.cfg.cost;
   SlotRuntime& rt = run_.slots[slot];
-  for (std::size_t c = 0; c < run_.plan.n_parallel; ++c) {
-    run_.sync.host_write(sim.now(), slot, c, SlotState::kDone, elapsed);
-  }
+  run_.write_slot(slot, SlotState::kDone, elapsed);
   // One sequential read of the slot's whole result block (§IV-B), issued
   // through this worker's private IO stream (§V-B).
   *elapsed += cm.host_io_submit_ns;
@@ -523,9 +634,7 @@ void HostWorker::evict_expired(sim::Simulation& sim, std::size_t slot,
                                double* elapsed) {
   const sim::CostModel& cm = run_.cfg.cost;
   SlotRuntime& rt = run_.slots[slot];
-  for (std::size_t c = 0; c < run_.plan.n_parallel; ++c) {
-    run_.sync.host_write(sim.now(), slot, c, SlotState::kExpired, elapsed);
-  }
+  run_.write_slot(slot, SlotState::kExpired, elapsed);
   *elapsed += cm.host_evict_ns;
 
   metrics::QueryRecord rec;
@@ -612,10 +721,7 @@ void HostWorker::step(sim::Simulation& sim) {
         fetch_and_complete(sim, slot, &elapsed);
       }
       if (!dispatch(sim, slot, &elapsed) && run_.workload_exhausted()) {
-        for (std::size_t c = 0; c < run_.plan.n_parallel; ++c) {
-          run_.sync.host_write(sim.now(), slot, c, SlotState::kQuit,
-                               &elapsed);
-        }
+        run_.write_slot(slot, SlotState::kQuit, &elapsed);
         rt.quit = true;
       }
       progress = true;
@@ -631,9 +737,7 @@ void HostWorker::step(sim::Simulation& sim) {
       break;
     }
     if (run_.workload_exhausted()) {
-      for (std::size_t c = 0; c < run_.plan.n_parallel; ++c) {
-        run_.sync.host_write(sim.now(), slot, c, SlotState::kQuit, &elapsed);
-      }
+      run_.write_slot(slot, SlotState::kQuit, &elapsed);
       rt.quit = true;
     }
   }
@@ -887,11 +991,13 @@ struct EngineRun::Impl {
     rep.plan = engine.plan_;
     rep.sim_events = run->sim.events_processed();
     rep.sim_stale_events = run->sim.stale_events();
+    rep.elided_polls = run->elided_polls;
     if (check) {
       check->record("simulation", run->sim.now(),
                     "drained: events=" +
                         std::to_string(run->sim.events_processed()) +
-                        " stale=" + std::to_string(run->sim.stale_events()));
+                        " stale=" + std::to_string(run->sim.stale_events()) +
+                        " elided=" + std::to_string(run->elided_polls));
     }
     rep.simcheck_checks = check ? check->checks_performed() : 0;
     if (tracer) {

@@ -104,7 +104,13 @@ struct EngineReport {
   double cta_busy_ns = 0.0;
   std::size_t cta_count = 0;
   TunePlan plan;
+  /// Events the simulation queue ran. Idle CTA polls are not among them:
+  /// a parked CTA skips them (elided_polls), so sim_events + elided_polls
+  /// is what a loop stepping every poll would run.
   std::uint64_t sim_events = 0;
+  /// Idle persistent-kernel CTA polls skipped by parking. Each would have
+  /// read an idle state and changed nothing (DESIGN.md, "Idle CTAs park").
+  std::uint64_t elided_polls = 0;
   /// Queue entries the simulation popped and discarded because the actor
   /// was re-scheduled/cancelled after they were pushed (token mismatch).
   std::uint64_t sim_stale_events = 0;

@@ -419,6 +419,7 @@ ShardedReport ShardedEngine::run(const std::vector<PendingQuery>& arrivals) {
     m.cta_count += r.cta_count;
     m.sim_events += r.sim_events;
     m.sim_stale_events += r.sim_stale_events;
+    m.elided_polls += r.elided_polls;
     m.simcheck_checks += r.simcheck_checks;
     rep.shards.push_back(std::move(r));
     rep.shard_records.merge(shard_collectors[s]);

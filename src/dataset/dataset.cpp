@@ -104,28 +104,34 @@ float Dataset::score(std::span<const float> q, NodeId id) const {
 }
 
 void Dataset::distance_batch(std::span<const float> query,
-                             std::span<const NodeId> ids,
-                             std::span<float> out) const {
+                             std::span<const NodeId> ids, std::span<float> out,
+                             std::optional<float> query_norm) const {
   const auto norms = metric_ == Metric::kCosine ? base_norms()
                                                 : std::span<const float>{};
   switch (codec_) {
     case StorageCodec::kF32:
       algas::distance_batch(metric_, query, base_.data(), dim_, ids, out,
-                            norms);
+                            norms, query_norm);
       return;
     case StorageCodec::kF16: {
       const VectorStore& vs = vector_store();
       algas::distance_batch_f16(metric_, query, vs.f16_rows(), dim_, ids, out,
-                                norms);
+                                norms, query_norm);
       return;
     }
     case StorageCodec::kInt8: {
       const VectorStore& vs = vector_store();
       algas::distance_batch_i8(metric_, query, vs.i8_rows(),
-                               vs.i8_scales().data(), dim_, ids, out, norms);
+                               vs.i8_scales().data(), dim_, ids, out, norms,
+                               query_norm);
       return;
     }
   }
+}
+
+std::optional<float> Dataset::query_norm(std::span<const float> query) const {
+  if (metric_ != Metric::kCosine) return std::nullopt;
+  return norm(query.first(dim_));
 }
 
 void Dataset::distance_batch_range(std::span<const float> query,

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -134,9 +135,15 @@ class Dataset {
   /// Score base rows `ids` against `query` in one batched kernel call —
   /// bitwise-identical to per-id score() (see distance/kernels.hpp). The
   /// cosine path reads the cached base-norm table instead of recomputing
-  /// norm(b) per call.
+  /// norm(b) per call, and takes norm(query) from `query_norm` when the
+  /// caller computed it once for many calls (query_norm(query)).
   void distance_batch(std::span<const float> query,
-                      std::span<const NodeId> ids, std::span<float> out) const;
+                      std::span<const NodeId> ids, std::span<float> out,
+                      std::optional<float> query_norm = std::nullopt) const;
+
+  /// The query norm distance_batch would compute for `query` under this
+  /// metric: norm(query) for cosine, nullopt for metrics that need none.
+  std::optional<float> query_norm(std::span<const float> query) const;
 
   /// Batched scoring of the contiguous rows [first, first + count).
   void distance_batch_range(std::span<const float> query, std::size_t first,

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <optional>
 
 #include "common/half.hpp"
 
@@ -128,13 +129,21 @@ float cosine_from_parts(float na, float nb, float d) {
   return 1.0f - d / (na * nb);
 }
 
+/// norm(q) for the cosine metric — the caller's precomputed value when it
+/// has one, which is the same function over the same span — else unused.
+float cosine_query_norm(Metric m, std::span<const float> q,
+                        std::optional<float> given) {
+  if (m != Metric::kCosine) return 0.0f;
+  return given ? *given : norm(q);
+}
+
 /// Generic driver: fetches row accessors through `row_of(k)` and row norms
 /// through `norm_of(k)` (cosine only), walking the batch in groups of four.
 template <typename RowOf, typename NormOf>
-void batch_impl(Metric m, std::span<const float> q, std::size_t count,
-                RowOf row_of, NormOf norm_of, std::span<float> out) {
+void batch_impl(Metric m, std::span<const float> q, float query_norm,
+                std::size_t count, RowOf row_of, NormOf norm_of,
+                std::span<float> out) {
   assert(out.size() >= count);
-  const float query_norm = m == Metric::kCosine ? norm(q) : 0.0f;
   std::size_t k = 0;
   float dots[4];
   for (; k + 4 <= count; k += 4) {
@@ -185,7 +194,8 @@ void batch_impl(Metric m, std::span<const float> q, std::size_t count,
 template <typename MakeRow>
 void batch_ids(Metric m, std::span<const float> query, std::size_t dim,
                std::span<const NodeId> ids, std::span<float> out,
-               std::span<const float> base_norms, MakeRow make_row) {
+               std::span<const float> base_norms,
+               std::optional<float> query_norm, MakeRow make_row) {
   const auto row_of = [&](std::size_t k) {
     return make_row(static_cast<std::size_t>(ids[k]));
   };
@@ -193,7 +203,9 @@ void batch_ids(Metric m, std::span<const float> query, std::size_t dim,
     return base_norms.empty() ? norm_one(row_of(k), dim)
                               : base_norms[ids[k]];
   };
-  batch_impl(m, query.first(dim), ids.size(), row_of, norm_of, out);
+  const auto q = query.first(dim);
+  batch_impl(m, q, cosine_query_norm(m, q, query_norm), ids.size(), row_of,
+             norm_of, out);
 }
 
 template <typename MakeRow>
@@ -205,15 +217,18 @@ void batch_range(Metric m, std::span<const float> query, std::size_t dim,
     return base_norms.empty() ? norm_one(row_of(k), dim)
                               : base_norms[first + k];
   };
-  batch_impl(m, query.first(dim), count, row_of, norm_of, out);
+  const auto q = query.first(dim);
+  batch_impl(m, q, cosine_query_norm(m, q, std::nullopt), count, row_of,
+             norm_of, out);
 }
 
 }  // namespace
 
 void distance_batch(Metric m, std::span<const float> query, const float* base,
                     std::size_t dim, std::span<const NodeId> ids,
-                    std::span<float> out, std::span<const float> base_norms) {
-  batch_ids(m, query, dim, ids, out, base_norms,
+                    std::span<float> out, std::span<const float> base_norms,
+                    std::optional<float> query_norm) {
+  batch_ids(m, query, dim, ids, out, base_norms, query_norm,
             [&](std::size_t row) { return F32Row{base + row * dim}; });
 }
 
@@ -229,8 +244,9 @@ void distance_batch_range(Metric m, std::span<const float> query,
 void distance_batch_f16(Metric m, std::span<const float> query,
                         const std::uint16_t* base, std::size_t dim,
                         std::span<const NodeId> ids, std::span<float> out,
-                        std::span<const float> base_norms) {
-  batch_ids(m, query, dim, ids, out, base_norms,
+                        std::span<const float> base_norms,
+                        std::optional<float> query_norm) {
+  batch_ids(m, query, dim, ids, out, base_norms, query_norm,
             [&](std::size_t row) { return F16Row{base + row * dim}; });
 }
 
@@ -247,10 +263,12 @@ void distance_batch_i8(Metric m, std::span<const float> query,
                        const std::int8_t* base, const float* row_scales,
                        std::size_t dim, std::span<const NodeId> ids,
                        std::span<float> out,
-                       std::span<const float> base_norms) {
-  batch_ids(m, query, dim, ids, out, base_norms, [&](std::size_t row) {
-    return I8Row{base + row * dim, row_scales[row]};
-  });
+                       std::span<const float> base_norms,
+                       std::optional<float> query_norm) {
+  batch_ids(m, query, dim, ids, out, base_norms, query_norm,
+            [&](std::size_t row) {
+              return I8Row{base + row * dim, row_scales[row]};
+            });
 }
 
 void distance_batch_range_i8(Metric m, std::span<const float> query,

@@ -22,6 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 
 #include "common/types.hpp"
@@ -38,10 +39,16 @@ namespace algas {
 /// exactly like the scalar kernel. A table entry must equal norm(row)
 /// bitwise for the batched cosine to stay bitwise-identical — Dataset's
 /// cached table guarantees this by construction.
+///
+/// `query_norm`, when set, must equal norm(query.first(dim)) bitwise. The
+/// cosine metric then uses it instead of recomputing the norm on every
+/// call, which is what a caller scoring one query over many small batches
+/// (a search's expand rounds) wants; other metrics ignore it.
 void distance_batch(Metric m, std::span<const float> query, const float* base,
                     std::size_t dim, std::span<const NodeId> ids,
                     std::span<float> out,
-                    std::span<const float> base_norms = {});
+                    std::span<const float> base_norms = {},
+                    std::optional<float> query_norm = std::nullopt);
 
 /// Contiguous variant: score rows [first, first + count), writing out[k]
 /// for row first + k. Used by the exhaustive scans (ground truth, IVF
@@ -57,7 +64,8 @@ void distance_batch_range(Metric m, std::span<const float> query,
 void distance_batch_f16(Metric m, std::span<const float> query,
                         const std::uint16_t* base, std::size_t dim,
                         std::span<const NodeId> ids, std::span<float> out,
-                        std::span<const float> base_norms = {});
+                        std::span<const float> base_norms = {},
+                        std::optional<float> query_norm = std::nullopt);
 
 void distance_batch_range_f16(Metric m, std::span<const float> query,
                               const std::uint16_t* base, std::size_t dim,
@@ -72,7 +80,8 @@ void distance_batch_i8(Metric m, std::span<const float> query,
                        const std::int8_t* base, const float* row_scales,
                        std::size_t dim, std::span<const NodeId> ids,
                        std::span<float> out,
-                       std::span<const float> base_norms = {});
+                       std::span<const float> base_norms = {},
+                       std::optional<float> query_norm = std::nullopt);
 
 void distance_batch_range_i8(Metric m, std::span<const float> query,
                              const std::int8_t* base, const float* row_scales,

@@ -113,6 +113,7 @@ std::vector<std::pair<float, NodeId>> build_beam_search(
   fresh_dists.reserve(g.degree());
 
   const float d0 = ds.score(query, entry);
+  const auto query_norm = ds.query_norm(query);  // one norm for every batch
   frontier.emplace(d0, entry);
   best.emplace(d0, entry);
   visited.set(entry);
@@ -128,7 +129,7 @@ std::vector<std::pair<float, NodeId>> build_beam_search(
       fresh.push_back(n);
     }
     fresh_dists.resize(fresh.size());
-    ds.distance_batch(query, fresh, fresh_dists);
+    ds.distance_batch(query, fresh, fresh_dists, query_norm);
     for (std::size_t i = 0; i < fresh.size(); ++i) {
       const NodeId n = fresh[i];
       const float d = fresh_dists[i];

@@ -28,6 +28,7 @@ void IntraCtaSearch::reset(std::span<const float> query, NodeId entry,
                            VisitedTable* visited) {
   assert(visited != nullptr && visited->size() == ds_.num_base());
   query_ = query;
+  query_norm_ = ds_.query_norm(query);
   visited_ = visited;
   list_.reset();
   done_ = false;
@@ -100,7 +101,7 @@ bool IntraCtaSearch::step(StepCost& cost) {
     }
   }
   round_dists_.resize(gathered_.size());
-  ds_.distance_batch(query_, gathered_, round_dists_);
+  ds_.distance_batch(query_, gathered_, round_dists_, query_norm_);
   expand_.clear();
   for (std::size_t k = 0; k < gathered_.size(); ++k) {
     expand_.push_back(KV::make(round_dists_[k], gathered_[k]));

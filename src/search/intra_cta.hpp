@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -131,6 +132,7 @@ class IntraCtaSearch {
   std::vector<NodeId> gathered_;      // round's unvisited neighbor ids
   std::vector<float> round_dists_;    // their batched distances
   std::span<const float> query_;
+  std::optional<float> query_norm_;  // cosine: norm(query_), once per query
   VisitedTable* visited_ = nullptr;
   bool done_ = true;
   bool diffusing_ = false;

@@ -602,6 +602,7 @@ TEST(AlgasEngine, DeterministicAcrossRuns) {
   const auto rb = b.run_closed_loop(40);
   EXPECT_DOUBLE_EQ(ra.summary.mean_service_us, rb.summary.mean_service_us);
   EXPECT_EQ(ra.sim_events, rb.sim_events);
+  EXPECT_EQ(ra.elided_polls, rb.elided_polls);
   EXPECT_DOUBLE_EQ(ra.recall, rb.recall);
 }
 
@@ -762,6 +763,7 @@ TEST(AlgasEngine, CheckerNeverPerturbsVirtualTime) {
     EXPECT_DOUBLE_EQ(rp.summary.throughput_qps, rc.summary.throughput_qps)
         << host_sync_name(mode);
     EXPECT_EQ(rp.sim_events, rc.sim_events) << host_sync_name(mode);
+    EXPECT_EQ(rp.elided_polls, rc.elided_polls) << host_sync_name(mode);
     EXPECT_DOUBLE_EQ(rp.recall, rc.recall) << host_sync_name(mode);
     EXPECT_EQ(rp.pcie_transactions, rc.pcie_transactions)
         << host_sync_name(mode);

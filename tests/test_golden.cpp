@@ -1,0 +1,269 @@
+// Golden virtual-time fingerprints of the engine on the tiny world.
+//
+// Idle persistent-kernel CTAs park between queries instead of running one
+// queue event per poll, and are re-armed on their own poll sequence when
+// the host writes Work or Quit (DESIGN.md, "Idle CTAs park"). That must be
+// invisible to every modeled figure. The values below were recorded with a
+// loop that ran every idle poll as an event: each case pins an FNV-1a over
+// every record's timestamps, disposition and results, the poll-every-period
+// event count (sim_events + elided_polls), the host poll count and the
+// PCIe counters.
+//
+// The cases cover every HostSync mode in a closed loop and in a bounded-
+// admission open loop whose deadlines both shed and evict, each unsharded
+// and over K=4 shards; one run with more slots than queries, where sibling
+// CTAs idle in lockstep from launch until late arrivals; and one where
+// rounding merges the poll sequences of siblings that parked apart.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "core/engine.hpp"
+#include "core/sharded_engine.hpp"
+#include "test_util.hpp"
+
+namespace algas::core {
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+struct Fingerprint {
+  std::uint64_t records = 0;  ///< FNV-1a over every record, in order
+  std::uint64_t events = 0;   ///< sim_events + elided_polls
+  std::uint64_t host_polls = 0;
+  std::uint64_t pcie_transactions = 0;
+  std::uint64_t pcie_bytes = 0;
+  std::uint64_t pcie_state_polls = 0;
+  std::uint64_t pcie_state_writes = 0;
+};
+
+struct Fnv {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void mix(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  }
+  void mix_double(double d) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &d, sizeof bits);
+    mix(bits);
+  }
+};
+
+Fingerprint fingerprint(const EngineReport& rep) {
+  Fnv f;
+  for (const metrics::QueryRecord& r : rep.collector.records()) {
+    f.mix(r.query_index);
+    f.mix_double(r.arrival_ns);
+    f.mix_double(r.dispatch_ns);
+    f.mix_double(r.gpu_done_ns);
+    f.mix_double(r.done_ns);
+    f.mix(static_cast<std::uint64_t>(r.disposition));
+    f.mix(r.results.size());
+    for (const KV& kv : r.results) {
+      std::uint32_t bits;
+      std::memcpy(&bits, &kv.dist, sizeof bits);
+      f.mix(bits);
+      f.mix(kv.key);
+    }
+  }
+  Fingerprint fp;
+  fp.records = f.h;
+  fp.events = rep.sim_events + rep.elided_polls;
+  fp.host_polls = rep.host_polls;
+  fp.pcie_transactions = rep.pcie_transactions;
+  fp.pcie_bytes = rep.pcie_bytes;
+  fp.pcie_state_polls = rep.pcie_state_poll_transactions;
+  fp.pcie_state_writes = rep.pcie_state_write_transactions;
+  return fp;
+}
+
+std::string describe(const Fingerprint& fp) {
+  char buf[256];
+  std::snprintf(buf, sizeof buf,
+                "{0x%016llxull, %llu, %llu, %llu, %llu, %llu, %llu}",
+                static_cast<unsigned long long>(fp.records),
+                static_cast<unsigned long long>(fp.events),
+                static_cast<unsigned long long>(fp.host_polls),
+                static_cast<unsigned long long>(fp.pcie_transactions),
+                static_cast<unsigned long long>(fp.pcie_bytes),
+                static_cast<unsigned long long>(fp.pcie_state_polls),
+                static_cast<unsigned long long>(fp.pcie_state_writes));
+  return buf;
+}
+
+void expect_fingerprint(const EngineReport& rep, const Fingerprint& want,
+                        const std::string& name) {
+  const Fingerprint got = fingerprint(rep);
+  EXPECT_EQ(got.records, want.records) << name << " got " << describe(got);
+  EXPECT_EQ(got.events, want.events) << name;
+  EXPECT_EQ(got.host_polls, want.host_polls) << name;
+  EXPECT_EQ(got.pcie_transactions, want.pcie_transactions) << name;
+  EXPECT_EQ(got.pcie_bytes, want.pcie_bytes) << name;
+  EXPECT_EQ(got.pcie_state_polls, want.pcie_state_polls) << name;
+  EXPECT_EQ(got.pcie_state_writes, want.pcie_state_writes) << name;
+}
+
+AlgasConfig golden_config(HostSync sync) {
+  AlgasConfig cfg;
+  cfg.search.topk = 10;
+  cfg.search.candidate_len = 64;
+  cfg.search.beam_width = 2;
+  cfg.search.offset_beam = 16;
+  cfg.slots = 4;
+  cfg.host_threads = 2;
+  cfg.host_sync = sync;
+  return cfg;
+}
+
+/// Bounded-admission open loop: bursts of 8 arrivals 150 ns apart every
+/// 40 us into a queue of 3. Relative deadlines cycle 6 us (shed in the
+/// queue), 30 us (evicted when the slot finishes late), 120 us and none;
+/// every third query is high priority.
+AlgasConfig open_config(HostSync sync) {
+  AlgasConfig cfg = golden_config(sync);
+  cfg.admission.capacity = 3;
+  cfg.admission.policy = ShedPolicy::kDropOldest;
+  return cfg;
+}
+
+std::vector<PendingQuery> open_arrivals() {
+  static constexpr double kDeadlines[] = {6e3, 30e3, 120e3, kInf};
+  std::vector<PendingQuery> out;
+  for (std::size_t i = 0; i < 48; ++i) {
+    PendingQuery q;
+    q.query_index = i;
+    q.arrival_ns =
+        static_cast<double>(i / 8) * 40e3 + static_cast<double>(i % 8) * 150.0;
+    q.deadline_ns = q.arrival_ns + kDeadlines[i % 4];
+    q.priority = i % 3 == 0 ? 1 : 0;
+    out.push_back(q);
+  }
+  return out;
+}
+
+EngineReport run_sharded(const AlgasConfig& base,
+                         const std::vector<PendingQuery>* arrivals,
+                         std::size_t closed_queries) {
+  ShardedConfig cfg;
+  cfg.base = base;
+  cfg.shards = 4;
+  cfg.build.degree = 16;
+  cfg.build.ef_construction = 48;
+  ShardedEngine engine(algas::testing::tiny_world().ds, cfg);
+  ShardedReport rep = arrivals ? engine.run(*arrivals)
+                               : engine.run_closed_loop(closed_queries);
+  return std::move(rep.merged);
+}
+
+EngineReport run_single(const AlgasConfig& cfg,
+                        const std::vector<PendingQuery>* arrivals,
+                        std::size_t closed_queries) {
+  const auto& world = algas::testing::tiny_world();
+  AlgasEngine engine(world.ds, world.nsw, cfg);
+  return arrivals ? engine.run(*arrivals)
+                  : engine.run_closed_loop(closed_queries);
+}
+
+constexpr HostSync kModes[] = {HostSync::kPollNaive, HostSync::kPollMirrored,
+                               HostSync::kBlocking};
+
+TEST(VirtualTimeGolden, ClosedLoopEveryModeAndShardCount) {
+  // Index: mode * 2 + (K == 4).
+  const Fingerprint want[] = {
+      {0xb2ba7ca1790d3f36ull, 26913, 379, 1131, 170604, 379, 672},
+      {0xb5e1be9cc95d1da6ull, 126931, 1391, 4399, 190396, 1391, 2688},
+      {0x23ceee62ae05b08bull, 18696, 1270, 1072, 170368, 0, 992},
+      {0x08b4fb2d02b13dafull, 65545, 1717, 4288, 189952, 0, 3968},
+      {0x662dc98c80aa5bdbull, 24544, 0, 752, 169088, 0, 672},
+      {0x76bfb6f9bf5188ccull, 74735, 0, 3008, 184832, 0, 2688},
+  };
+  for (std::size_t m = 0; m < 3; ++m) {
+    const AlgasConfig cfg = golden_config(kModes[m]);
+    const std::string mode = host_sync_name(kModes[m]);
+    const auto single = run_single(cfg, nullptr, 40);
+    EXPECT_GT(single.elided_polls, 0u) << mode;
+    expect_fingerprint(single, want[m * 2], mode + " K=1");
+    expect_fingerprint(run_sharded(cfg, nullptr, 40), want[m * 2 + 1],
+                       mode + " K=4");
+  }
+}
+
+TEST(VirtualTimeGolden, OpenLoopShedAndEvictEveryModeAndShardCount) {
+  const Fingerprint want[] = {
+      {0x62b491d8a837b1c7ull, 30142, 429, 903, 74676, 429, 432},
+      {0xbe2098f3d68fabd6ull, 128461, 1158, 3378, 108312, 1158, 2016},
+      {0x64190ffa96eaa08aull, 28641, 1310, 778, 90784, 0, 728},
+      {0x0f081cff4ac174d4ull, 125677, 1871, 3235, 129280, 0, 3008},
+      {0x422f20034f8aa934ull, 29338, 0, 528, 85632, 0, 480},
+      {0x4bde705f0b69bf3cull, 127642, 0, 2256, 105984, 0, 2048},
+  };
+  const auto arrivals = open_arrivals();
+  for (std::size_t m = 0; m < 3; ++m) {
+    const AlgasConfig cfg = open_config(kModes[m]);
+    const std::string mode = host_sync_name(kModes[m]);
+    for (const bool sharded : {false, true}) {
+      const auto rep = sharded ? run_sharded(cfg, &arrivals, 0)
+                               : run_single(cfg, &arrivals, 0);
+      const std::string name = mode + (sharded ? " K=4" : " K=1");
+      // The workload must exercise every non-served path it pins.
+      const auto& s = rep.summary;
+      EXPECT_GT(s.served, 0u) << name;
+      EXPECT_GT(s.shed_queue + s.shed_deadline, 0u) << name;
+      EXPECT_GT(s.evicted, 0u) << name;
+      expect_fingerprint(rep, want[m * 2 + (sharded ? 1 : 0)], name);
+    }
+  }
+}
+
+TEST(VirtualTimeGolden, MoreSlotsThanQueriesIdleInLockstep) {
+  // Sixteen slots, six queries arriving well after launch: every CTA parks
+  // at launch on the same poll sequence as its siblings, and ten slots
+  // idle until they retire.
+  AlgasConfig cfg = golden_config(HostSync::kPollMirrored);
+  cfg.slots = 16;
+  cfg.n_parallel = 4;
+  std::vector<PendingQuery> arrivals;
+  for (std::size_t i = 0; i < 6; ++i) {
+    arrivals.push_back({i, 50e3 + static_cast<double>(i) * 700.0});
+  }
+  const auto rep = run_single(cfg, &arrivals, 0);
+  EXPECT_GT(rep.elided_polls, rep.sim_events);
+  expect_fingerprint(
+      rep, {0xce115be44c341b3full, 15647, 201, 148, 13216, 0, 136},
+      "lockstep");
+}
+
+TEST(VirtualTimeGolden, SiblingsOnMergedPollSequences) {
+  // Twenty-four slots of eight greedy CTAs on one host worker: idle
+  // siblings that parked at different instants end up on the very same
+  // poll instants once rounding merges their sequences, and must wake in
+  // the order the per-poll loop ran them there, which is not park order.
+  const Fingerprint want[] = {
+      {0x0a37535ebe2e7c5full, 190703, 240, 972, 67008, 240, 672},
+      {0xccedcb3e51c98361ull, 111092, 0, 732, 66048, 0, 672},
+  };
+  const HostSync modes[] = {HostSync::kPollNaive, HostSync::kBlocking};
+  for (std::size_t m = 0; m < 2; ++m) {
+    AlgasConfig cfg = golden_config(modes[m]);
+    cfg.search.candidate_len = 32;
+    cfg.search.beam_width = 1;
+    cfg.search.offset_beam = 8;
+    cfg.slots = 24;
+    cfg.host_threads = 1;
+    cfg.seed = 5;
+    expect_fingerprint(run_single(cfg, nullptr, 30), want[m],
+                       std::string("merged ") + host_sync_name(modes[m]));
+  }
+}
+
+}  // namespace
+}  // namespace algas::core

@@ -72,11 +72,19 @@ TEST(DistanceBatch, BitwiseMatchesScalarAcrossDimsMetricsAndBatches) {
         }
         std::vector<float> out(count, -1.0f);
         distance_batch(m, query, base.data(), dim, ids, out);
+        // The caller-computed query norm path (one norm per query, many
+        // batches) must score the same bits.
+        std::vector<float> passed(count, -1.0f);
+        distance_batch(m, query, base.data(), dim, ids, passed, {},
+                       norm(query));
         for (std::size_t k = 0; k < count; ++k) {
           const std::span<const float> row{base.data() + ids[k] * dim, dim};
           EXPECT_EQ(bits(out[k]), bits(distance(m, query, row)))
               << "metric=" << metric_name(m) << " dim=" << dim
               << " count=" << count << " k=" << k << " id=" << ids[k];
+          EXPECT_EQ(bits(passed[k]), bits(out[k]))
+              << "passed norm: metric=" << metric_name(m) << " dim=" << dim
+              << " count=" << count << " k=" << k;
         }
       }
     }
@@ -154,6 +162,29 @@ TEST(DatasetBatch, MemberBatchBitwiseMatchesQueryDistance) {
     for (std::size_t k = 0; k < ids.size(); ++k) {
       EXPECT_EQ(bits(out[k]), bits(ds.query_distance(0, ids[k])))
           << metric_name(m) << " k=" << k;
+    }
+  }
+}
+
+TEST(DatasetBatch, PassedQueryNormBitwiseMatchesEveryCodec) {
+  for (Metric m : kMetrics) {
+    for (StorageCodec codec : {StorageCodec::kF32, StorageCodec::kF16,
+                               StorageCodec::kInt8}) {
+      Dataset ds("t", 33, m);
+      ds.mutable_base() = make_base(40, 33, 21);
+      ds.mutable_queries() = make_query(33, 22);
+      ds.set_storage(codec);
+      const auto q = ds.query(0);
+      EXPECT_EQ(ds.query_norm(q).has_value(), m == Metric::kCosine);
+      std::vector<NodeId> ids{0, 5, 5, 39, 12, 1, 30};
+      std::vector<float> plain(ids.size()), passed(ids.size());
+      ds.distance_batch(q, ids, plain);
+      ds.distance_batch(q, ids, passed, ds.query_norm(q));
+      for (std::size_t k = 0; k < ids.size(); ++k) {
+        EXPECT_EQ(bits(passed[k]), bits(plain[k]))
+            << metric_name(m) << " " << storage_codec_name(codec)
+            << " k=" << k;
+      }
     }
   }
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <sstream>
 #include <string>
@@ -163,6 +164,7 @@ TEST(ShardedEngine, SingleShardByteIdenticalToUnsharded) {
   EXPECT_EQ(rs.merged.summary.p99_latency_us, rp.summary.p99_latency_us);
   EXPECT_EQ(rs.merged.recall, rp.recall);
   EXPECT_EQ(rs.merged.sim_events, rp.sim_events);
+  EXPECT_EQ(rs.merged.elided_polls, rp.elided_polls);
   EXPECT_EQ(rs.merged.pcie_transactions, rp.pcie_transactions);
   EXPECT_EQ(rs.merged.pcie_bytes, rp.pcie_bytes);
   EXPECT_EQ(rs.merged.host_polls, rp.host_polls);
@@ -220,6 +222,7 @@ TEST(ShardedEngine, DeterministicAcrossRepeatedRuns) {
   const ShardedReport rb = b.run_closed_loop(50);
   EXPECT_EQ(results_tsv(ra.merged.collector), results_tsv(rb.merged.collector));
   EXPECT_EQ(ra.merged.sim_events, rb.merged.sim_events);
+  EXPECT_EQ(ra.merged.elided_polls, rb.merged.elided_polls);
   EXPECT_EQ(ra.merged.summary.span_ns, rb.merged.summary.span_ns);
   EXPECT_EQ(ra.bus_transactions, rb.bus_transactions);
   EXPECT_EQ(ra.bus_bytes, rb.bus_bytes);
@@ -253,10 +256,15 @@ TEST(ShardedEngine, FullFanoutMergesEveryShardAndKeepsRecall) {
   // Per-shard engine reports came back, with their collectors drained
   // into the gather stage.
   ASSERT_EQ(rep.shards.size(), 4u);
+  std::uint64_t elided = 0;
   for (const auto& shard_rep : rep.shards) {
     EXPECT_EQ(shard_rep.collector.size(), 0u);
     EXPECT_GT(shard_rep.sim_events, 0u);
+    elided += shard_rep.elided_polls;
   }
+  // Idle CTA polls happen on the devices only; the merge sums them.
+  EXPECT_GT(elided, 0u);
+  EXPECT_EQ(rep.merged.elided_polls, elided);
 }
 
 TEST(ShardedEngine, SelectiveFanoutRoutesAndAnswersEveryQuery) {

@@ -10,7 +10,6 @@
 #include "simgpu/device_props.hpp"
 #include "simgpu/shared_memory.hpp"
 #include "simgpu/sim_group.hpp"
-#include "simgpu/sm_scheduler.hpp"
 #include "simgpu/simulation.hpp"
 
 namespace algas::sim {
@@ -446,42 +445,6 @@ TEST(Channel, CountersSplitByPurpose) {
   EXPECT_EQ(ch.total().bytes, 304u);
   ch.reset_counters();
   EXPECT_EQ(ch.total().transactions, 0u);
-}
-
-// ---------------- sm_scheduler.hpp ----------------
-
-TEST(SmScheduler, GrantsUpToCapacity) {
-  Simulation sim;
-  SmScheduler sched(2);
-  ProbeActor a, b, c;
-  EXPECT_TRUE(sched.try_acquire(sim, &a));
-  EXPECT_TRUE(sched.try_acquire(sim, &b));
-  EXPECT_FALSE(sched.try_acquire(sim, &c));
-  EXPECT_EQ(sched.resident(), 2u);
-  EXPECT_EQ(sched.queued(), 1u);
-}
-
-TEST(SmScheduler, ReleaseWakesWaiterFifo) {
-  Simulation sim;
-  SmScheduler sched(1);
-  ProbeActor a, b, c;
-  ASSERT_TRUE(sched.try_acquire(sim, &a));
-  EXPECT_FALSE(sched.try_acquire(sim, &b));
-  EXPECT_FALSE(sched.try_acquire(sim, &c));
-  sched.release(sim);  // wakes b (scheduled at now)
-  sim.run();
-  EXPECT_EQ(b.times.size(), 1u);  // b got woken
-  EXPECT_TRUE(c.times.empty());
-  EXPECT_TRUE(sched.try_acquire(sim, &b));  // b retries and wins
-}
-
-TEST(SmScheduler, DoubleEnqueueIsIdempotent) {
-  Simulation sim;
-  SmScheduler sched(0);
-  ProbeActor a;
-  EXPECT_FALSE(sched.try_acquire(sim, &a));
-  EXPECT_FALSE(sched.try_acquire(sim, &a));
-  EXPECT_EQ(sched.queued(), 1u);
 }
 
 // ---------------- device_props / shared_memory ----------------

@@ -407,6 +407,7 @@ TEST(EngineTrace, TracingPreservesVirtualTimeAndTsvAllSyncModes) {
 
     const char* mode = core::host_sync_name(sync);
     EXPECT_EQ(rp.sim_events, rt.sim_events) << mode;
+    EXPECT_EQ(rp.elided_polls, rt.elided_polls) << mode;
     EXPECT_EQ(rp.pcie_transactions, rt.pcie_transactions) << mode;
     EXPECT_EQ(rp.pcie_bytes, rt.pcie_bytes) << mode;
     EXPECT_EQ(rp.host_polls, rt.host_polls) << mode;
@@ -458,6 +459,7 @@ TEST(EngineTrace, TracedCheckedRunsByteIdenticalPerStorageCodec) {
     // builds check every run by default, and checking is free anyway.)
     EXPECT_GT(rt.report.simcheck_checks, 0u) << name;
     EXPECT_EQ(rp.sim_events, rt.report.sim_events) << name;
+    EXPECT_EQ(rp.elided_polls, rt.report.elided_polls) << name;
     EXPECT_EQ(rp.pcie_transactions, rt.report.pcie_transactions) << name;
     EXPECT_EQ(rp.pcie_bytes, rt.report.pcie_bytes) << name;
     EXPECT_EQ(rp.summary.span_ns, rt.report.summary.span_ns) << name;
