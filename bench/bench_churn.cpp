@@ -229,12 +229,8 @@ int main() {
   compute_ground_truth(final_ds, kTopk);
 
   const auto churn_rep = idx.serve(gate_config(), nq);
-  double churn_recall = 0.0;
-  for (const auto& rec : churn_rep.collector.records()) {
-    churn_recall += metrics::recall_at_k(final_ds, rec.query_index,
-                                         rec.results, kTopk);
-  }
-  churn_recall /= static_cast<double>(churn_rep.collector.records().size());
+  const double churn_recall =
+      metrics::served_recall(final_ds, churn_rep.collector, kTopk);
 
   const Graph rebuilt =
       build_graph(GraphKind::kNsw, final_ds, build_cfg).graph;

@@ -5,7 +5,6 @@
 // mean latency, and throughput — the series both figures plot.
 #include <iostream>
 
-#include "baselines/ganns_engine.hpp"
 #include "baselines/ivf.hpp"
 #include "baselines/static_engine.hpp"
 #include "bench_common.hpp"
@@ -72,11 +71,12 @@ int main() {
                engine.run_closed_loop(nq));
         }
         {
-          baselines::GannsConfig cfg;
+          baselines::StaticConfig cfg;
           cfg.search.topk = kTopk;
           cfg.search.candidate_len = L;
           cfg.batch_size = kBatch;
-          baselines::GannsEngine engine(ds, g, cfg);
+          baselines::StaticBatchEngine engine(ds, g,
+                                              baselines::ganns_config(cfg));
           emit(table, name, gname, "GANNS", L,
                engine.run_closed_loop(nq));
         }

@@ -4,7 +4,6 @@
 // sizes.
 #include <iostream>
 
-#include "baselines/ganns_engine.hpp"
 #include "baselines/static_engine.hpp"
 #include "bench_common.hpp"
 #include "core/engine.hpp"
@@ -59,11 +58,12 @@ int main() {
             .cell(rep.summary.throughput_qps, 0);
       }
       {
-        baselines::GannsConfig cfg;
+        baselines::StaticConfig cfg;
         cfg.search.topk = kTopk;
         cfg.search.candidate_len = kList;
         cfg.batch_size = batch;
-        baselines::GannsEngine engine(ds, g, cfg);
+        baselines::StaticBatchEngine engine(ds, g,
+                                            baselines::ganns_config(cfg));
         const auto rep = engine.run_closed_loop(nq);
         table.row()
             .cell(name)

@@ -135,19 +135,6 @@ search::NodeBitset timestamp_tier(const Dataset& ds, std::size_t want) {
   return bits;
 }
 
-double mean_recall_against(const std::vector<NodeId>& gt,
-                           const metrics::Collector& col) {
-  double total = 0.0;
-  std::size_t served = 0;
-  for (const auto& rec : col.records()) {
-    if (!rec.served()) continue;
-    ++served;
-    total += metrics::recall_against(
-        {gt.data() + rec.query_index * kTopk, kTopk}, rec.results, kTopk);
-  }
-  return served == 0 ? 0.0 : total / static_cast<double>(served);
-}
-
 struct TierResult {
   std::size_t accepted = 0;
   double graph_recall = 0.0;
@@ -216,7 +203,7 @@ int main() {
     core::AlgasEngine engine(ds, g, cfg);
     r.widened_len = engine.config().search.candidate_len;
     const auto rep = engine.run_closed_loop(nq);
-    r.graph_recall = mean_recall_against(gt, rep.collector);
+    r.graph_recall = metrics::served_recall(gt, rep.collector, kTopk);
     r.graph_latency_us = rep.summary.mean_service_us;
 
     // IVF post-filter: oversized unfiltered fetch, filter, keep 10. The

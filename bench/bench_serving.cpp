@@ -239,15 +239,16 @@ int main() {
         if (v.name == "x025") {
           underload_checksum =
               results_checksum(row.rep.sharded.merged.collector);
-          if (row.rep.shed_rate > 0.0) {
+          const double shed_rate = row.rep.sharded.merged.summary.shed_rate;
+          if (shed_rate > 0.0) {
             std::fprintf(stderr,
                          "# WARNING: underload variant shed %.1f%% — the "
                          "determinism gate expects everything served\n",
-                         100.0 * row.rep.shed_rate);
+                         100.0 * shed_rate);
           }
         }
         if (v.name == "x100") {
-          gate_goodput_1x = row.rep.goodput_qps;
+          gate_goodput_1x = row.rep.sharded.merged.summary.goodput_qps;
           double scored = 0.0;
           for (const auto& rec :
                row.rep.sharded.merged.collector.records()) {
@@ -266,8 +267,9 @@ int main() {
         if (r.dataset != name || r.v.kind != sim::ArrivalKind::kPoisson) {
           continue;
         }
-        peak = std::max(peak, r.rep.goodput_qps);
-        if (r.v.name == "x200") at_2x = r.rep.goodput_qps;
+        const double goodput = r.rep.sharded.merged.summary.goodput_qps;
+        peak = std::max(peak, goodput);
+        if (r.v.name == "x200") at_2x = goodput;
       }
       graceful = at_2x > 0.0 && at_2x >= 0.3 * peak;
       std::printf("# graceful %s: goodput peak %.0f qps, at 2x %.0f qps %s\n",
@@ -329,14 +331,14 @@ int main() {
     if (r.dataset != names.front()) continue;
     if (!first) out << ",\n";
     first = false;
+    const auto& s = r.rep.sharded.merged.summary;
     out << "    \"" << r.v.name << "\": {\n"
         << "      \"rate_qps\": " << r.rate_qps << ",\n"
         << "      \"offered_qps\": " << r.rep.offered_qps << ",\n"
-        << "      \"goodput_qps\": " << r.rep.goodput_qps << ",\n"
-        << "      \"shed_rate\": " << r.rep.shed_rate << ",\n"
-        << "      \"deadline_miss_rate\": " << r.rep.deadline_miss_rate
-        << ",\n"
-        << "      \"p99_latency_us\": " << r.rep.p99_latency_us << "\n"
+        << "      \"goodput_qps\": " << s.goodput_qps << ",\n"
+        << "      \"shed_rate\": " << s.shed_rate << ",\n"
+        << "      \"deadline_miss_rate\": " << s.deadline_miss_rate << ",\n"
+        << "      \"p99_latency_us\": " << s.p99_latency_us << "\n"
         << "    }";
   }
   out << "\n  },\n"

@@ -188,18 +188,6 @@ std::vector<float> IvfIndex::centroid_distances(
   return dists;
 }
 
-double IvfIndex::imbalance() const {
-  if (lists_.empty()) return 0.0;
-  std::size_t total = 0, max_len = 0;
-  for (const auto& l : lists_) {
-    total += l.size();
-    max_len = std::max(max_len, l.size());
-  }
-  const double mean = static_cast<double>(total) /
-                      static_cast<double>(lists_.size());
-  return mean > 0.0 ? static_cast<double>(max_len) / mean : 0.0;
-}
-
 IvfEngine::IvfEngine(const Dataset& ds, IvfConfig cfg)
     : IvfEngine(ds, cfg, IvfIndex::build(ds, cfg.build)) {}
 
@@ -279,14 +267,7 @@ core::EngineReport IvfEngine::run_closed_loop(std::size_t num_queries) {
   rep.plan.n_parallel = 1;
   rep.plan.reason = "IVF-Flat baseline";
   if (ds_.has_ground_truth()) {
-    double total_recall = 0.0;
-    for (const auto& r : collector.records()) {
-      total_recall +=
-          metrics::recall_at_k(ds_, r.query_index, r.results, cfg_.topk);
-    }
-    rep.recall = collector.size() == 0
-                     ? 0.0
-                     : total_recall / static_cast<double>(collector.size());
+    rep.recall = metrics::served_recall(ds_, collector, cfg_.topk);
   }
   rep.collector = std::move(collector);
   return rep;

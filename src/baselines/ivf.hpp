@@ -37,9 +37,6 @@ class IvfIndex {
   SearchOut search(const Dataset& ds, std::span<const float> query,
                    std::size_t nprobe, std::size_t k) const;
 
-  /// Imbalance factor: max list size / mean list size (k-means quality).
-  double imbalance() const;
-
   /// Squared-L2 distance from `query` to every centroid — the coarse scan
   /// search() runs, exposed so the sharded engine can reuse a per-shard
   /// quantizer as a shard-affinity router (min centroid distance decides

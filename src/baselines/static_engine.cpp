@@ -11,6 +11,15 @@
 
 namespace algas::baselines {
 
+StaticConfig ganns_config(StaticConfig cfg) {
+  cfg.search.beam_width = 1;  // strictly greedy maintenance, no beam extend
+  cfg.search.full_sort_maintenance = true;  // heavier per-round upkeep
+  cfg.n_parallel = 1;  // no multi-CTA implementation
+  cfg.merge = MergeMode::kNone;
+  cfg.trace_label = "ganns";
+  return cfg;
+}
+
 StaticBatchEngine::StaticBatchEngine(const Dataset& ds, const Graph& g,
                                      StaticConfig cfg)
     : ds_(ds), g_(g), cfg_(std::move(cfg)) {
@@ -209,14 +218,7 @@ core::EngineReport StaticBatchEngine::run(
   rep.plan.reason = "static baseline (capacity " + std::to_string(capacity_) +
                     " blocks)";
   if (ds_.has_ground_truth()) {
-    double total_recall = 0.0;
-    for (const auto& r : collector.records()) {
-      total_recall += metrics::recall_at_k(ds_, r.query_index, r.results,
-                                           cfg_.search.topk);
-    }
-    rep.recall = collector.size() == 0
-                     ? 0.0
-                     : total_recall / static_cast<double>(collector.size());
+    rep.recall = metrics::served_recall(ds_, collector, cfg_.search.topk);
   }
   rep.collector = std::move(collector);
   return rep;

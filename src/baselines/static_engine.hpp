@@ -6,7 +6,7 @@
 // bulk, and — crucially — every query returns only when the whole batch
 // finishes (static batching, Fig 4 top). With n_parallel=1 and merge
 // disabled this engine is also the GANNS-style single-CTA baseline (see
-// ganns_engine.hpp).
+// ganns_config).
 #pragma once
 
 #include <cstdint>
@@ -39,9 +39,15 @@ struct StaticConfig {
   /// default tracer; null there too means untraced. Pure observer — tracing
   /// never changes timing or the report.
   sim::Tracer* tracer = nullptr;
-  /// Trace process label (GannsEngine substitutes its own).
+  /// Trace process label (ganns_config substitutes its own).
   std::string trace_label = "static-batch";
 };
+
+/// GANNS-style baseline [Yu et al., ICDE'22], modified as in the paper's
+/// §VI to dispatch small batches: `cfg` run batch-synchronously with one
+/// CTA per query (GANNS has no multi-CTA mode), greedy maintenance every
+/// iteration, no TopK merge, traced as "ganns".
+StaticConfig ganns_config(StaticConfig cfg);
 
 class StaticBatchEngine {
  public:

@@ -91,9 +91,9 @@ class AdmissionActor;
 
 /// Builds the zero-results record for a query that never ran: the shed
 /// instant stamps dispatch/gpu_done/done so service_ns is zero rather than
-/// negative, and the disposition says which policy dropped it. The caller
-/// still counts the record toward `delivered` — every arrival produces
-/// exactly one record regardless of outcome.
+/// negative, and the disposition says which policy dropped it. It still
+/// leaves through RunState::deliver — every arrival produces exactly one
+/// record regardless of outcome.
 metrics::QueryRecord shed_record(const PendingQuery& q, SimTime when,
                                  metrics::Disposition why) {
   metrics::QueryRecord rec;
@@ -205,8 +205,8 @@ class HostWorker final : public sim::Actor {
   void fetch_and_complete(sim::Simulation& sim, std::size_t slot,
                           double* elapsed);
   void evict_expired(sim::Simulation& sim, std::size_t slot, double* elapsed);
-  void deliver_shed(sim::Simulation& sim, const PendingQuery& q,
-                    double* elapsed);
+  void finish_slot(std::size_t slot, SimTime done_ns, metrics::Disposition why,
+                   std::vector<KV> results);
 
   RunState& run_;
   std::size_t index_;  ///< worker ordinal (trace lane)
@@ -255,12 +255,12 @@ struct RunState {
 
   std::size_t run_len = 0;       // candidate list length L (normalized)
   std::size_t total_queries = 0;
-  /// Orchestrator completion sink (RunAttach::deliver); empty = records go
-  /// to this run's own collector.
-  std::function<void(metrics::QueryRecord&&)> deliver;
+  /// Where deliver() hands records: RunAttach::deliver, or by default this
+  /// run's own collector.
+  std::function<void(metrics::QueryRecord&&)> sink;
   // Run-wide counters: each has exactly one writing actor class, so the
   // totals are exact without any aggregation step.
-  std::size_t delivered ALGAS_OWNED_BY(HostWorker, AdmissionActor) = 0;
+  std::size_t delivered ALGAS_OWNED_BY(RunState) = 0;
   std::uint64_t interrupts ALGAS_OWNED_BY(CtaActor) = 0;
   std::uint64_t worker_steps ALGAS_OWNED_BY(HostWorker) = 0;
   double worker_busy_ns ALGAS_OWNED_BY(HostWorker) = 0.0;
@@ -278,6 +278,11 @@ struct RunState {
   /// `slot` to `next` at the current host step, and on Work or Quit — the
   /// states an idle CTA acts on — re-arms the slot's parked CTAs.
   void write_slot(std::size_t slot, SlotState next, double* elapsed);
+
+  /// The one way a query's record leaves the run, whatever its outcome
+  /// (served, evicted, shed at dispatch or at admission): hands it to the
+  /// sink at its done_ns and counts it toward `delivered`.
+  void deliver(metrics::QueryRecord&& rec);
 
   bool workload_exhausted() const;
   /// Earliest instant new work can appear: the queue's next arrival or the
@@ -309,14 +314,8 @@ class AdmissionActor final : public sim::Actor {
         // kRejectNew returns the newcomer; kDropOldest returns the evicted
         // queue entry. Either way the victim's record is stamped now — the
         // instant the admission decision was made.
-        metrics::QueryRecord rec =
-            shed_record(*victim, sim.now(), metrics::Disposition::kShedQueue);
-        if (run_.deliver) {
-          run_.deliver(std::move(rec));
-        } else {
-          run_.collector.add(std::move(rec));
-        }
-        ++run_.delivered;
+        run_.deliver(
+            shed_record(*victim, sim.now(), metrics::Disposition::kShedQueue));
       }
     }
     if (cursor_ < arrivals_.size()) {
@@ -342,6 +341,16 @@ class AdmissionActor final : public sim::Actor {
 
 bool RunState::workload_exhausted() const {
   return qm.empty() && (admission == nullptr || admission->exhausted());
+}
+
+void RunState::deliver(metrics::QueryRecord&& rec) {
+  const SimTime done_ns = rec.done_ns;
+  sink(std::move(rec));
+  ++delivered;
+  if (trace.tracer) {
+    trace.tracer->counter(trace.pid, "delivered", done_ns,
+                          static_cast<double>(delivered));
+  }
 }
 
 SimTime RunState::next_arrival() const {
@@ -372,7 +381,11 @@ void CtaActor::step(sim::Simulation& sim) {
             visited_clear_words(run_.ds.num_base(), run_.plan.n_parallel);
         elapsed += cm.cta_start_ns +
                    static_cast<double>(words) * cm.bitmap_clear_per_word_ns;
-        search_.reset(run_.ds.query(rt.query_index), rt.entries[cta_],
+        // A graph with fewer nodes than CTAs yields fewer entry points; a
+        // CTA without one ends with an empty list.
+        search_.reset(run_.ds.query(rt.query_index),
+                      cta_ < rt.entries.size() ? rt.entries[cta_]
+                                               : kInvalidNode,
                       &rt.visited);
       }
       search::StepCost cost;
@@ -492,7 +505,9 @@ bool HostWorker::dispatch(sim::Simulation& sim, std::size_t slot,
   // before finding dispatchable work. The infinite default deadline makes
   // this loop a no-op on every pre-serving workload.
   while (q && q->deadline_ns < sim.now() + *elapsed) {
-    deliver_shed(sim, *q, elapsed);
+    *elapsed += cm.host_shed_ns;
+    run_.deliver(shed_record(*q, sim.now() + *elapsed,
+                             metrics::Disposition::kShedDeadline));
     q = run_.qm.pop_ready(sim.now() + *elapsed);
   }
   if (!q) return false;
@@ -553,74 +568,8 @@ void HostWorker::fetch_and_complete(sim::Simulation& sim, std::size_t slot,
   auto topk = search::merge_sorted_runs(
       rt.result_buffer, run_.plan.n_parallel, run_.run_len,
       run_.cfg.search.topk, run_.cfg.search.accept);
-
-  metrics::QueryRecord rec;
-  rec.query_index = rt.query_index;
-  rec.slot = slot;
-  rec.arrival_ns = rt.arrival_ns;
-  rec.dispatch_ns = rt.dispatch_ns;
-  rec.gpu_done_ns = rt.gpu_done_ns;
-  rec.done_ns = sim.now() + *elapsed;
-  // Deadline/priority travel on every record, served included: the eviction
-  // check above ran BEFORE the fetch/transfer/merge costs were charged, so a
-  // served query can still land past a finite deadline — in_deadline() must
-  // see the real deadline to count it as a miss (the K>1 MergeActor path
-  // already stamps these; K=1 must agree on goodput/miss accounting).
-  rec.deadline_ns = rt.deadline_ns;
-  rec.priority = rt.priority;
-  rec.steps = rt.steps;
-  rec.rounds = rt.rounds;
-  rec.scored_points = rt.scored;
-  rec.gpu_cost = rt.gpu_cost;
-  rec.results = std::move(topk);
-  const SimTime done_ns = rec.done_ns;
-  if (run_.deliver) {
-    // Sharded path: the gather stage owns completion. Result ids are still
-    // shard-local here; the sink is responsible for the global mapping.
-    run_.deliver(std::move(rec));
-  } else {
-    run_.collector.add(std::move(rec));
-  }
-  ++run_.delivered;
-  --run_.in_flight;
-  rt.busy = false;
-  if (run_.trace.tracer) {
-    auto& tr = *run_.trace.tracer;
-    const int slot_tid = run_.trace.slot_tid0 + static_cast<int>(slot);
-    sim::TraceArgs args;
-    args.add("query", static_cast<std::uint64_t>(rt.query_index));
-    args.add("steps", static_cast<std::uint64_t>(rt.steps));
-    args.add("rounds", static_cast<std::uint64_t>(rt.rounds));
-    // Slot occupancy: dispatch to delivery, one span per served query.
-    tr.complete(run_.trace.pid, slot_tid,
-                "q" + std::to_string(rt.query_index), rt.dispatch_ns,
-                done_ns - rt.dispatch_ns, std::move(args), "slot");
-    tr.flow_end(run_.trace.pid, slot_tid, "query", rt.flow_id, done_ns);
-    tr.counter(run_.trace.pid, "in-flight queries", done_ns,
-               static_cast<double>(run_.in_flight));
-    tr.counter(run_.trace.pid, "delivered", done_ns,
-               static_cast<double>(run_.delivered));
-  }
-}
-
-/// Drops one expired queue head: charges the shed bookkeeping and emits the
-/// kShedDeadline record at the post-charge instant.
-void HostWorker::deliver_shed(sim::Simulation& sim, const PendingQuery& q,
-                              double* elapsed) {
-  *elapsed += run_.cfg.cost.host_shed_ns;
-  metrics::QueryRecord rec = shed_record(q, sim.now() + *elapsed,
-                                         metrics::Disposition::kShedDeadline);
-  if (run_.deliver) {
-    run_.deliver(std::move(rec));
-  } else {
-    run_.collector.add(std::move(rec));
-  }
-  ++run_.delivered;
-  if (run_.trace.tracer) {
-    run_.trace.tracer->counter(run_.trace.pid, "delivered",
-                               sim.now() + *elapsed,
-                               static_cast<double>(run_.delivered));
-  }
+  finish_slot(slot, sim.now() + *elapsed, metrics::Disposition::kServed,
+              std::move(topk));
 }
 
 /// The Expired path of the Fig 5 extension: the slot finished its search
@@ -632,32 +581,37 @@ void HostWorker::deliver_shed(sim::Simulation& sim, const PendingQuery& q,
 /// block never crosses the channel.
 void HostWorker::evict_expired(sim::Simulation& sim, std::size_t slot,
                                double* elapsed) {
-  const sim::CostModel& cm = run_.cfg.cost;
-  SlotRuntime& rt = run_.slots[slot];
   run_.write_slot(slot, SlotState::kExpired, elapsed);
-  *elapsed += cm.host_evict_ns;
+  *elapsed += run_.cfg.cost.host_evict_ns;
+  finish_slot(slot, sim.now() + *elapsed, metrics::Disposition::kEvicted, {});
+}
 
+/// Ends the query in flight on `slot` at `done_ns`, served or evicted:
+/// builds its record from the slot runtime, frees the slot, traces the
+/// slot's occupancy and delivers the record.
+void HostWorker::finish_slot(std::size_t slot, SimTime done_ns,
+                             metrics::Disposition why,
+                             std::vector<KV> results) {
+  SlotRuntime& rt = run_.slots[slot];
   metrics::QueryRecord rec;
   rec.query_index = rt.query_index;
   rec.slot = slot;
   rec.arrival_ns = rt.arrival_ns;
   rec.dispatch_ns = rt.dispatch_ns;
   rec.gpu_done_ns = rt.gpu_done_ns;
-  rec.done_ns = sim.now() + *elapsed;
+  rec.done_ns = done_ns;
+  // Deadline/priority travel on every record, served included: the eviction
+  // check ran BEFORE the fetch/transfer/merge costs were charged, so a
+  // served query can still land past a finite deadline — in_deadline() must
+  // see the real deadline to count it as a miss.
   rec.deadline_ns = rt.deadline_ns;
   rec.priority = rt.priority;
-  rec.disposition = metrics::Disposition::kEvicted;
+  rec.disposition = why;
   rec.steps = rt.steps;
   rec.rounds = rt.rounds;
   rec.scored_points = rt.scored;
   rec.gpu_cost = rt.gpu_cost;
-  const SimTime done_ns = rec.done_ns;
-  if (run_.deliver) {
-    run_.deliver(std::move(rec));
-  } else {
-    run_.collector.add(std::move(rec));
-  }
-  ++run_.delivered;
+  rec.results = std::move(results);
   --run_.in_flight;
   rt.busy = false;
   if (run_.trace.tracer) {
@@ -666,16 +620,18 @@ void HostWorker::evict_expired(sim::Simulation& sim, std::size_t slot,
     sim::TraceArgs args;
     args.add("query", static_cast<std::uint64_t>(rt.query_index));
     args.add("steps", static_cast<std::uint64_t>(rt.steps));
+    args.add("rounds", static_cast<std::uint64_t>(rt.rounds));
+    // Slot occupancy: dispatch to delivery, one span per dispatched query.
     tr.complete(run_.trace.pid, slot_tid,
-                "q" + std::to_string(rt.query_index) + " (evicted)",
+                "q" + std::to_string(rt.query_index) +
+                    (rec.served() ? "" : " (evicted)"),
                 rt.dispatch_ns, done_ns - rt.dispatch_ns, std::move(args),
                 "slot");
     tr.flow_end(run_.trace.pid, slot_tid, "query", rt.flow_id, done_ns);
     tr.counter(run_.trace.pid, "in-flight queries", done_ns,
                static_cast<double>(run_.in_flight));
-    tr.counter(run_.trace.pid, "delivered", done_ns,
-               static_cast<double>(run_.delivered));
   }
+  run_.deliver(std::move(rec));
 }
 
 void HostWorker::step(sim::Simulation& sim) {
@@ -879,7 +835,12 @@ struct EngineRun::Impl {
     if (check) check->begin_run(run_label);
 
     run = std::make_unique<RunState>(ds, engine.g_, cfg, engine.plan_, check);
-    run->deliver = std::move(attach.deliver);
+    run->sink = std::move(attach.deliver);
+    if (!run->sink) {
+      run->sink = [collector = &run->collector](metrics::QueryRecord&& rec) {
+        collector->add(std::move(rec));
+      };
+    }
     run->channel.set_host_bus(attach.host_bus);
     if (check) {
       run->sim.set_checker(check);
@@ -1037,19 +998,7 @@ struct EngineRun::Impl {
     }
 
     if (ds.has_ground_truth()) {
-      // Recall is a statement about delivered answers, so it averages over
-      // SERVED records only: a shed/evicted query returned nothing and
-      // shows up in shed_rate/goodput instead of dragging recall to zero.
-      double total_recall = 0.0;
-      std::size_t served = 0;
-      for (const auto& r : run->collector.records()) {
-        if (!r.served()) continue;
-        ++served;
-        total_recall += metrics::recall_at_k(ds, r.query_index, r.results,
-                                             cfg.search.topk);
-      }
-      rep.recall =
-          served == 0 ? 0.0 : total_recall / static_cast<double>(served);
+      rep.recall = metrics::served_recall(ds, run->collector, cfg.search.topk);
     }
     rep.collector = std::move(run->collector);
     return rep;

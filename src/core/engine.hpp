@@ -81,14 +81,9 @@ struct AlgasConfig {
 /// slot's n_parallel CTAs (§IV-B step 1).
 std::size_t visited_clear_words(std::size_t num_base, std::size_t n_parallel);
 
-/// Common result shape for all engines (ALGAS and baselines).
-struct EngineReport {
-  metrics::Collector collector;
-  metrics::RunSummary summary;
-  /// Base-row storage codec the run scored against (f32/f16/int8).
-  StorageCodec storage = StorageCodec::kF32;
-  double recall = 0.0;            ///< mean recall@topk (if GT available)
-  double gpu_utilization = 0.0;   ///< busy CTA-time / (CTAs x span)
+/// Work counters of one engine run. Each is a plain total, so the reports
+/// of several runs (the shards of a sharded run) aggregate with +=.
+struct EngineCounters {
   std::uint64_t pcie_transactions = 0;
   std::uint64_t pcie_state_transactions = 0;       ///< polls + write-throughs
   std::uint64_t pcie_state_poll_transactions = 0;  ///< naive-mode host polls
@@ -103,7 +98,6 @@ struct EngineReport {
   /// a different span than this run's own.
   double cta_busy_ns = 0.0;
   std::size_t cta_count = 0;
-  TunePlan plan;
   /// Events the simulation queue ran. Idle CTA polls are not among them:
   /// a parked CTA skips them (elided_polls), so sim_events + elided_polls
   /// is what a loop stepping every poll would run.
@@ -116,6 +110,36 @@ struct EngineReport {
   std::uint64_t sim_stale_events = 0;
   /// Invariant evaluations performed by SimCheck (0 = run was unchecked).
   std::uint64_t simcheck_checks = 0;
+
+  EngineCounters& operator+=(const EngineCounters& o) {
+    pcie_transactions += o.pcie_transactions;
+    pcie_state_transactions += o.pcie_state_transactions;
+    pcie_state_poll_transactions += o.pcie_state_poll_transactions;
+    pcie_state_write_transactions += o.pcie_state_write_transactions;
+    pcie_bytes += o.pcie_bytes;
+    host_polls += o.host_polls;
+    interrupts += o.interrupts;
+    host_worker_steps += o.host_worker_steps;
+    host_busy_ns += o.host_busy_ns;
+    cta_busy_ns += o.cta_busy_ns;
+    cta_count += o.cta_count;
+    sim_events += o.sim_events;
+    elided_polls += o.elided_polls;
+    sim_stale_events += o.sim_stale_events;
+    simcheck_checks += o.simcheck_checks;
+    return *this;
+  }
+};
+
+/// Common result shape for all engines (ALGAS and baselines).
+struct EngineReport : EngineCounters {
+  metrics::Collector collector;
+  metrics::RunSummary summary;
+  /// Base-row storage codec the run scored against (f32/f16/int8).
+  StorageCodec storage = StorageCodec::kF32;
+  double recall = 0.0;            ///< mean recall@topk (if GT available)
+  double gpu_utilization = 0.0;   ///< busy CTA-time / (CTAs x span)
+  TunePlan plan;
   /// SimTrace events this run recorded (0 = run was untraced).
   std::uint64_t trace_events = 0;
 };

@@ -49,12 +49,6 @@ ServingReport ServingEngine::run(const sim::ArrivalConfig& arrival,
     rep.offered_qps = static_cast<double>(rep.arrivals.size()) * 1e9 /
                       rep.arrivals.back().arrival_ns;
   }
-  const metrics::RunSummary& s = rep.sharded.merged.summary;
-  rep.goodput_qps = s.goodput_qps;
-  rep.shed_rate = s.shed_rate;
-  rep.deadline_miss_rate = s.deadline_miss_rate;
-  rep.p99_latency_us = s.p99_latency_us;
-  rep.p999_latency_us = s.p999_latency_us;
   return rep;
 }
 

@@ -48,15 +48,10 @@ struct ServingReport {
   /// The exact workload that ran (arrival/deadline/priority per query) —
   /// what the serving gate checksums.
   std::vector<PendingQuery> arrivals;
-  /// Offered load: arrivals per second of the workload's arrival span.
+  /// Offered load: arrivals per second of the workload's arrival span. The
+  /// outcome metrics (goodput, shed rate, deadline misses, tail latency)
+  /// are in sharded.merged.summary.
   double offered_qps = 0.0;
-  // Convenience copies of the headline serving metrics
-  // (== sharded.merged.summary fields).
-  double goodput_qps = 0.0;
-  double shed_rate = 0.0;
-  double deadline_miss_rate = 0.0;
-  double p99_latency_us = 0.0;
-  double p999_latency_us = 0.0;
 };
 
 class ServingEngine {

@@ -21,24 +21,16 @@ namespace {
 /// Scatter-side state of one in-flight query: which shards owe a run, the
 /// runs received so far (indexed by the shard's position in the route, so
 /// the concatenation order is shard-ascending regardless of completion
-/// order), and the timing/work aggregates the merged record reports.
+/// order), and the merged record the shard records accumulate into.
 struct GatherState {
   std::vector<std::size_t> route;  ///< shards probed, ascending
   std::size_t received = 0;
-  SimTime arrival_ns = 0.0;
-  SimTime dispatch_ns = std::numeric_limits<SimTime>::infinity();  // min
-  SimTime gpu_done_ns = 0.0;                                       // max
-  SimTime deadline_ns = std::numeric_limits<SimTime>::infinity();
-  std::uint8_t priority = 0;
-  /// Best outcome among the probed shards (min Disposition ordinal): one
-  /// shard serving is enough for the merged query to serve — shards that
-  /// shed or evicted just contribute an empty run. Starts at the worst
-  /// ordinal and min-accumulates as shard records land.
-  metrics::Disposition disposition = metrics::Disposition::kEvicted;
-  std::size_t steps = 0;
-  std::size_t rounds = 0;
-  std::size_t scored = 0;
-  search::StepCost gpu_cost;
+  /// Arrival, deadline and priority come from the arrival. Each shard
+  /// record then takes dispatch_ns to its min and gpu_done_ns to its max,
+  /// adds its device work, and takes the disposition to the best outcome
+  /// (min ordinal): one shard serving is enough for the merged query to
+  /// serve — shards that shed or evicted just contribute an empty run.
+  metrics::QueryRecord merged;
   std::vector<std::vector<KV>> runs;  ///< one slot per routed shard
 };
 
@@ -89,20 +81,9 @@ class MergeActor final : public sim::Actor {
     }
     const double elapsed = cm_.host_topk_merge_ns(n_runs, topk_);
 
-    metrics::QueryRecord rec;
-    rec.query_index = top.query;
+    metrics::QueryRecord rec = std::move(g.merged);
     rec.slot = n_runs;  // repurposed: shard runs merged (== fanout)
-    rec.arrival_ns = g.arrival_ns;
-    rec.dispatch_ns = g.dispatch_ns;
-    rec.gpu_done_ns = g.gpu_done_ns;
     rec.done_ns = sim.now() + elapsed;
-    rec.deadline_ns = g.deadline_ns;
-    rec.priority = g.priority;
-    rec.disposition = g.disposition;
-    rec.steps = g.steps;
-    rec.rounds = g.rounds;
-    rec.scored_points = g.scored;
-    rec.gpu_cost = g.gpu_cost;
     if (rec.served()) {
       // Shards that shed/evicted left their run slot empty (KV::empty
       // padding); the merge tolerates that, so one serving shard suffices.
@@ -289,16 +270,8 @@ ShardedReport ShardedEngine::run(const std::vector<PendingQuery>& arrivals) {
     // meaningful here, where shard0 IS the full range) — rescore recall
     // against the original dataset.
     if (ds_.has_ground_truth()) {
-      double total_recall = 0.0;
-      std::size_t served = 0;
-      for (const auto& r : rep.merged.collector.records()) {
-        if (!r.served()) continue;
-        ++served;
-        total_recall += metrics::recall_at_k(ds_, r.query_index, r.results,
-                                             cfg_.base.search.topk);
-      }
-      rep.merged.recall =
-          served == 0 ? 0.0 : total_recall / static_cast<double>(served);
+      rep.merged.recall = metrics::served_recall(
+          ds_, rep.merged.collector, cfg_.base.search.topk);
     }
     rep.shards.push_back(rep.merged);
     rep.shard_records.merge(rep.merged.collector);
@@ -322,9 +295,12 @@ ShardedReport ShardedEngine::run(const std::vector<PendingQuery>& arrivals) {
           std::to_string(a.query_index) + " in arrivals");
     }
     g.route = route(a.query_index);
-    g.arrival_ns = a.arrival_ns;
-    g.deadline_ns = a.deadline_ns;
-    g.priority = a.priority;
+    g.merged.query_index = a.query_index;
+    g.merged.arrival_ns = a.arrival_ns;
+    g.merged.dispatch_ns = std::numeric_limits<SimTime>::infinity();
+    g.merged.deadline_ns = a.deadline_ns;
+    g.merged.priority = a.priority;
+    g.merged.disposition = metrics::Disposition::kEvicted;
     g.runs.resize(g.route.size());
     routed_total += g.route.size();
     for (const std::size_t s : g.route) shard_arrivals[s].push_back(a);
@@ -369,13 +345,14 @@ ShardedReport ShardedEngine::run(const std::vector<PendingQuery>& arrivals) {
       for (KV& kv : rec.results) {
         kv = KV::make(kv.dist, part_.to_global(s, kv.id()));
       }
-      g.dispatch_ns = std::min(g.dispatch_ns, rec.dispatch_ns);
-      g.gpu_done_ns = std::max(g.gpu_done_ns, rec.gpu_done_ns);
-      if (rec.disposition < g.disposition) g.disposition = rec.disposition;
-      g.steps += rec.steps;
-      g.rounds += rec.rounds;
-      g.scored += rec.scored_points;
-      g.gpu_cost += rec.gpu_cost;
+      metrics::QueryRecord& m = g.merged;
+      m.dispatch_ns = std::min(m.dispatch_ns, rec.dispatch_ns);
+      m.gpu_done_ns = std::max(m.gpu_done_ns, rec.gpu_done_ns);
+      m.disposition = std::min(m.disposition, rec.disposition);
+      m.steps += rec.steps;
+      m.rounds += rec.rounds;
+      m.scored_points += rec.scored_points;
+      m.gpu_cost += rec.gpu_cost;
       const auto it = std::find(g.route.begin(), g.route.end(), s);
       const auto ordinal =
           static_cast<std::size_t>(std::distance(g.route.begin(), it));
@@ -406,21 +383,7 @@ ShardedReport ShardedEngine::run(const std::vector<PendingQuery>& arrivals) {
   EngineReport& m = rep.merged;
   for (std::size_t s = 0; s < k; ++s) {
     EngineReport r = runs[s]->finish();
-    m.pcie_transactions += r.pcie_transactions;
-    m.pcie_state_transactions += r.pcie_state_transactions;
-    m.pcie_state_poll_transactions += r.pcie_state_poll_transactions;
-    m.pcie_state_write_transactions += r.pcie_state_write_transactions;
-    m.pcie_bytes += r.pcie_bytes;
-    m.host_polls += r.host_polls;
-    m.interrupts += r.interrupts;
-    m.host_worker_steps += r.host_worker_steps;
-    m.host_busy_ns += r.host_busy_ns;
-    m.cta_busy_ns += r.cta_busy_ns;
-    m.cta_count += r.cta_count;
-    m.sim_events += r.sim_events;
-    m.sim_stale_events += r.sim_stale_events;
-    m.elided_polls += r.elided_polls;
-    m.simcheck_checks += r.simcheck_checks;
+    m += r;
     rep.shards.push_back(std::move(r));
     rep.shard_records.merge(shard_collectors[s]);
   }
@@ -437,16 +400,8 @@ ShardedReport ShardedEngine::run(const std::vector<PendingQuery>& arrivals) {
         (m.summary.span_ns * static_cast<double>(m.cta_count));
   }
   if (ds_.has_ground_truth()) {
-    double total_recall = 0.0;
-    std::size_t served = 0;
-    for (const auto& r : merged_collector.records()) {
-      if (!r.served()) continue;
-      ++served;
-      total_recall += metrics::recall_at_k(ds_, r.query_index, r.results,
-                                           cfg_.base.search.topk);
-    }
-    m.recall = served == 0 ? 0.0
-                           : total_recall / static_cast<double>(served);
+    m.recall =
+        metrics::served_recall(ds_, merged_collector, cfg_.base.search.topk);
   }
   m.collector = std::move(merged_collector);
   m.trace_events =

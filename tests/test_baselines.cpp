@@ -4,7 +4,6 @@
 #include <set>
 
 #include "baselines/batch_runner.hpp"
-#include "baselines/ganns_engine.hpp"
 #include "baselines/ivf.hpp"
 #include "baselines/static_engine.hpp"
 #include "metrics/recall.hpp"
@@ -149,15 +148,15 @@ TEST(StaticEngine, LargerBatchRaisesPerQueryLatency) {
   EXPECT_LT(rs.summary.mean_service_us, rl.summary.mean_service_us);
 }
 
-// ---------------- ganns_engine.hpp ----------------
+// ---------------- ganns_config ----------------
 
-TEST(GannsEngine, SingleCtaGreedyCompletes) {
+TEST(Ganns, SingleCtaGreedyCompletes) {
   const auto& world = algas::testing::tiny_world();
-  GannsConfig cfg;
+  StaticConfig cfg;
   cfg.search.topk = 10;
   cfg.search.candidate_len = 64;
   cfg.batch_size = 8;
-  GannsEngine engine(world.ds, world.nsw, cfg);
+  StaticBatchEngine engine(world.ds, world.nsw, ganns_config(cfg));
   const auto rep = engine.run_closed_loop(32);
   EXPECT_EQ(rep.summary.queries, 32u);
   EXPECT_GT(rep.recall, 0.85);
@@ -177,8 +176,6 @@ TEST(IvfIndex, PartitionsAllPoints) {
     total += index.list_size(i);
   }
   EXPECT_EQ(total, world.ds.num_base());
-  EXPECT_GE(index.imbalance(), 1.0);
-  EXPECT_LT(index.imbalance(), 20.0);
 }
 
 TEST(IvfIndex, FullProbeIsExact) {

@@ -3,11 +3,11 @@
 // Idle persistent-kernel CTAs park between queries instead of running one
 // queue event per poll, and are re-armed on their own poll sequence when
 // the host writes Work or Quit (DESIGN.md, "Idle CTAs park"). That must be
-// invisible to every modeled figure. The values below were recorded with a
-// loop that ran every idle poll as an event: each case pins an FNV-1a over
-// every record's timestamps, disposition and results, the poll-every-period
-// event count (sim_events + elided_polls), the host poll count and the
-// PCIe counters.
+// invisible to every modeled figure. Each case pins an FNV-1a over every
+// field of every record (slot, timestamps, deadline, priority, disposition,
+// device work and results), and the poll-every-period event count
+// (sim_events + elided_polls), host poll count and PCIe counters that a loop
+// running every idle poll as an event produced.
 //
 // The cases cover every HostSync mode in a closed loop and in a bounded-
 // admission open loop whose deadlines both shed and evict, each unsharded
@@ -62,11 +62,21 @@ Fingerprint fingerprint(const EngineReport& rep) {
   Fnv f;
   for (const metrics::QueryRecord& r : rep.collector.records()) {
     f.mix(r.query_index);
+    f.mix(r.slot);
     f.mix_double(r.arrival_ns);
     f.mix_double(r.dispatch_ns);
     f.mix_double(r.gpu_done_ns);
     f.mix_double(r.done_ns);
+    f.mix_double(r.deadline_ns);
+    f.mix(r.priority);
     f.mix(static_cast<std::uint64_t>(r.disposition));
+    f.mix(r.steps);
+    f.mix(r.rounds);
+    f.mix(r.scored_points);
+    f.mix_double(r.gpu_cost.select_ns);
+    f.mix_double(r.gpu_cost.gather_ns);
+    f.mix_double(r.gpu_cost.compute_ns);
+    f.mix_double(r.gpu_cost.sort_ns);
     f.mix(r.results.size());
     for (const KV& kv : r.results) {
       std::uint32_t bits;
@@ -179,12 +189,12 @@ constexpr HostSync kModes[] = {HostSync::kPollNaive, HostSync::kPollMirrored,
 TEST(VirtualTimeGolden, ClosedLoopEveryModeAndShardCount) {
   // Index: mode * 2 + (K == 4).
   const Fingerprint want[] = {
-      {0xb2ba7ca1790d3f36ull, 26913, 379, 1131, 170604, 379, 672},
-      {0xb5e1be9cc95d1da6ull, 126931, 1391, 4399, 190396, 1391, 2688},
-      {0x23ceee62ae05b08bull, 18696, 1270, 1072, 170368, 0, 992},
-      {0x08b4fb2d02b13dafull, 65545, 1717, 4288, 189952, 0, 3968},
-      {0x662dc98c80aa5bdbull, 24544, 0, 752, 169088, 0, 672},
-      {0x76bfb6f9bf5188ccull, 74735, 0, 3008, 184832, 0, 2688},
+      {0x927dea8dea56f560ull, 26913, 379, 1131, 170604, 379, 672},
+      {0xd1652cedcc0de41cull, 126931, 1391, 4399, 190396, 1391, 2688},
+      {0x5c115c1f0348738eull, 18696, 1270, 1072, 170368, 0, 992},
+      {0xb692754202e7c9d2ull, 65545, 1717, 4288, 189952, 0, 3968},
+      {0x33ecd6cd498b3cbfull, 24544, 0, 752, 169088, 0, 672},
+      {0x4fcf91765ca22b18ull, 74735, 0, 3008, 184832, 0, 2688},
   };
   for (std::size_t m = 0; m < 3; ++m) {
     const AlgasConfig cfg = golden_config(kModes[m]);
@@ -199,12 +209,12 @@ TEST(VirtualTimeGolden, ClosedLoopEveryModeAndShardCount) {
 
 TEST(VirtualTimeGolden, OpenLoopShedAndEvictEveryModeAndShardCount) {
   const Fingerprint want[] = {
-      {0x62b491d8a837b1c7ull, 30142, 429, 903, 74676, 429, 432},
-      {0xbe2098f3d68fabd6ull, 128461, 1158, 3378, 108312, 1158, 2016},
-      {0x64190ffa96eaa08aull, 28641, 1310, 778, 90784, 0, 728},
-      {0x0f081cff4ac174d4ull, 125677, 1871, 3235, 129280, 0, 3008},
-      {0x422f20034f8aa934ull, 29338, 0, 528, 85632, 0, 480},
-      {0x4bde705f0b69bf3cull, 127642, 0, 2256, 105984, 0, 2048},
+      {0xb319b2621fcd434aull, 30142, 429, 903, 74676, 429, 432},
+      {0xd0f1de8ed7b36b01ull, 128461, 1158, 3378, 108312, 1158, 2016},
+      {0xa40d46bad82aec54ull, 28641, 1310, 778, 90784, 0, 728},
+      {0xc9de76e06e7ce9f7ull, 125677, 1871, 3235, 129280, 0, 3008},
+      {0xb2d6e1551a3f7907ull, 29338, 0, 528, 85632, 0, 480},
+      {0x1c31a724d7ce1c2aull, 127642, 0, 2256, 105984, 0, 2048},
   };
   const auto arrivals = open_arrivals();
   for (std::size_t m = 0; m < 3; ++m) {
@@ -238,7 +248,7 @@ TEST(VirtualTimeGolden, MoreSlotsThanQueriesIdleInLockstep) {
   const auto rep = run_single(cfg, &arrivals, 0);
   EXPECT_GT(rep.elided_polls, rep.sim_events);
   expect_fingerprint(
-      rep, {0xce115be44c341b3full, 15647, 201, 148, 13216, 0, 136},
+      rep, {0xc662aad76eede04bull, 15647, 201, 148, 13216, 0, 136},
       "lockstep");
 }
 
@@ -248,8 +258,8 @@ TEST(VirtualTimeGolden, SiblingsOnMergedPollSequences) {
   // poll instants once rounding merges their sequences, and must wake in
   // the order the per-poll loop ran them there, which is not park order.
   const Fingerprint want[] = {
-      {0x0a37535ebe2e7c5full, 190703, 240, 972, 67008, 240, 672},
-      {0xccedcb3e51c98361ull, 111092, 0, 732, 66048, 0, 672},
+      {0x314a6a3a436c973dull, 190703, 240, 972, 67008, 240, 672},
+      {0xa3d75f17b095366aull, 111092, 0, 732, 66048, 0, 672},
   };
   const HostSync modes[] = {HostSync::kPollNaive, HostSync::kBlocking};
   for (std::size_t m = 0; m < 2; ++m) {

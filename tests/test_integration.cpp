@@ -2,7 +2,6 @@
 // the same data, checking the paper's headline *orderings* hold end to end.
 #include <gtest/gtest.h>
 
-#include "baselines/ganns_engine.hpp"
 #include "baselines/static_engine.hpp"
 #include "core/engine.hpp"
 #include "search/multi_cta.hpp"
@@ -71,11 +70,12 @@ TEST(Integration, DynamicBatchingBeatsStaticOnLatency) {
 TEST(Integration, AlgasBeatsGannsOnThroughput) {
   const auto& world = testing::tiny_world();
   core::AlgasEngine dynamic(world.ds, world.nsw, algas_cfg(8));
-  baselines::GannsConfig gcfg;
+  baselines::StaticConfig gcfg;
   gcfg.search.topk = 10;
   gcfg.search.candidate_len = 64;
   gcfg.batch_size = 8;
-  baselines::GannsEngine ganns(world.ds, world.nsw, gcfg);
+  baselines::StaticBatchEngine ganns(world.ds, world.nsw,
+                                     baselines::ganns_config(gcfg));
   const auto rd = dynamic.run_closed_loop(120);
   const auto rg = ganns.run_closed_loop(120);
   EXPECT_GT(rd.summary.throughput_qps, rg.summary.throughput_qps);

@@ -44,15 +44,6 @@ TEST(Recall, OnlyFirstKResultsCount) {
   EXPECT_DOUBLE_EQ(recall_at_k(ds, 0, padded, 2), 0.5);
 }
 
-TEST(Recall, IdsOverload) {
-  const Dataset ds = dataset_with_gt();
-  // truth@2 = {0, 1}; {0, 2} hits one of them.
-  const std::vector<NodeId> ids{0, 2};
-  EXPECT_DOUBLE_EQ(recall_at_k_ids(ds, 0, ids, 2), 0.5);
-  const std::vector<NodeId> exact{1, 0};
-  EXPECT_DOUBLE_EQ(recall_at_k_ids(ds, 0, exact, 2), 1.0);
-}
-
 TEST(Recall, ThrowsWithoutGroundTruth) {
   Dataset ds("nogt", 1, Metric::kL2);
   ds.mutable_base() = {0.0f};
@@ -70,11 +61,25 @@ TEST(Recall, ThrowsBeyondGtDepth) {
 TEST(Recall, MeanOverQueries) {
   Dataset ds("gt2", 1, Metric::kL2);
   ds.mutable_base() = {0.0f, 1.0f};
-  ds.mutable_queries() = {0.0f, 1.0f};
-  ds.set_ground_truth({0, 1}, 1);  // q0 -> 0, q1 -> 1
-  std::vector<std::vector<KV>> results{{KV::make(0.0f, 0)},
-                                       {KV::make(0.0f, 0)}};
-  EXPECT_DOUBLE_EQ(mean_recall(ds, results, 1), 0.5);
+  ds.mutable_queries() = {0.0f, 1.0f, 0.5f};
+  ds.set_ground_truth({0, 1, 0}, 1);  // q0 -> 0, q1 -> 1, q2 -> 0
+  Collector col;
+  EXPECT_DOUBLE_EQ(served_recall(ds, col, 1), 0.0);  // nothing served
+  for (std::size_t q = 0; q < 2; ++q) {
+    QueryRecord rec;
+    rec.query_index = q;
+    rec.results = {KV::make(0.0f, 0)};
+    col.add(rec);
+  }
+  // A shed query returned nothing; it must not count as a recall of 0.
+  QueryRecord shed;
+  shed.query_index = 2;
+  shed.disposition = Disposition::kShedQueue;
+  col.add(shed);
+  EXPECT_DOUBLE_EQ(served_recall(ds, col, 1), 0.5);
+  // The same average against an explicit truth matrix (row stride k).
+  const std::vector<NodeId> truth{0, 1, 0};
+  EXPECT_DOUBLE_EQ(served_recall(truth, col, 1), 0.5);
 }
 
 // ---------------- collector.hpp ----------------

@@ -256,15 +256,38 @@ TEST(ShardedEngine, FullFanoutMergesEveryShardAndKeepsRecall) {
   // Per-shard engine reports came back, with their collectors drained
   // into the gather stage.
   ASSERT_EQ(rep.shards.size(), 4u);
-  std::uint64_t elided = 0;
+  std::size_t ctas = 0;
+  double cta_busy = 0.0, host_busy = 0.0;
+  std::uint64_t events = 0, stale = 0;
   for (const auto& shard_rep : rep.shards) {
     EXPECT_EQ(shard_rep.collector.size(), 0u);
     EXPECT_GT(shard_rep.sim_events, 0u);
-    elided += shard_rep.elided_polls;
+    ctas += shard_rep.cta_count;
+    cta_busy += shard_rep.cta_busy_ns;
+    host_busy += shard_rep.host_busy_ns;
+    events += shard_rep.sim_events;
+    stale += shard_rep.sim_stale_events;
   }
-  // Idle CTA polls happen on the devices only; the merge sums them.
-  EXPECT_GT(elided, 0u);
-  EXPECT_EQ(rep.merged.elided_polls, elided);
+  // Every merged counter is the per-shard sum, except that the gather's
+  // own host simulation adds its events (one or more per merge) and the
+  // merge thread its busy time.
+  using C = EngineCounters;
+  for (const auto field :
+       {&C::pcie_transactions, &C::pcie_state_transactions,
+        &C::pcie_state_poll_transactions, &C::pcie_state_write_transactions,
+        &C::pcie_bytes, &C::host_polls, &C::interrupts, &C::host_worker_steps,
+        &C::elided_polls, &C::simcheck_checks}) {
+    std::uint64_t sum = 0;
+    for (const auto& shard_rep : rep.shards) sum += shard_rep.*field;
+    EXPECT_EQ(rep.merged.*field, sum);
+  }
+  EXPECT_EQ(rep.merged.cta_count, ctas);
+  EXPECT_DOUBLE_EQ(rep.merged.cta_busy_ns, cta_busy);
+  EXPECT_DOUBLE_EQ(rep.merged.host_busy_ns, host_busy + rep.merge_busy_ns);
+  EXPECT_GE(rep.merged.sim_events, events + rep.merges);
+  EXPECT_GE(rep.merged.sim_stale_events, stale);
+  // Idle CTA polls happen on the devices only.
+  EXPECT_GT(rep.merged.elided_polls, 0u);
 }
 
 TEST(ShardedEngine, SelectiveFanoutRoutesAndAnswersEveryQuery) {

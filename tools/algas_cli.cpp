@@ -195,25 +195,17 @@ std::unique_ptr<search::NodeBitset> parse_filter(const Dataset& ds,
 /// a filter) and print the filtered-recall line.
 void print_filtered_recall(const Dataset& ds,
                            const search::AcceptPredicate& accept,
-                           const metrics::Collector& col, std::size_t topk) {
+                           const core::EngineReport& rep, std::size_t topk) {
   const std::size_t accepted =
       accept.accepted_in_range(0, static_cast<NodeId>(ds.num_base()));
   const auto gt = compute_filtered_ground_truth(ds, topk, accept);
-  double total = 0.0;
-  std::size_t served = 0;
-  for (const auto& r : col.records()) {
-    if (!r.served()) continue;
-    ++served;
-    total += metrics::recall_against(
-        {gt.data() + r.query_index * topk, topk}, r.results, topk);
-  }
   std::printf("filter: %zu/%zu rows accepted (%.2f%%) | filtered recall@%zu "
               "%.4f over %zu served\n",
               accepted, ds.num_base(),
               100.0 * static_cast<double>(accepted) /
                   static_cast<double>(std::max<std::size_t>(ds.num_base(), 1)),
-              topk, served == 0 ? 0.0 : total / static_cast<double>(served),
-              served);
+              topk, metrics::served_recall(gt, rep.collector, topk),
+              rep.summary.served);
 }
 
 int cmd_gen(const Args& args) {
@@ -474,8 +466,8 @@ int cmd_search(const Args& args) {
       // Truth must honor the tombstones serve() conjoined in, or deleted
       // rows would count as misses.
       print_filtered_recall(idx.dataset(),
-                            accept.with_tombstones(&idx.tombstones()),
-                            rep.collector, topk);
+                            accept.with_tombstones(&idx.tombstones()), rep,
+                            topk);
     }
     if (trace) {
       trace->save(trace_path);
@@ -516,7 +508,7 @@ int cmd_search(const Args& args) {
     const core::ShardedReport rep = e.run_closed_loop(queries);
     print_report("algas-sharded", rep.merged);
     if (filter != nullptr) {
-      print_filtered_recall(ds, accept, rep.merged.collector, topk);
+      print_filtered_recall(ds, accept, rep.merged, topk);
     }
     std::printf("scatter-gather: mean fanout %.2f | %zu merges "
                 "(%.1fus busy) | host bus %llu txns, %llu bytes, %.1f%% "
@@ -550,7 +542,7 @@ int cmd_search(const Args& args) {
     const core::EngineReport rep = e.run_closed_loop(queries);
     print_report("algas", rep);
     if (filter != nullptr) {
-      print_filtered_recall(ds, accept, rep.collector, topk);
+      print_filtered_recall(ds, accept, rep, topk);
     }
   } else if (engine == "cagra") {
     baselines::StaticConfig cfg;
@@ -562,12 +554,12 @@ int cmd_search(const Args& args) {
     baselines::StaticBatchEngine e(ds, g, cfg);
     print_report("cagra", e.run_closed_loop(queries));
   } else if (engine == "ganns") {
-    baselines::GannsConfig cfg;
+    baselines::StaticConfig cfg;
     cfg.search.topk = topk;
     cfg.search.candidate_len = list;
     cfg.batch_size = slots;
     cfg.tracer = trace;
-    baselines::GannsEngine e(ds, g, cfg);
+    baselines::StaticBatchEngine e(ds, g, baselines::ganns_config(cfg));
     print_report("ganns", e.run_closed_loop(queries));
   } else {
     throw std::invalid_argument("unknown engine: " + engine);
@@ -642,15 +634,14 @@ int cmd_serve(const Args& args) {
               core::shed_policy_name(base.admission.policy));
   print_report("serve", rep.sharded.merged);
   if (filter != nullptr) {
-    print_filtered_recall(ds, accept, rep.sharded.merged.collector,
-                          base.search.topk);
+    print_filtered_recall(ds, accept, rep.sharded.merged, base.search.topk);
   }
   std::printf("serving: goodput %.0f qps | shed %.1f%% (%zu queue, %zu "
               "deadline, %zu evicted) | deadline miss %.1f%% | latency "
               "p99 %.1fus p999 %.1fus\n",
-              rep.goodput_qps, 100.0 * rep.shed_rate, s.shed_queue,
-              s.shed_deadline, s.evicted, 100.0 * rep.deadline_miss_rate,
-              rep.p99_latency_us, rep.p999_latency_us);
+              s.goodput_qps, 100.0 * s.shed_rate, s.shed_queue,
+              s.shed_deadline, s.evicted, 100.0 * s.deadline_miss_rate,
+              s.p99_latency_us, s.p999_latency_us);
   return 0;
 }
 
