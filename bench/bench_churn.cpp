@@ -9,29 +9,30 @@
 // measured against exact ground truth over the surviving rows, side by side
 // with a from-scratch rebuild over the identical row set.
 //
-// scripts/check_recall.py gates the output JSON against the committed
+// scripts/check_bench.py gates the output JSON against the committed
 // bench/churn_baseline.json: the rebuild variant must match exactly (it is
 // the deterministic offline builder) and the churned variant may trail the
 // same-run rebuild recall by at most the pinned epsilon. The JSON also
-// carries an FNV-1a checksum of the churned graph bytes so CI can diff the
-// files from ALGAS_BUILD_THREADS=1 and =4 runs — churn must be
-// byte-identical across thread counts, exactly like the offline build.
+// carries an FNV-1a checksum of the churned graph bytes, and the gate runs
+// the bench at ALGAS_BUILD_THREADS=1 and =4 and requires byte-identical
+// files — churn must be byte-identical across thread counts, exactly like
+// the offline build.
 //
 // Knobs (environment, same semantics as the other benches):
 //   ALGAS_SCALE      dataset size multiplier (CI gate uses 0.05)
 //   ALGAS_QUERIES    queries served per wave and per final variant (CI: 40)
 //   ALGAS_DATASETS   first listed name is the gate dataset (default sift)
-//   ALGAS_CHURN_OUT  output JSON path (default "BENCH_churn.json")
+//   ALGAS_BENCH_OUT  output JSON path (default "BENCH_churn.json")
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
+#include <iostream>
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
-#include "common/env.hpp"
+#include "bench_common.hpp"
 #include "common/rng.hpp"
 #include "core/engine.hpp"
 #include "core/mutable_index.hpp"
@@ -44,44 +45,24 @@ using namespace algas;
 
 namespace {
 
-/// The recall_gate configuration (Fig 10/11 comparison point, topk 10).
-core::AlgasConfig gate_config() {
-  core::AlgasConfig cfg;
-  cfg.search.topk = 10;
-  cfg.search.candidate_len = 128;
-  cfg.search.beam_width = 4;
-  cfg.search.offset_beam = 24;
-  cfg.slots = 16;
-  cfg.host_threads = 1;
-  cfg.n_parallel = 4;
-  cfg.host_sync = core::HostSync::kPollMirrored;
-  return cfg;
-}
-
 constexpr std::size_t kTopk = 10;
 constexpr std::size_t kWaves = 4;
 
 /// FNV-1a 64 over the published graph + tombstones — the byte-identity
-/// fingerprint CI compares across ALGAS_BUILD_THREADS values.
+/// fingerprint the gate compares across ALGAS_BUILD_THREADS values.
 std::uint64_t index_checksum(const core::MutableIndex& idx) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffULL;
-      h *= 0x100000001b3ULL;
-    }
-  };
+  bench::Fnv f;
   const Graph& g = idx.graph();
-  mix(g.num_nodes());
-  mix(g.degree());
-  mix(static_cast<std::uint64_t>(g.entry_point()));
+  f.mix(g.num_nodes());
+  f.mix(g.degree());
+  f.mix(static_cast<std::uint64_t>(g.entry_point()));
   for (NodeId v = 0; static_cast<std::size_t>(v) < g.num_nodes(); ++v) {
-    for (NodeId u : g.neighbors(v)) mix(static_cast<std::uint64_t>(u));
+    for (NodeId u : g.neighbors(v)) f.mix(static_cast<std::uint64_t>(u));
   }
   const auto dead = idx.tombstones().ids();
-  mix(dead.size());
-  for (NodeId v : dead) mix(static_cast<std::uint64_t>(v));
-  return h;
+  f.mix(dead.size());
+  for (NodeId v : dead) f.mix(static_cast<std::uint64_t>(v));
+  return f.h;
 }
 
 /// Exact top-k over the published, non-tombstoned rows — the moving target
@@ -132,14 +113,10 @@ struct WaveStat {
 }  // namespace
 
 int main() {
-  const RuntimeOptions opts = RuntimeOptions::from_env();
-  std::string raw = opts.datasets;
-  if (raw.empty()) raw = "sift";
-  const std::string ds_name = raw.substr(0, raw.find(','));
-
-  BuildConfig build_cfg;  // bench_build_config() values: shared identity
-  build_cfg.degree = 32;
-  build_cfg.ef_construction = 64;
+  const std::string ds_name = bench::selected_datasets().front();
+  const BuildConfig build_cfg = bench::bench_build_config();
+  // The recall_gate configuration (Fig 10/11 comparison point, topk 10).
+  const core::AlgasConfig gate_cfg = bench::algas_config(16, 128, kTopk);
 
   const Dataset full = load_bench_dataset(ds_name);
   const std::size_t n = full.num_base();
@@ -149,9 +126,7 @@ int main() {
   if (n_churn == 0 || n_keep == 0) {
     throw std::runtime_error("bench_churn: dataset too small to churn");
   }
-  const std::size_t nq =
-      std::min(opts.queries == 0 ? full.num_queries() : opts.queries,
-               full.num_queries());
+  const std::size_t nq = bench::query_budget(full, full.num_queries());
 
   // Start the index from the first 70% of the rows, streamed in through the
   // same batch path churn uses (an index streamed from empty in one insert
@@ -199,7 +174,7 @@ int main() {
       if (!served) {
         // Live queries against the frozen prefix while the batch sits
         // between its two phases — the serving window churn never closes.
-        const auto rep = idx.serve(gate_config(), nq);
+        const auto rep = idx.serve(gate_cfg, nq);
         stat.recall = live_recall(idx, rep);
         stat.mean_latency_us = rep.summary.mean_service_us;
         served = true;
@@ -228,57 +203,50 @@ int main() {
   Dataset final_ds = idx.dataset();
   compute_ground_truth(final_ds, kTopk);
 
-  const auto churn_rep = idx.serve(gate_config(), nq);
+  const auto churn_rep = idx.serve(gate_cfg, nq);
   const double churn_recall =
       metrics::served_recall(final_ds, churn_rep.collector, kTopk);
 
   const Graph rebuilt =
       build_graph(GraphKind::kNsw, final_ds, build_cfg).graph;
-  core::AlgasEngine rebuild_engine(final_ds, rebuilt, gate_config());
+  core::AlgasEngine rebuild_engine(final_ds, rebuilt, gate_cfg);
   const auto rebuild_rep = rebuild_engine.run_closed_loop(nq);
 
   std::printf("churned: recall@10 %.6f | rebuild: recall@10 %.6f\n",
               churn_recall, rebuild_rep.recall);
 
-  const std::string out_path = opts.churn_out;
-  std::ofstream out(out_path, std::ios::trunc);
-  if (!out) throw std::runtime_error("cannot write " + out_path);
-  out.setf(std::ios::fixed);
-  char hex[17];
-  std::snprintf(hex, sizeof(hex), "%016llx",
-                static_cast<unsigned long long>(checksum));
-  out << "{\n"
-      << "  \"bench\": \"bench_churn\",\n"
-      << "  \"dataset\": \"" << ds_name << "\",\n"
-      << "  \"n_base\": " << final_ds.num_base() << ",\n"
-      << "  \"dim\": " << dim << ",\n"
-      << "  \"queries\": " << nq << ",\n"
-      << "  \"topk\": " << kTopk << ",\n"
-      << "  \"candidate_len\": 128,\n"
-      << "  \"inserted\": " << n_churn << ",\n"
-      << "  \"removed\": " << n_churn << ",\n"
-      << "  \"compact_patched\": " << creport.patched << ",\n"
-      << "  \"graph_checksum\": \"" << hex << "\",\n"
-      << "  \"waves\": [\n";
-  out.precision(10);
-  for (std::size_t w = 0; w < waves.size(); ++w) {
-    out << "    {\"removed\": " << waves[w].removed
-        << ", \"inserted\": " << waves[w].inserted
-        << ", \"live\": " << waves[w].live
-        << ", \"recall_at_10\": " << waves[w].recall << "}"
-        << (w + 1 < waves.size() ? "," : "") << "\n";
+  bench::JsonReport report("churn");
+  report.text("bench", "bench_churn")
+      .text("dataset", ds_name)
+      .integer("n_base", final_ds.num_base())
+      .integer("dim", dim)
+      .integer("queries", nq)
+      .integer("topk", kTopk)
+      .integer("candidate_len", 128)
+      .integer("inserted", n_churn)
+      .integer("removed", n_churn)
+      .integer("compact_patched", creport.patched)
+      .text("graph_checksum", bench::hex64(checksum))
+      .array("waves");
+  for (const WaveStat& w : waves) {
+    report.object()
+        .integer("removed", w.removed)
+        .integer("inserted", w.inserted)
+        .integer("live", w.live)
+        .number("recall_at_10", w.recall)
+        .close();
   }
-  out << "  ],\n"
-      << "  \"variants\": {\n"
-      << "    \"rebuild\": {\n"
-      << "      \"recall_at_10\": " << rebuild_rep.recall << ",\n"
-      << "      \"mean_latency_us\": " << rebuild_rep.summary.mean_service_us
-      << "\n    },\n"
-      << "    \"churned\": {\n"
-      << "      \"recall_at_10\": " << churn_recall << ",\n"
-      << "      \"mean_latency_us\": " << churn_rep.summary.mean_service_us
-      << "\n    }\n"
-      << "  },\n  \"end\": true\n}\n";
-  std::printf("wrote %s\n", out_path.c_str());
+  report.close()
+      .object("variants")
+      .object("rebuild")
+      .number("recall_at_10", rebuild_rep.recall)
+      .number("mean_latency_us", rebuild_rep.summary.mean_service_us)
+      .close()
+      .object("churned")
+      .number("recall_at_10", churn_recall)
+      .number("mean_latency_us", churn_rep.summary.mean_service_us)
+      .close()
+      .close()
+      .write(std::cout);
   return 0;
 }

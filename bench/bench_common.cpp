@@ -1,6 +1,8 @@
 #include "bench_common.hpp"
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <iostream>
 #include <map>
 #include <sstream>
@@ -126,6 +128,111 @@ std::string us(double v) {
   out.precision(1);
   out << v;
   return out.str();
+}
+
+void Fnv::mix(std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xffULL;
+    h *= 0x100000001b3ULL;
+  }
+}
+
+std::string hex64(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+std::vector<const metrics::QueryRecord*> by_query_index(
+    const metrics::Collector& c) {
+  std::vector<const metrics::QueryRecord*> recs;
+  recs.reserve(c.size());
+  for (const auto& r : c.records()) recs.push_back(&r);
+  std::sort(recs.begin(), recs.end(),
+            [](const metrics::QueryRecord* a, const metrics::QueryRecord* b) {
+              return a->query_index < b->query_index;
+            });
+  return recs;
+}
+
+JsonReport::JsonReport(const std::string& name)
+    : path_(RuntimeOptions::from_env().bench_out) {
+  if (path_.empty()) path_ = "BENCH_" + name + ".json";
+  out_.setf(std::ios::fixed);
+  out_ << "{";
+  frames_.push_back({false, false});
+}
+
+void JsonReport::start_entry(std::string_view key) {
+  Frame& f = frames_.back();
+  if (!f.empty) out_ << (f.is_inline ? ", " : ",");
+  f.empty = false;
+  if (!f.is_inline) out_ << "\n" << std::string(2 * frames_.size(), ' ');
+  if (!f.is_array) out_ << '"' << key << "\": ";
+}
+
+JsonReport& JsonReport::text(std::string_view key, std::string_view v) {
+  start_entry(key);
+  out_ << '"' << v << '"';
+  return *this;
+}
+
+JsonReport& JsonReport::number(std::string_view key, double v,
+                               int decimals) {
+  start_entry(key);
+  out_.precision(decimals);
+  out_ << v;
+  return *this;
+}
+
+JsonReport& JsonReport::integer(std::string_view key, std::uint64_t v) {
+  start_entry(key);
+  out_ << v;
+  return *this;
+}
+
+JsonReport& JsonReport::boolean(std::string_view key, bool v) {
+  start_entry(key);
+  out_ << (v ? "true" : "false");
+  return *this;
+}
+
+JsonReport& JsonReport::object(std::string_view key) {
+  return begin(key, false);
+}
+
+JsonReport& JsonReport::array(std::string_view key) {
+  return begin(key, true);
+}
+
+JsonReport& JsonReport::begin(std::string_view key, bool is_array) {
+  start_entry(key);
+  const bool is_inline = frames_.back().is_array || frames_.back().is_inline;
+  frames_.push_back({is_array, is_inline});
+  out_ << (is_array ? '[' : '{');
+  return *this;
+}
+
+JsonReport& JsonReport::close() {
+  const Frame f = frames_.back();
+  frames_.pop_back();
+  if (!f.is_inline) out_ << "\n" << std::string(2 * frames_.size(), ' ');
+  out_ << (f.is_array ? ']' : '}');
+  return *this;
+}
+
+void JsonReport::write(std::ostream& log) {
+  if (frames_.size() != 1) {
+    throw std::logic_error("JsonReport: unclosed object or array");
+  }
+  boolean("end", true);
+  out_ << "\n}\n";
+  std::ofstream file(path_, std::ios::trunc);
+  if (!(file << out_.str())) {
+    throw std::runtime_error("cannot write " + path_);
+  }
+  log << "wrote " << path_ << "\n";
 }
 
 }  // namespace algas::bench

@@ -4,16 +4,22 @@
 // header row, then one row per plotted point. Environment knobs are read
 // through RuntimeOptions::from_env() (see common/env.hpp for the full list
 // and precedence rule): ALGAS_SCALE, ALGAS_QUERIES, ALGAS_DATASETS,
-// ALGAS_CACHE_DIR, ALGAS_STORAGE, ALGAS_BUILD_THREADS.
+// ALGAS_CACHE_DIR, ALGAS_STORAGE, ALGAS_BUILD_THREADS. The gate benches
+// also write a JsonReport, which scripts/check_bench.py checks against the
+// gate block of their bench/*_baseline.json.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/engine.hpp"
 #include "dataset/dataset.hpp"
 #include "graph/builder.hpp"
+#include "metrics/collector.hpp"
 #include "metrics/table.hpp"
 
 namespace algas::bench {
@@ -54,5 +60,59 @@ core::AlgasConfig algas_config(std::size_t batch, std::size_t candidate_len,
 
 /// Format helper: microseconds with 1 decimal.
 std::string us(double v);
+
+/// FNV-1a 64 over 8-byte little-endian words: the checksum behind every
+/// *_checksum value a gate bench reports. Each bench keeps its own mix
+/// order, since the committed baselines pin the resulting values.
+struct Fnv {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void mix(std::uint64_t v);
+};
+
+/// `v` as 16 lowercase hex digits (how checksums appear in the JSON).
+std::string hex64(std::uint64_t v);
+
+/// The collector's records sorted by query index. Completion order varies
+/// with host thread count; a query's results must not, so result checksums
+/// walk this order.
+std::vector<const metrics::QueryRecord*> by_query_index(
+    const metrics::Collector& c);
+
+/// The JSON report of a gate bench, written to ALGAS_BENCH_OUT (default
+/// BENCH_<name>.json). Fields are written in call order; object() and
+/// array() open a container and close() ends the innermost one. Doubles
+/// print in fixed notation (10 decimals unless given): the committed
+/// baselines pin values printed that way. A container spans one line per
+/// entry, except inside an array, where everything prints inline and keys
+/// are ignored. Strings are written unescaped, so callers pass identifiers
+/// only.
+class JsonReport {
+ public:
+  explicit JsonReport(const std::string& name);
+
+  JsonReport& text(std::string_view key, std::string_view v);
+  JsonReport& number(std::string_view key, double v, int decimals = 10);
+  JsonReport& integer(std::string_view key, std::uint64_t v);
+  JsonReport& boolean(std::string_view key, bool v);
+  JsonReport& object(std::string_view key = {});
+  JsonReport& array(std::string_view key);
+  JsonReport& close();
+
+  /// Appends `"end": true`, writes the file and logs `wrote <path>`.
+  void write(std::ostream& log);
+
+ private:
+  struct Frame {
+    bool is_array;
+    bool is_inline;
+    bool empty = true;
+  };
+  JsonReport& begin(std::string_view key, bool is_array);
+  void start_entry(std::string_view key);
+
+  std::string path_;
+  std::ostringstream out_;
+  std::vector<Frame> frames_;
+};
 
 }  // namespace algas::bench

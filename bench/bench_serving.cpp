@@ -13,34 +13,33 @@
 // load stays within a constant factor of the peak instead of cliffing to
 // zero.
 //
-// CI gates three things off the JSON (serving-gate on
-// bench/serving_baseline.json):
-//   * determinism: the bench runs with ALGAS_SERVING_HOSTS=1 and =4; the
+// scripts/check_bench.py gates three things off the JSON (the gate block
+// of bench/serving_baseline.json):
+//   * determinism: the bench runs with ALGAS_BENCH_HOSTS=1 and =4; the
 //     arrival_checksum (FNV-1a over every gate variant's workload trace)
 //     and the underload variant's results_checksum must be byte-identical
 //     — the workload is a pure function of the config, and a workload that
 //     serves everything must not depend on host thread count. Overload
 //     outcomes legitimately depend on virtual timing (hence on
 //     host_threads), so they are NOT checksum-gated.
-//   * graceful flag: goodput(2x) > 0 and >= 0.3 x peak goodput at hosts=1.
+//   * graceful flag: goodput(2x) > 0 and >= 0.3 x peak goodput, at both
+//     host counts.
 //   * floors: serving_goodput_qps (virtual, 1x point) and
-//     serving_distance_evals_per_s (wall clock) through check_walltime.py.
+//     serving_distance_evals_per_s (wall clock), at hosts=1.
 //
 // Knobs (environment, same semantics as the other benches):
 //   ALGAS_SCALE          dataset size multiplier (CI gate uses 0.05)
 //   ALGAS_QUERIES        queries per configuration (CI: 40)
 //   ALGAS_DATASETS       all selected names get scenario rows; the first
 //                        is the gate dataset with the full load sweep
-//   ALGAS_SERVING_HOSTS  host worker threads (default 1)
-//   ALGAS_SERVING_OUT    output JSON path (default "BENCH_serving.json")
+//   ALGAS_BENCH_HOSTS    host worker threads (default 1)
+//   ALGAS_BENCH_OUT      output JSON path (default "BENCH_serving.json")
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <iostream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -84,31 +83,14 @@ core::ShardedConfig engine_config(bool bounded, std::size_t host_threads) {
   return cfg;
 }
 
-/// FNV-1a 64 helpers shared by both checksums (same mixing as bench_shard,
-/// so the gates compare like with like).
-struct Fnv {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffULL;
-      h *= 0x100000001b3ULL;
-    }
-  }
-  void mix_double(double d) {
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(d));
-    std::memcpy(&bits, &d, sizeof(bits));
-    mix(bits);
-  }
-};
-
 /// Workload fingerprint: query index, arrival instant, deadline, priority
 /// of every generated arrival — identical across hosts by construction.
-void mix_arrivals(Fnv& f, const std::vector<core::PendingQuery>& arrivals) {
+void mix_arrivals(bench::Fnv& f,
+                  const std::vector<core::PendingQuery>& arrivals) {
   for (const auto& a : arrivals) {
     f.mix(a.query_index);
-    f.mix_double(a.arrival_ns);
-    f.mix_double(a.deadline_ns);
+    f.mix(std::bit_cast<std::uint64_t>(a.arrival_ns));
+    f.mix(std::bit_cast<std::uint64_t>(a.deadline_ns));
     f.mix(a.priority);
   }
 }
@@ -116,34 +98,17 @@ void mix_arrivals(Fnv& f, const std::vector<core::PendingQuery>& arrivals) {
 /// Served-results fingerprint in query-index order (bench_shard's scheme,
 /// plus the disposition byte so a served/shed flip cannot cancel out).
 std::uint64_t results_checksum(const metrics::Collector& c) {
-  std::vector<const metrics::QueryRecord*> recs;
-  recs.reserve(c.size());
-  for (const auto& r : c.records()) recs.push_back(&r);
-  std::sort(recs.begin(), recs.end(),
-            [](const metrics::QueryRecord* a, const metrics::QueryRecord* b) {
-              return a->query_index < b->query_index;
-            });
-  Fnv f;
-  for (const auto* r : recs) {
+  bench::Fnv f;
+  for (const auto* r : bench::by_query_index(c)) {
     f.mix(r->query_index);
     f.mix(static_cast<std::uint64_t>(r->disposition));
     f.mix(r->results.size());
     for (const KV& kv : r->results) {
       f.mix(kv.id());
-      std::uint32_t bits;
-      static_assert(sizeof(bits) == sizeof(kv.dist));
-      std::memcpy(&bits, &kv.dist, sizeof(bits));
-      f.mix(bits);
+      f.mix(std::bit_cast<std::uint32_t>(kv.dist));
     }
   }
   return f.h;
-}
-
-std::string hex64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return std::string(buf);
 }
 
 struct Variant {
@@ -180,7 +145,7 @@ int main() {
       "open-loop serving: Poisson/MMPP arrivals vs goodput under per-query "
       "deadlines, bounded admission, and Expired-slot eviction");
 
-  const RuntimeOptions opts = RuntimeOptions::from_env();
+  const std::size_t hosts = RuntimeOptions::from_env().bench_hosts;
   const auto names = bench::selected_datasets();
 
   const std::vector<Variant> gate_sweep = {
@@ -200,7 +165,7 @@ int main() {
   std::vector<Row> rows;
   double gate_sat_qps = 0.0, gate_deadline_us = 0.0;
   double gate_goodput_1x = 0.0, gate_evals_per_s = 0.0;
-  Fnv arrival_hash;
+  bench::Fnv arrival_hash;
   std::uint64_t underload_checksum = 0;
   bool graceful = true;
 
@@ -214,7 +179,7 @@ int main() {
     // throughput and the service tail the deadline is pinned against.
     // ALWAYS at host_threads=1 — calibration defines the workload (rates,
     // deadline), and the workload must be a pure function of the config so
-    // the arrival checksum stays identical across ALGAS_SERVING_HOSTS.
+    // the arrival checksum stays identical across ALGAS_BENCH_HOSTS.
     core::ShardedEngine calib(ds, engine_config(/*bounded=*/false, 1));
     const auto calib_rep = calib.run_closed_loop(nq);
     const double sat_qps = calib_rep.merged.summary.throughput_qps;
@@ -222,7 +187,7 @@ int main() {
         kDeadlineP99Mult * calib_rep.merged.summary.p99_service_us;
 
     core::ServingConfig scfg;
-    scfg.sharded = engine_config(/*bounded=*/true, opts.serving_hosts);
+    scfg.sharded = engine_config(/*bounded=*/true, hosts);
     scfg.deadline_us = deadline_us;
     scfg.high_priority_fraction = 0.25;
     scfg.num_queries = nq;
@@ -302,57 +267,45 @@ int main() {
   const Dataset& gate_ds = bench::dataset(names.front());
   const std::size_t gate_nq = bench::query_budget(gate_ds, 100);
 
-  const std::string out_path = opts.serving_out;
-  std::ofstream out(out_path, std::ios::trunc);
-  if (!out) throw std::runtime_error("cannot write " + out_path);
-  out.setf(std::ios::fixed);
-  out.precision(10);
-  out << "{\n"
-      << "  \"bench\": \"bench_serving\",\n"
-      << "  \"dataset\": \"" << names.front() << "\",\n"
-      << "  \"n_base\": " << gate_ds.num_base() << ",\n"
-      << "  \"dim\": " << gate_ds.dim() << ",\n"
-      << "  \"queries\": " << gate_nq << ",\n"
-      << "  \"topk\": " << kTopk << ",\n"
-      << "  \"slots\": " << kSlots << ",\n"
-      << "  \"capacity\": " << kCapacity << ",\n"
-      << "  \"serving_hosts\": " << opts.serving_hosts << ",\n"
-      << "  \"sat_qps\": " << gate_sat_qps << ",\n"
-      << "  \"deadline_us\": " << gate_deadline_us << ",\n"
-      << "  \"graceful\": " << (graceful ? "true" : "false") << ",\n"
-      << "  \"arrival_checksum\": \"" << hex64(arrival_hash.h) << "\",\n"
-      << "  \"underload_results_checksum\": \"" << hex64(underload_checksum)
-      << "\",\n"
-      << "  \"serving_goodput_qps\": " << gate_goodput_1x << ",\n"
-      << "  \"serving_distance_evals_per_s\": " << gate_evals_per_s << ",\n"
-      << "  \"variants\": {\n";
-  bool first = true;
+  bench::JsonReport report("serving");
+  report.text("bench", "bench_serving")
+      .text("dataset", names.front())
+      .integer("n_base", gate_ds.num_base())
+      .integer("dim", gate_ds.dim())
+      .integer("queries", gate_nq)
+      .integer("topk", kTopk)
+      .integer("slots", kSlots)
+      .integer("capacity", kCapacity)
+      .integer("serving_hosts", hosts)
+      .number("sat_qps", gate_sat_qps)
+      .number("deadline_us", gate_deadline_us)
+      .boolean("graceful", graceful)
+      .text("arrival_checksum", bench::hex64(arrival_hash.h))
+      .text("underload_results_checksum", bench::hex64(underload_checksum))
+      .number("serving_goodput_qps", gate_goodput_1x)
+      .number("serving_distance_evals_per_s", gate_evals_per_s)
+      .object("variants");
   for (const auto& r : rows) {
     if (r.dataset != names.front()) continue;
-    if (!first) out << ",\n";
-    first = false;
     const auto& s = r.rep.sharded.merged.summary;
-    out << "    \"" << r.v.name << "\": {\n"
-        << "      \"rate_qps\": " << r.rate_qps << ",\n"
-        << "      \"offered_qps\": " << r.rep.offered_qps << ",\n"
-        << "      \"goodput_qps\": " << s.goodput_qps << ",\n"
-        << "      \"shed_rate\": " << s.shed_rate << ",\n"
-        << "      \"deadline_miss_rate\": " << s.deadline_miss_rate << ",\n"
-        << "      \"p99_latency_us\": " << s.p99_latency_us << "\n"
-        << "    }";
+    report.object(r.v.name)
+        .number("rate_qps", r.rate_qps)
+        .number("offered_qps", r.rep.offered_qps)
+        .number("goodput_qps", s.goodput_qps)
+        .number("shed_rate", s.shed_rate)
+        .number("deadline_miss_rate", s.deadline_miss_rate)
+        .number("p99_latency_us", s.p99_latency_us)
+        .close();
   }
-  out << "\n  },\n"
-      << "  \"scenarios\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& r = rows[i];
-    const auto& s = r.rep.sharded.merged.summary;
-    out << "    {\"dataset\": \"" << r.dataset << "\", \"variant\": \""
-        << r.v.name << "\", \"goodput_qps\": " << s.goodput_qps
-        << ", \"shed_rate\": " << s.shed_rate << "}"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
+  report.close().array("scenarios");
+  for (const auto& r : rows) {
+    report.object()
+        .text("dataset", r.dataset)
+        .text("variant", r.v.name)
+        .number("goodput_qps", r.rep.sharded.merged.summary.goodput_qps)
+        .number("shed_rate", r.rep.sharded.merged.summary.shed_rate)
+        .close();
   }
-  out << "  ],\n"
-      << "  \"end\": true\n}\n";
-  std::fprintf(stderr, "[bench] wrote %s\n", out_path.c_str());
+  report.close().write(std::cerr);
   return 0;
 }

@@ -8,33 +8,32 @@
 // each shard searches a smaller graph while K searches run concurrently,
 // and the host-side k-way merge + bus contention it buys stays cheap.
 //
-// CI gates three things off the JSON (scripts on bench/shard_baseline.json):
+// scripts/check_bench.py gates three things off the JSON (the gate block
+// of bench/shard_baseline.json):
 //   * recall: the full-fanout variant must match the baseline exactly
 //     (deterministic chain), the selective variant may trail the same-run
-//     full recall by a pinned epsilon (check_recall.py --exact full
-//     --eps selective=...).
-//   * determinism: the bench runs twice with ALGAS_SHARD_HOSTS=1 and =4;
+//     full recall by a pinned epsilon.
+//   * determinism: the bench runs twice with ALGAS_BENCH_HOSTS=1 and =4;
 //     the per-variant results_checksum (FNV-1a over merged per-query
 //     results, sorted by query index) must be byte-identical — host
 //     thread count must never leak into merged results.
-//   * wall clock: sharded_distance_evals_per_s gates through
-//     check_walltime.py (the sharded serving path is a real host hot loop).
+//   * wall clock: sharded_distance_evals_per_s has a floor (the sharded
+//     serving path is a real host hot loop).
 //
 // Knobs (environment, same semantics as the other benches):
-//   ALGAS_SCALE        dataset size multiplier (CI gate uses 0.05)
+//   ALGAS_SCALE        dataset size multiplier (CI gate uses 0.2)
 //   ALGAS_QUERIES      queries per configuration (CI: 40)
 //   ALGAS_DATASETS     first two names are swept (default sift,gist)
-//   ALGAS_SHARD_HOSTS  host worker threads per shard engine (default 1)
-//   ALGAS_SHARD_OUT    output JSON path (default "BENCH_shard.json")
-#include <algorithm>
+//   ALGAS_BENCH_HOSTS  host worker threads per shard engine (default 1)
+//   ALGAS_BENCH_OUT    output JSON path (default "BENCH_shard.json")
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -68,34 +67,18 @@ core::ShardedConfig sharded_config(std::size_t shards, std::size_t slots,
 }
 
 /// FNV-1a 64 over the merged per-query results in query-index order — the
-/// byte-identity fingerprint CI compares across ALGAS_SHARD_HOSTS values.
+/// byte-identity fingerprint the gate compares across ALGAS_BENCH_HOSTS.
 std::uint64_t results_checksum(const metrics::Collector& c) {
-  std::vector<const metrics::QueryRecord*> recs;
-  recs.reserve(c.size());
-  for (const auto& r : c.records()) recs.push_back(&r);
-  std::sort(recs.begin(), recs.end(),
-            [](const metrics::QueryRecord* a, const metrics::QueryRecord* b) {
-              return a->query_index < b->query_index;
-            });
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffULL;
-      h *= 0x100000001b3ULL;
-    }
-  };
-  for (const auto* r : recs) {
-    mix(r->query_index);
-    mix(r->results.size());
+  bench::Fnv f;
+  for (const auto* r : bench::by_query_index(c)) {
+    f.mix(r->query_index);
+    f.mix(r->results.size());
     for (const KV& kv : r->results) {
-      mix(kv.id());
-      std::uint32_t bits;
-      static_assert(sizeof(bits) == sizeof(kv.dist));
-      std::memcpy(&bits, &kv.dist, sizeof(bits));
-      mix(bits);
+      f.mix(kv.id());
+      f.mix(std::bit_cast<std::uint32_t>(kv.dist));
     }
   }
-  return h;
+  return f.h;
 }
 
 struct Row {
@@ -118,8 +101,7 @@ int main() {
       "scatter-gather scaling: shards x slots x fan-out, host-side k-way "
       "merge priced against a shared host bus");
 
-  const RuntimeOptions opts = RuntimeOptions::from_env();
-  const std::size_t host_threads = opts.shard_hosts;
+  const std::size_t host_threads = RuntimeOptions::from_env().bench_hosts;
 
   auto names = bench::selected_datasets();
   if (names.size() > 2) names.resize(2);  // shard scaling needs two datasets
@@ -215,57 +197,36 @@ int main() {
 
   const Dataset& gate_ds = bench::dataset(names.front());
   const std::size_t nq = bench::query_budget(gate_ds, 100);
-  char full_hex[17], sel_hex[17];
-  std::snprintf(full_hex, sizeof(full_hex), "%016llx",
-                static_cast<unsigned long long>(
-                    results_checksum(full->rep.merged.collector)));
-  std::snprintf(sel_hex, sizeof(sel_hex), "%016llx",
-                static_cast<unsigned long long>(
-                    results_checksum(selective->rep.merged.collector)));
-
-  const std::string out_path = opts.shard_out;
-  std::ofstream out(out_path, std::ios::trunc);
-  if (!out) throw std::runtime_error("cannot write " + out_path);
-  out.setf(std::ios::fixed);
-  out.precision(10);
-  out << "{\n"
-      << "  \"bench\": \"bench_shard\",\n"
-      << "  \"dataset\": \"" << names.front() << "\",\n"
-      << "  \"n_base\": " << gate_ds.num_base() << ",\n"
-      << "  \"dim\": " << gate_ds.dim() << ",\n"
-      << "  \"queries\": " << nq << ",\n"
-      << "  \"topk\": " << kTopk << ",\n"
-      << "  \"candidate_len\": " << kCandidateLen << ",\n"
-      << "  \"shards\": 4,\n"
-      << "  \"shard_hosts\": " << host_threads << ",\n"
-      << "  \"sharded_distance_evals_per_s\": " << evals_per_s << ",\n"
-      << "  \"variants\": {\n"
-      << "    \"full\": {\n"
-      << "      \"recall_at_10\": " << full->rep.merged.recall << ",\n"
-      << "      \"mean_latency_us\": "
-      << full->rep.merged.summary.mean_service_us << ",\n"
-      << "      \"results_checksum\": \"" << full_hex << "\"\n"
-      << "    },\n"
-      << "    \"selective\": {\n"
-      << "      \"recall_at_10\": " << selective->rep.merged.recall << ",\n"
-      << "      \"mean_latency_us\": "
-      << selective->rep.merged.summary.mean_service_us << ",\n"
-      << "      \"results_checksum\": \"" << sel_hex << "\"\n"
-      << "    }\n"
-      << "  },\n"
-      << "  \"scaling\": [\n";
-  for (std::size_t i = 0; i < scaling.size(); ++i) {
-    const auto& s = scaling[i];
-    out << "    {\"dataset\": \"" << s.dataset << "\", \"slots\": 16, "
-        << "\"qps\": [";
-    for (std::size_t j = 0; j < s.qps.size(); ++j) {
-      out << s.qps[j] << (j + 1 < s.qps.size() ? ", " : "");
-    }
-    out << "], \"monotonic\": " << (s.monotonic ? "true" : "false") << "}"
-        << (i + 1 < scaling.size() ? "," : "") << "\n";
+  bench::JsonReport report("shard");
+  report.text("bench", "bench_shard")
+      .text("dataset", names.front())
+      .integer("n_base", gate_ds.num_base())
+      .integer("dim", gate_ds.dim())
+      .integer("queries", nq)
+      .integer("topk", kTopk)
+      .integer("candidate_len", kCandidateLen)
+      .integer("shards", 4)
+      .integer("shard_hosts", host_threads)
+      .number("sharded_distance_evals_per_s", evals_per_s)
+      .object("variants");
+  for (const auto& [name, row] : {std::pair{"full", full},
+                                  std::pair{"selective", selective}}) {
+    report.object(name)
+        .number("recall_at_10", row->rep.merged.recall)
+        .number("mean_latency_us", row->rep.merged.summary.mean_service_us)
+        .text("results_checksum",
+              bench::hex64(results_checksum(row->rep.merged.collector)))
+        .close();
   }
-  out << "  ],\n"
-      << "  \"end\": true\n}\n";
-  std::fprintf(stderr, "[bench] wrote %s\n", out_path.c_str());
+  report.close().array("scaling");
+  for (const auto& s : scaling) {
+    report.object()
+        .text("dataset", s.dataset)
+        .integer("slots", 16)
+        .array("qps");
+    for (const double q : s.qps) report.number({}, q);
+    report.close().boolean("monotonic", s.monotonic).close();
+  }
+  report.close().write(std::cerr);
   return 0;
 }

@@ -17,10 +17,9 @@
 //             unpredictable core counts).
 //
 // Prints a TSV block (like every bench) and writes a JSON summary to
-// ALGAS_WALLTIME_OUT (default "BENCH_walltime.json") for CI regression
-// checks (scripts/check_walltime.py).
+// ALGAS_BENCH_OUT (default "BENCH_walltime.json"), which
+// scripts/check_bench.py gates against bench/walltime_baseline.json.
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <stdexcept>
 #include <string>
@@ -172,37 +171,31 @@ int main() {
   }
   table.print(std::cout);
 
-  const std::string out_path = RuntimeOptions::from_env().walltime_out;
-  std::ofstream out(out_path, std::ios::trunc);
-  if (!out) throw std::runtime_error("cannot write " + out_path);
-  out.setf(std::ios::fixed);
-  out.precision(4);  // enough for scale fractions and sub-second walls
-  out << "{\n"
-      << "  \"bench\": \"walltime\",\n"
-      << "  \"dataset\": \"" << ds_name << "\",\n"
-      << "  \"n_base\": " << n << ",\n"
-      << "  \"dim\": " << ds.dim() << ",\n"
-      << "  \"storage\": \"" << storage_codec_name(ds.storage()) << "\",\n"
-      << "  \"scale\": " << dataset_scale() << ",\n"
-      << "  \"engine_recall\": " << engine_recall << ",\n"
-      << "  \"sim_events_per_s\": " << sim_events_per_s << ",\n"
-      << "  \"construction_insertions_per_s\": " << construction_ips << ",\n"
-      << "  \"construction_speedup\": " << construction_speedup << ",\n"
-      << "  \"construction_parallel_wall_s\": " << construction_parallel_wall_s
-      << ",\n";
-  for (std::size_t i = 0; i < sections.size(); ++i) {
-    const auto& s = sections[i];
-    out << "  \"" << s.name << "_wall_s\": " << s.wall_s << ",\n";
+  // Four decimals: enough for scale fractions and sub-second walls.
+  constexpr int kDecimals = 4;
+  bench::JsonReport report("walltime");
+  report.text("bench", "walltime")
+      .text("dataset", ds_name)
+      .integer("n_base", n)
+      .integer("dim", ds.dim())
+      .text("storage", storage_codec_name(ds.storage()))
+      .number("scale", dataset_scale(), kDecimals)
+      .number("engine_recall", engine_recall, kDecimals)
+      .number("sim_events_per_s", sim_events_per_s, kDecimals)
+      .number("construction_insertions_per_s", construction_ips, kDecimals)
+      .number("construction_speedup", construction_speedup, kDecimals)
+      .number("construction_parallel_wall_s", construction_parallel_wall_s,
+              kDecimals);
+  for (const auto& s : sections) {
+    report.number(s.name + "_wall_s", s.wall_s, kDecimals);
     if (s.evals_per_s > 0.0) {
-      out << "  \"" << s.name
-          << "_distance_evals_per_s\": " << s.evals_per_s << ",\n";
+      report.number(s.name + "_distance_evals_per_s", s.evals_per_s,
+                    kDecimals);
     }
     if (s.queries_per_s > 0.0) {
-      out << "  \"" << s.name << "_queries_per_s\": " << s.queries_per_s
-          << ",\n";
+      report.number(s.name + "_queries_per_s", s.queries_per_s, kDecimals);
     }
   }
-  out << "  \"end\": true\n}\n";
-  std::cerr << "[bench] wrote " << out_path << "\n";
+  report.write(std::cerr);
   return 0;
 }

@@ -44,18 +44,8 @@ RuntimeOptions RuntimeOptions::from_env() {
     opts.simcheck = 0;
   }
   opts.build_threads = env_size("ALGAS_BUILD_THREADS", 0);
-  opts.walltime_out = env_string("ALGAS_WALLTIME_OUT", "BENCH_walltime.json");
-  opts.recall_out = env_string("ALGAS_RECALL_OUT", "BENCH_recall.json");
-  opts.churn_out = env_string("ALGAS_CHURN_OUT", "BENCH_churn.json");
-  opts.shard_out = env_string("ALGAS_SHARD_OUT", "BENCH_shard.json");
-  opts.shard_hosts = std::max<std::size_t>(1, env_size("ALGAS_SHARD_HOSTS", 1));
-  opts.serving_out = env_string("ALGAS_SERVING_OUT", "BENCH_serving.json");
-  opts.serving_hosts =
-      std::max<std::size_t>(1, env_size("ALGAS_SERVING_HOSTS", 1));
-  opts.filtered_out =
-      env_string("ALGAS_FILTERED_OUT", "BENCH_filtered.json");
-  opts.filtered_hosts =
-      std::max<std::size_t>(1, env_size("ALGAS_FILTERED_HOSTS", 1));
+  opts.bench_out = env_string("ALGAS_BENCH_OUT", "");
+  opts.bench_hosts = std::max<std::size_t>(1, env_size("ALGAS_BENCH_HOSTS", 1));
   return opts;
 }
 

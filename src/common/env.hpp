@@ -26,33 +26,15 @@
 //   ALGAS_BUILD_THREADS — worker threads for offline construction work
 //                         (graph builds, ground truth, k-means). 0 / unset
 //                         picks std::thread::hardware_concurrency().
-//   ALGAS_WALLTIME_OUT  — bench_walltime JSON output path (default
-//                         "BENCH_walltime.json").
-//   ALGAS_RECALL_OUT    — recall_gate JSON output path (default
-//                         "BENCH_recall.json").
-//   ALGAS_CHURN_OUT     — bench_churn JSON output path (default
-//                         "BENCH_churn.json").
-//   ALGAS_SHARD_OUT     — bench_shard JSON output path (default
-//                         "BENCH_shard.json").
-//   ALGAS_SHARD_HOSTS   — host worker threads per shard engine in
-//                         bench_shard (default 1). The CI determinism gate
-//                         runs the bench at two values and diffs the
-//                         result checksums — merged results must not
+//   ALGAS_BENCH_OUT     — JSON report path of a gate bench (bench_walltime,
+//                         recall_gate, bench_churn, bench_shard,
+//                         bench_serving, bench_filtered). "" / unset writes
+//                         BENCH_<name>.json, e.g. BENCH_shard.json.
+//   ALGAS_BENCH_HOSTS   — host worker threads in bench_shard (per shard
+//                         engine), bench_serving and bench_filtered
+//                         (default 1, min 1). Their gates run 1 vs 4 and
+//                         compare result checksums: results must not
 //                         depend on host thread count.
-//   ALGAS_SERVING_OUT   — bench_serving JSON output path (default
-//                         "BENCH_serving.json").
-//   ALGAS_FILTERED_OUT  — bench_filtered JSON output path (default
-//                         "BENCH_filtered.json").
-//   ALGAS_FILTERED_HOSTS — host worker threads in bench_filtered (default
-//                         1, min 1). The filtered gate runs 1 vs 4 and
-//                         byte-compares the JSON — filtered results and
-//                         the attribute checksum must not depend on host
-//                         thread count.
-//   ALGAS_SERVING_HOSTS — host worker threads in bench_serving (default 1,
-//                         min 1). The serving gate runs 1 vs 4 and diffs
-//                         the arrival-trace checksum plus the underload
-//                         variant's results checksum — everything-served
-//                         workloads must not depend on host thread count.
 #pragma once
 
 #include <cstddef>
@@ -81,15 +63,8 @@ struct RuntimeOptions {
   int simcheck = -1;                 ///< ALGAS_SIMCHECK: 1 on, 0 off,
                                      ///<   -1 = follow the compiled default
   std::size_t build_threads = 0;     ///< ALGAS_BUILD_THREADS, 0 = hardware
-  std::string walltime_out;          ///< ALGAS_WALLTIME_OUT JSON path
-  std::string recall_out;            ///< ALGAS_RECALL_OUT JSON path
-  std::string churn_out;             ///< ALGAS_CHURN_OUT JSON path
-  std::string shard_out;             ///< ALGAS_SHARD_OUT JSON path
-  std::size_t shard_hosts = 1;       ///< ALGAS_SHARD_HOSTS per-shard hosts
-  std::string serving_out;           ///< ALGAS_SERVING_OUT JSON path
-  std::size_t serving_hosts = 1;     ///< ALGAS_SERVING_HOSTS host threads
-  std::string filtered_out;          ///< ALGAS_FILTERED_OUT JSON path
-  std::size_t filtered_hosts = 1;    ///< ALGAS_FILTERED_HOSTS host threads
+  std::string bench_out;             ///< ALGAS_BENCH_OUT, "" = default name
+  std::size_t bench_hosts = 1;       ///< ALGAS_BENCH_HOSTS, min 1
 
   static RuntimeOptions from_env();
 };

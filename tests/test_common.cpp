@@ -431,7 +431,7 @@ TEST(RuntimeOptionsTest, DefaultsWhenUnset) {
   for (const char* var :
        {"ALGAS_SCALE", "ALGAS_QUERIES", "ALGAS_DATASETS", "ALGAS_CACHE_DIR",
         "ALGAS_STORAGE", "ALGAS_TRACE", "ALGAS_SIMCHECK",
-        "ALGAS_BUILD_THREADS"}) {
+        "ALGAS_BUILD_THREADS", "ALGAS_BENCH_OUT", "ALGAS_BENCH_HOSTS"}) {
     ::unsetenv(var);
   }
   const RuntimeOptions opts = RuntimeOptions::from_env();
@@ -443,6 +443,8 @@ TEST(RuntimeOptionsTest, DefaultsWhenUnset) {
   EXPECT_TRUE(opts.trace_path.empty());
   EXPECT_EQ(opts.simcheck, -1);
   EXPECT_EQ(opts.build_threads, 0u);
+  EXPECT_TRUE(opts.bench_out.empty());
+  EXPECT_EQ(opts.bench_hosts, 1u);
 }
 
 TEST(RuntimeOptionsTest, ReadsEveryKnob) {
@@ -454,6 +456,8 @@ TEST(RuntimeOptionsTest, ReadsEveryKnob) {
   ::setenv("ALGAS_TRACE", "out.json", 1);
   ::setenv("ALGAS_SIMCHECK", "on", 1);
   ::setenv("ALGAS_BUILD_THREADS", "2", 1);
+  ::setenv("ALGAS_BENCH_OUT", "gate.json", 1);
+  ::setenv("ALGAS_BENCH_HOSTS", "4", 1);
   const RuntimeOptions opts = RuntimeOptions::from_env();
   EXPECT_DOUBLE_EQ(opts.scale, 0.5);
   EXPECT_EQ(opts.queries, 40u);
@@ -463,10 +467,15 @@ TEST(RuntimeOptionsTest, ReadsEveryKnob) {
   EXPECT_EQ(opts.trace_path, "out.json");
   EXPECT_EQ(opts.simcheck, 1);
   EXPECT_EQ(opts.build_threads, 2u);
+  EXPECT_EQ(opts.bench_out, "gate.json");
+  EXPECT_EQ(opts.bench_hosts, 4u);
+  // A host count below one reads as one.
+  ::setenv("ALGAS_BENCH_HOSTS", "0", 1);
+  EXPECT_EQ(RuntimeOptions::from_env().bench_hosts, 1u);
   for (const char* var :
        {"ALGAS_SCALE", "ALGAS_QUERIES", "ALGAS_DATASETS", "ALGAS_CACHE_DIR",
         "ALGAS_STORAGE", "ALGAS_TRACE", "ALGAS_SIMCHECK",
-        "ALGAS_BUILD_THREADS"}) {
+        "ALGAS_BUILD_THREADS", "ALGAS_BENCH_OUT", "ALGAS_BENCH_HOSTS"}) {
     ::unsetenv(var);
   }
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -167,7 +168,7 @@ TEST(Graph, LoadRejectsEveryCorruptionMode) {
   // Node count that would overflow the adjacency allocation.
   {
     auto bad = bytes;
-    for (int i = 8; i < 16; ++i) bad[static_cast<std::size_t>(i)] = '\xff';
+    std::fill(bad.begin() + 8, bad.begin() + 16, '\xff');
     write_and_expect_throw(bad, "node count overflow");
   }
 }

@@ -139,7 +139,9 @@ TEST(MutableInsert, AdoptedGraphExtends) {
        ++v) {
     EXPECT_GT(idx.graph().valid_degree(v), 0u);
     for (NodeId u : idx.graph().neighbors(v)) {
-      if (u != kInvalidNode) EXPECT_LT(u, idx.graph().num_nodes());
+      if (u != kInvalidNode) {
+        EXPECT_LT(u, idx.graph().num_nodes());
+      }
     }
   }
 }
@@ -245,7 +247,9 @@ TEST(MutableCompact, ReclaimsAndRemapsInOrder) {
   // And the graph references only surviving ids.
   for (NodeId v = 0; v < idx.graph().num_nodes(); ++v) {
     for (NodeId u : idx.graph().neighbors(v)) {
-      if (u != kInvalidNode) EXPECT_LT(u, idx.graph().num_nodes());
+      if (u != kInvalidNode) {
+        EXPECT_LT(u, idx.graph().num_nodes());
+      }
     }
   }
   // Searches over the compacted index still find close neighbors.

@@ -5,7 +5,7 @@
 // binary measures what the codecs actually cost: it runs the Fig 10/11
 // ALGAS configuration (batch 16, L 128, 4 CTAs, beam extend) once per
 // storage codec on the same dataset + ground truth and reports recall@10
-// per codec as JSON. scripts/check_recall.py compares that JSON against
+// per codec as JSON. scripts/check_bench.py compares that JSON against
 // the committed bench/recall_baseline.json and fails when f32 drifts at
 // all or a quantized codec drops more than its pinned epsilon.
 //
@@ -14,19 +14,17 @@
 //   ALGAS_QUERIES      queries per codec run   (CI gate uses 40)
 //   ALGAS_DATASETS     first listed name is the gate dataset (default sift)
 //   ALGAS_CACHE_DIR    dataset/graph cache (graph keys are codec-suffixed)
-//   ALGAS_RECALL_OUT   output JSON path (default "BENCH_recall.json")
+//   ALGAS_BENCH_OUT    output JSON path (default "BENCH_recall.json")
 //
 // Ground truth is loaded/computed at f32 BEFORE quantizing, so recall
 // measures the codec's loss against exact neighbors — quantizing first
 // would grade the codec against itself.
-#include <algorithm>
 #include <cstdio>
-#include <fstream>
-#include <stdexcept>
+#include <iostream>
 #include <string>
 #include <vector>
 
-#include "common/env.hpp"
+#include "bench_common.hpp"
 #include "core/engine.hpp"
 #include "dataset/registry.hpp"
 #include "graph/builder.hpp"
@@ -34,21 +32,6 @@
 using namespace algas;
 
 namespace {
-
-/// The Fig 10/11 comparison configuration (bench_common::algas_config with
-/// topk 10 so the reported recall is recall@10, the paper's headline).
-core::AlgasConfig gate_config() {
-  core::AlgasConfig cfg;
-  cfg.search.topk = 10;
-  cfg.search.candidate_len = 128;
-  cfg.search.beam_width = 4;
-  cfg.search.offset_beam = 24;
-  cfg.slots = 16;
-  cfg.host_threads = 1;
-  cfg.n_parallel = 4;
-  cfg.host_sync = core::HostSync::kPollMirrored;
-  return cfg;
-}
 
 struct CodecResult {
   StorageCodec codec = StorageCodec::kF32;
@@ -61,14 +44,7 @@ struct CodecResult {
 }  // namespace
 
 int main() {
-  const RuntimeOptions opts = RuntimeOptions::from_env();
-  std::string raw = opts.datasets;
-  if (raw.empty()) raw = "sift";
-  const std::string ds_name = raw.substr(0, raw.find(','));
-
-  BuildConfig build_cfg;  // bench_build_config(): shared graph-cache keys
-  build_cfg.degree = 32;
-  build_cfg.ef_construction = 64;
+  const std::string ds_name = bench::selected_datasets().front();
 
   const StorageCodec codecs[] = {StorageCodec::kF32, StorageCodec::kF16,
                                  StorageCodec::kInt8};
@@ -80,10 +56,13 @@ int main() {
     // its codec-suffixed cache entry) against the quantized scores.
     Dataset ds = load_bench_dataset(ds_name);
     ds.set_storage(codec);
-    const Graph g = load_or_build_graph(GraphKind::kCagra, ds, build_cfg).graph;
-    core::AlgasEngine engine(ds, g, gate_config());
-    const std::size_t nq = std::min(
-        opts.queries == 0 ? ds.num_queries() : opts.queries, ds.num_queries());
+    const Graph g =
+        load_or_build_graph(GraphKind::kCagra, ds, bench::bench_build_config())
+            .graph;
+    // The Fig 10/11 comparison point with topk 10: recall@10, the paper's
+    // headline.
+    core::AlgasEngine engine(ds, g, bench::algas_config(16, 128, 10));
+    const std::size_t nq = bench::query_budget(ds, ds.num_queries());
     const auto rep = engine.run_closed_loop(nq);
 
     CodecResult r;
@@ -102,31 +81,23 @@ int main() {
                 r.mean_latency_us, r.smem_per_block, r.pcie_bytes);
   }
 
-  const std::string out_path = RuntimeOptions::from_env().recall_out;
-  std::ofstream out(out_path, std::ios::trunc);
-  if (!out) throw std::runtime_error("cannot write " + out_path);
-  out.setf(std::ios::fixed);
-  out << "{\n"
-      << "  \"bench\": \"recall_gate\",\n"
-      << "  \"dataset\": \"" << ds_name << "\",\n"
-      << "  \"n_base\": " << n_base << ",\n"
-      << "  \"dim\": " << dim << ",\n"
-      << "  \"queries\": " << n_queries << ",\n"
-      << "  \"topk\": 10,\n"
-      << "  \"candidate_len\": 128,\n"
-      << "  \"codecs\": {\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& r = results[i];
-    out.precision(10);
-    out << "    \"" << storage_codec_name(r.codec) << "\": {\n"
-        << "      \"recall_at_10\": " << r.recall << ",\n";
-    out.precision(3);
-    out << "      \"mean_latency_us\": " << r.mean_latency_us << ",\n"
-        << "      \"smem_per_block\": " << r.smem_per_block << ",\n"
-        << "      \"pcie_bytes\": " << r.pcie_bytes << "\n"
-        << "    }" << (i + 1 < results.size() ? "," : "") << "\n";
+  bench::JsonReport report("recall");
+  report.text("bench", "recall_gate")
+      .text("dataset", ds_name)
+      .integer("n_base", n_base)
+      .integer("dim", dim)
+      .integer("queries", n_queries)
+      .integer("topk", 10)
+      .integer("candidate_len", 128)
+      .object("codecs");
+  for (const auto& r : results) {
+    report.object(storage_codec_name(r.codec))
+        .number("recall_at_10", r.recall)
+        .number("mean_latency_us", r.mean_latency_us, 3)
+        .integer("smem_per_block", r.smem_per_block)
+        .integer("pcie_bytes", r.pcie_bytes)
+        .close();
   }
-  out << "  },\n  \"end\": true\n}\n";
-  std::printf("wrote %s\n", out_path.c_str());
+  report.close().write(std::cout);
   return 0;
 }
