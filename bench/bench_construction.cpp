@@ -6,7 +6,12 @@
 // Both times come from the one BuildReport of a single build, so the wall
 // and virtual columns always describe the same graph (the old bench timed
 // only virtual time and could not show host-side construction throughput).
+//
+// Besides the TSV on stdout it writes a JsonReport (ALGAS_BENCH_OUT, default
+// BENCH_construction.json) for the construction gate in
+// bench/construction_baseline.json.
 #include <iostream>
+#include <string>
 
 #include "bench_common.hpp"
 #include "dataset/registry.hpp"
@@ -24,15 +29,26 @@ int main() {
                            "serial_build_ms", "speedup", "recall_at_64"});
 
   const sim::CostModel cm;
+  const BuildConfig base_cfg = bench::bench_build_config();
+  bench::JsonReport report("construction");
+  report.text("bench", "bench_construction")
+      .integer("degree", base_cfg.degree)
+      .integer("ef_construction", base_cfg.ef_construction)
+      .object("datasets");
   for (const auto& name : bench::selected_datasets()) {
     // Construction is rebuilt per configuration (no cache), so cap the
     // corpus at 20k points to keep the sweep tractable.
     const Dataset ds =
         load_bench_dataset_sized(name, 20000, 100, 32, /*use_cache=*/true);
     const std::size_t nq = std::min<std::size_t>(100, ds.num_queries());
+    report.object(name)
+        .integer("n_base", ds.num_base())
+        .integer("dim", ds.dim())
+        .integer("queries", nq)
+        .object("insert_batch");
 
     for (std::size_t batch : {512, 4096}) {
-      BuildConfig cfg = bench::bench_build_config();
+      BuildConfig cfg = base_cfg;
       cfg.insert_batch = batch;
       const BuildReport result = build_graph(GraphKind::kNsw, ds, cfg);
 
@@ -59,11 +75,23 @@ int main() {
           .cell(result.serial_build_ns / 1e6, 2)
           .cell(result.speedup(), 1)
           .cell(recall / static_cast<double>(nq), 4);
+      report.object(std::to_string(batch))
+          .integer("batches", result.batches)
+          .number("gpu_build_ms", result.virtual_build_ns / 1e6)
+          .number("serial_build_ms", result.serial_build_ns / 1e6)
+          .number("speedup", result.speedup())
+          .number("recall_at_64", recall / static_cast<double>(nq))
+          .number("wall_ms", wall_s * 1e3, 4)
+          .number("insertions_per_s", ips, 4)
+          .close();
     }
+    report.close().close();
   }
 
   std::cout << "# expected: speedup near the device's concurrent-CTA "
                "capacity; quality flat across batch sizes\n";
   table.print(std::cout);
+  // The log line goes to stderr: stdout stays the TSV.
+  report.close().write(std::cerr);
   return 0;
 }

@@ -9,6 +9,7 @@
 #include "common/thread_pool.hpp"
 #include "distance/kernels.hpp"
 #include "metrics/recall.hpp"
+#include "simgpu/wave_schedule.hpp"
 
 namespace algas::baselines {
 
@@ -198,7 +199,7 @@ IvfEngine::IvfEngine(const Dataset& ds, IvfConfig cfg, IvfIndex index)
   layout.expand_entries = 0;
   layout.dim = ds.dim();
   layout.elem_bytes = ds.elem_bytes();
-  capacity_ = device_capacity(cfg_.device, layout, 1024);
+  capacity_ = sim::device_capacity(cfg_.device, layout, 1024);
   if (capacity_ == 0) capacity_ = 1;
 }
 
@@ -217,7 +218,7 @@ core::EngineReport IvfEngine::run_closed_loop(std::size_t num_queries) {
                                sim::Xfer::kBulk);
     const double kernel_start = cursor;
 
-    std::vector<CtaTask> tasks;
+    std::vector<sim::CtaTask> tasks;
     std::vector<IvfIndex::SearchOut> outs;
     outs.reserve(batch_n);
     for (std::size_t b = 0; b < batch_n; ++b) {
@@ -232,7 +233,7 @@ core::EngineReport IvfEngine::run_closed_loop(std::size_t num_queries) {
       tasks.push_back({b, dur});
       outs.push_back(std::move(out));
     }
-    const BatchTiming timing = wave_schedule(
+    const sim::BatchTiming timing = sim::wave_schedule(
         tasks, batch_n, capacity_, std::vector<double>(batch_n, 0.0));
     collector.add_batch_idle(timing.idle_ns, timing.active_ns);
     const double gpu_end = kernel_start + timing.gpu_end_ns;

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "baselines/batch_runner.hpp"
 #include "core/engine.hpp"
 #include "dataset/dataset.hpp"
 #include "search/kv.hpp"

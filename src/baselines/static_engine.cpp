@@ -8,6 +8,7 @@
 #include "search/multi_cta.hpp"
 #include "simgpu/channel.hpp"
 #include "simgpu/trace.hpp"
+#include "simgpu/wave_schedule.hpp"
 
 namespace algas::baselines {
 
@@ -36,7 +37,7 @@ StaticBatchEngine::StaticBatchEngine(const Dataset& ds, const Graph& g,
   layout.dim = ds.dim();
   layout.elem_bytes = ds.elem_bytes();
   const std::size_t reserved = core::auto_reserved_bytes(ds.dim());
-  capacity_ = device_capacity(cfg_.device, layout, reserved);
+  capacity_ = sim::device_capacity(cfg_.device, layout, reserved);
   if (capacity_ == 0) {
     throw std::invalid_argument(
         "search configuration exceeds device shared memory");
@@ -110,7 +111,7 @@ core::EngineReport StaticBatchEngine::run(
     const double kernel_start = cursor;
 
     // Functional searches + per-CTA durations for the wave schedule.
-    std::vector<CtaTask> tasks;
+    std::vector<sim::CtaTask> tasks;
     tasks.reserve(batch_n * n_parallel_);
     std::vector<double> merge_ns(batch_n, 0.0);
     std::vector<search::MultiCtaResult> results;
@@ -135,8 +136,8 @@ core::EngineReport StaticBatchEngine::run(
       results.push_back(std::move(res));
     }
 
-    const BatchTiming timing =
-        wave_schedule(tasks, batch_n, capacity_, merge_ns);
+    const sim::BatchTiming timing =
+        sim::wave_schedule(tasks, batch_n, capacity_, merge_ns);
     collector.add_batch_idle(timing.idle_ns, timing.active_ns);
     const double gpu_end = kernel_start + timing.gpu_end_ns;
 

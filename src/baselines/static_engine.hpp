@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <string>
 
-#include "baselines/batch_runner.hpp"
 #include "core/engine.hpp"
 #include "dataset/dataset.hpp"
 #include "graph/graph.hpp"

@@ -1,21 +1,21 @@
 // Mutable serving index — streaming insert/delete under live queries.
 //
-// The deterministic batch-at-a-time builder (PR 5) is the unit of
-// mutability: a "live" insert batch is exactly an offline build batch
-// applied against the serving graph's frozen prefix. The lifecycle splits
-// the builder's two phases across the reader/writer boundary:
+// The deterministic batch-at-a-time builder is the unit of mutability: a
+// "live" insert batch is exactly an offline build batch applied against the
+// serving graph's frozen prefix. The lifecycle splits the builder's two
+// phases (graph/nsw_builder.hpp) across the reader/writer boundary:
 //
 //   stage()    writer   append rows to the dataset; extend/warm every
 //                       derived cache (norms, encoded store) and drop
 //                       ground truth while holding exclusive access — the
 //                       insert half of the epoch hand-off. The graph does
 //                       not grow yet, so the serving view stays frozen.
-//   prepare()  READER   phase 1: per-row beam searches against the frozen
-//                       prefix [0, published), fanned out on the
-//                       BuildExecutor. Runs concurrently with serve() —
-//                       both only read published state.
-//   apply()    writer   phase 2: grow the graph and apply the batch's
-//                       links serially in insertion-id order (the
+//   prepare()  READER   phase 1 (search_batch): per-row beam searches
+//                       against the frozen prefix [0, published), fanned
+//                       out on the BuildExecutor. Runs concurrently with
+//                       serve() — both only read published state.
+//   apply()    writer   phase 2 (link_batch): grow the graph and apply the
+//                       batch's links serially in insertion-id order (the
 //                       byte-identity guarantee: the published graph is
 //                       independent of thread count and of how inserts
 //                       interleaved with queries), recompute the entry
@@ -42,14 +42,13 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "common/ownership.hpp"
 #include "core/engine.hpp"
 #include "dataset/dataset.hpp"
 #include "graph/builder.hpp"
 #include "graph/graph.hpp"
+#include "graph/nsw_builder.hpp"
 #include "graph/tombstones.hpp"
 
 namespace algas::core {
@@ -104,29 +103,20 @@ class WriteSection {
 };
 
 /// One live batch mid-flight between prepare() and apply(). Opaque to
-/// callers; holds the phase-1 beam results for rows [first, first+count).
-struct StagedBatch {
-  std::size_t first = 0;
-  std::size_t count = 0;
-  std::vector<std::vector<std::pair<float, NodeId>>> found;
-  std::vector<std::size_t> scored;
+/// callers; holds the phase-1 beams for rows [first, first+count) and
+/// whether apply() may still consume them.
+struct StagedBatch : InsertBatch {
   bool prepared = false;
 };
 
-/// Mirrors BuildReport's accounting for the streamed path.
-struct InsertReport {
+/// The streamed batches' construction ledger plus the rows they inserted.
+/// One insert() from empty reports build_nsw's ledger for the same rows.
+struct InsertReport : BuildCost {
   std::size_t inserted = 0;
-  std::size_t batches = 0;
-  std::size_t scored_points = 0;
-  double virtual_build_ns = 0.0;
-  double serial_build_ns = 0.0;
 
   InsertReport& operator+=(const InsertReport& o) {
+    BuildCost::operator+=(o);
     inserted += o.inserted;
-    batches += o.batches;
-    scored_points += o.scored_points;
-    virtual_build_ns += o.virtual_build_ns;
-    serial_build_ns += o.serial_build_ns;
     return *this;
   }
 };
@@ -208,7 +198,6 @@ class MutableIndex {
 
  private:
   static Dataset require_empty(Dataset ds);
-  InsertReport link_batch(const StagedBatch& batch);
 
   /// Published state: written only inside WriteSection-guarded members of
   /// this class (the static owner list matching MutationChecker's dynamic

@@ -1,5 +1,7 @@
 #include "dataset/dataset.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -15,6 +17,11 @@ void Dataset::append_base(std::span<const float> rows) {
     throw std::invalid_argument("append_base: data is not whole rows (got " +
                                 std::to_string(rows.size()) +
                                 " floats, dim=" + std::to_string(dim_) + ")");
+  }
+  if (const auto bad = non_finite_row(rows, dim_)) {
+    throw std::invalid_argument("append_base: appended row " +
+                                std::to_string(*bad) +
+                                " holds a NaN or infinity");
   }
   clear_ground_truth();  // exact only for the pre-append base set
   clear_attributes();    // likewise: they describe only the old rows
@@ -170,6 +177,14 @@ std::string Dataset::describe() const {
     out << " storage=" << storage_codec_name(codec_);
   }
   return out.str();
+}
+
+std::optional<std::size_t> non_finite_row(std::span<const float> rows,
+                                          std::size_t dim) {
+  const auto bad = std::find_if(rows.begin(), rows.end(),
+                                [](float v) { return !std::isfinite(v); });
+  if (bad == rows.end()) return std::nullopt;
+  return static_cast<std::size_t>(bad - rows.begin()) / dim;
 }
 
 }  // namespace algas

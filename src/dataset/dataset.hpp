@@ -47,7 +47,8 @@ class Dataset {
     return base_;
   }
 
-  /// Append whole rows (`rows.size()` must be a multiple of dim) — the
+  /// Append whole, finite rows (`rows.size()` must be a multiple of dim;
+  /// a NaN or infinity throws before anything changes) — the
   /// dataset half of the streaming insert epoch hand-off
   /// (core::MutableIndex::stage). Unlike mutable_base(), every derived
   /// cache is reconciled before the call returns, while the caller still
@@ -184,5 +185,12 @@ class Dataset {
   mutable VectorStore store_ ALGAS_GUARDED_BY_EPOCH(Dataset);
   mutable bool store_dirty_ ALGAS_GUARDED_BY_EPOCH(Dataset) = false;
 };
+
+/// Index of the first row (of `dim` floats) in `rows` holding a NaN or an
+/// infinity, or nullopt when every value is finite. The ingress points
+/// (read_fvecs, Dataset::append_base) reject such rows, since a NaN
+/// distance compares false against everything downstream.
+std::optional<std::size_t> non_finite_row(std::span<const float> rows,
+                                          std::size_t dim);
 
 }  // namespace algas

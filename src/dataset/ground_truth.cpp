@@ -77,8 +77,7 @@ std::vector<NodeId> compute_filtered_ground_truth(
   const std::size_t q = ds.num_queries();
   k = std::min(k, ds.num_base());
   std::vector<NodeId> gt(q * k, kInvalidNode);
-  if (ds.storage() != StorageCodec::kF32) ds.vector_store();
-  if (ds.metric() == Metric::kCosine) ds.base_norms();
+  ds.warm_caches();  // before forking
   BuildExecutor exec(threads);
   exec.parallel_for(q, [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
@@ -96,8 +95,7 @@ void compute_ground_truth(Dataset& ds, std::size_t k, std::size_t threads) {
   // Warm the lazily-built caches before forking: the norm table (cosine)
   // and the encoded store (quantized codecs) are not thread-safe on first
   // touch.
-  if (ds.storage() != StorageCodec::kF32) ds.vector_store();
-  if (ds.metric() == Metric::kCosine) ds.base_norms();
+  ds.warm_caches();
   BuildExecutor exec(threads);
   exec.parallel_for(q, [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {

@@ -94,7 +94,12 @@ std::vector<T> read_vec(std::ifstream& in) {
 }  // namespace
 
 std::vector<float> read_fvecs(const std::string& path, std::size_t& dim_out) {
-  return read_xvecs<float>(path, dim_out);
+  std::vector<float> rows = read_xvecs<float>(path, dim_out);
+  if (const auto bad = non_finite_row(rows, dim_out)) {
+    throw std::runtime_error("row " + std::to_string(*bad) + " of " + path +
+                             " holds a NaN or infinity");
+  }
+  return rows;
 }
 
 std::vector<std::int32_t> read_ivecs(const std::string& path,

@@ -17,7 +17,8 @@
 namespace algas {
 
 /// Read an fvecs file. Returns row-major floats; `dim_out` receives the
-/// (uniform) row dimension. Throws std::runtime_error on malformed input.
+/// (uniform) row dimension. Throws std::runtime_error on malformed input,
+/// including a NaN or infinity (naming the row).
 std::vector<float> read_fvecs(const std::string& path, std::size_t& dim_out);
 
 /// Read an ivecs file (same layout, int32 payload).

@@ -151,15 +151,6 @@ std::vector<std::pair<float, NodeId>> build_beam_search(
   return out;
 }
 
-NodeId approximate_medoid(const Dataset& ds) {
-  BuildExecutor serial(1);
-  return approximate_medoid(ds, serial);
-}
-
-NodeId approximate_medoid(const Dataset& ds, BuildExecutor& exec) {
-  return approximate_medoid(ds, exec, ds.num_base());
-}
-
 NodeId approximate_medoid(const Dataset& ds, BuildExecutor& exec,
                           std::size_t limit) {
   const std::size_t n = std::min(limit, ds.num_base());
@@ -180,8 +171,7 @@ NodeId approximate_medoid(const Dataset& ds, BuildExecutor& exec,
   NodeId best = 0;
   float best_d = kInfDist;
   std::mutex merge_mu;
-  if (ds.metric() == Metric::kCosine) ds.base_norms();  // warm before forking
-  if (ds.storage() != StorageCodec::kF32) ds.vector_store();
+  ds.warm_caches();  // before forking
   exec.parallel_for(n, [&](std::size_t begin, std::size_t end) {
     NodeId local_best = 0;
     float local_d = kInfDist;

@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -52,21 +53,35 @@ struct BuildConfig {
   sim::CostModel cost;
 };
 
-/// What every build returns: the graph plus how much it cost. Wall time is
-/// real host time; virtual/serial ns are the cost model's batched-kernel
-/// and one-CTA schedules (the GANNS construction-speedup claim, in-model).
-struct BuildReport {
-  Graph graph;
-  double wall_build_s = 0.0;       ///< host wall-clock, load or build
-  double virtual_build_ns = 0.0;   ///< wave-scheduled batched construction
-  double serial_build_ns = 0.0;    ///< same work on one CTA (the baseline)
+/// Modeled construction cost: the cost model's batched-kernel and one-CTA
+/// schedules (the GANNS construction-speedup claim, in-model). Every NSW
+/// insertion batch returns one (link_batch); the offline build and the
+/// streaming index sum them in batch order, so both report one ledger.
+struct BuildCost {
   std::size_t batches = 0;
   std::size_t scored_points = 0;   ///< beam-search distance evals, total
-  bool cache_hit = false;          ///< load_or_build_graph found an artifact
+  double virtual_build_ns = 0.0;   ///< wave-scheduled batched construction
+  double serial_build_ns = 0.0;    ///< same work on one CTA (the baseline)
+
+  BuildCost& operator+=(const BuildCost& o) {
+    batches += o.batches;
+    scored_points += o.scored_points;
+    virtual_build_ns += o.virtual_build_ns;
+    serial_build_ns += o.serial_build_ns;
+    return *this;
+  }
 
   double speedup() const {
     return virtual_build_ns > 0.0 ? serial_build_ns / virtual_build_ns : 0.0;
   }
+};
+
+/// What every build returns: the graph, its modeled cost and the real host
+/// time it took.
+struct BuildReport : BuildCost {
+  Graph graph;
+  double wall_build_s = 0.0;       ///< host wall-clock, load or build
+  bool cache_hit = false;          ///< load_or_build_graph found an artifact
 };
 
 /// Build the requested index over `ds`.
@@ -92,16 +107,14 @@ std::vector<std::pair<float, NodeId>> build_beam_search(
     std::size_t ef, NodeId entry, std::size_t limit,
     std::size_t* scored_out = nullptr);
 
-/// Node whose vector is closest to the dataset centroid — used as the
-/// search entry point by both builders. The overload taking an executor
-/// parallelizes the base scan; both return the identical node (ties break
-/// to the lowest id regardless of chunking).
-NodeId approximate_medoid(const Dataset& ds);
-NodeId approximate_medoid(const Dataset& ds, BuildExecutor& exec);
-/// Medoid of the prefix [0, limit) only — streaming publishes entry points
-/// over the linked prefix while later rows are still staged. limit >=
-/// num_base() scans the whole set (identical to the overloads above).
-NodeId approximate_medoid(const Dataset& ds, BuildExecutor& exec,
-                          std::size_t limit);
+/// Node of the prefix [0, limit) whose vector is closest to that prefix's
+/// centroid — the search entry point of both builders. The default limit
+/// scans every row; streaming publishes entry points over the linked
+/// prefix while later rows are still staged. `exec` parallelizes the scan
+/// and never changes the winner (ties break to the lowest id regardless of
+/// chunking).
+NodeId approximate_medoid(
+    const Dataset& ds, BuildExecutor& exec,
+    std::size_t limit = std::numeric_limits<std::size_t>::max());
 
 }  // namespace algas

@@ -32,16 +32,12 @@ BuildReport build_cagra(const Dataset& ds, const BuildConfig& cfg) {
   const Graph& scaffold = scaffold_report.graph;
   // The scaffold dominates the modeled construction time; the refinement
   // passes below add their beam-search distance evals on top.
-  out.virtual_build_ns = scaffold_report.virtual_build_ns;
-  out.serial_build_ns = scaffold_report.serial_build_ns;
-  out.batches = scaffold_report.batches;
-  out.scored_points = scaffold_report.scored_points;
+  out += scaffold_report;
 
   const std::size_t k = std::min(2 * cfg.degree, n - 1);
   std::vector<std::vector<std::pair<float, NodeId>>> knn(n);
   std::vector<std::size_t> scored(n, 0);
-  if (ds.metric() == Metric::kCosine) ds.base_norms();  // warm before forking
-  if (ds.storage() != StorageCodec::kF32) ds.vector_store();
+  ds.warm_caches();  // before forking
   exec.parallel_for(n, [&](std::size_t begin, std::size_t end) {
     for (std::size_t v = begin; v < end; ++v) {
       auto found = build_beam_search(ds, scaffold, ds.base_vector(v),

@@ -1,120 +1,157 @@
 #include "graph/nsw_builder.hpp"
 
 #include <algorithm>
-#include <utility>
 #include <vector>
 
 #include "common/thread_pool.hpp"
-#include "graph/gpu_construction.hpp"
 #include "graph/neighbor_selection.hpp"
+#include "simgpu/wave_schedule.hpp"
 
 namespace algas {
+
+namespace {
+
+/// Full-speed CTA capacity for a construction kernel holding an
+/// ef_construction-sized candidate list per block.
+std::size_t construction_capacity(const BuildConfig& cfg, std::size_t dim) {
+  sim::SharedMemoryLayout layout;
+  layout.candidate_entries = next_pow2(cfg.ef_construction);
+  layout.expand_entries = next_pow2(cfg.degree);
+  layout.dim = dim;
+  const std::size_t capacity = sim::device_capacity(cfg.device, layout, 1024);
+  return std::max<std::size_t>(1, capacity);
+}
+
+/// Modeled cost of one insertion whose search scored `scored` points:
+/// distance work plus the candidate-list maintenance that accompanies it.
+double insert_cost_ns(const BuildConfig& cfg, std::size_t dim,
+                      std::size_t scored) {
+  const sim::CostModel& cm = cfg.cost;
+  const std::size_t rounds =
+      std::max<std::size_t>(1,
+                            scored / std::max<std::size_t>(1, cfg.degree));
+  const std::size_t ef_pow2 = next_pow2(cfg.ef_construction);
+  return cm.distance_round_ns(dim, scored) +
+         static_cast<double>(rounds) *
+             (cm.bitonic_sort_ns(next_pow2(cfg.degree)) +
+              cm.bitonic_merge_ns(2 * ef_pow2)) +
+         // Link application: the select-neighbors heuristic evaluates
+         // roughly degree^2 / 2 pairwise distances per inserted node.
+         cm.distance_round_ns(dim, cfg.degree * cfg.degree / 2);
+}
+
+}  // namespace
+
+InsertBatch search_batch(const Dataset& ds, const Graph& g,
+                         const BuildConfig& cfg, BuildExecutor& exec,
+                         std::size_t first, std::size_t count) {
+  InsertBatch b{first, count, {}, {}};
+  b.found.resize(count);
+  b.scored.resize(count);
+  if (count == 0) return b;
+
+  // Each insertion writes only its own found/scored slot, so the phase is
+  // embarrassingly parallel and its results are independent of the
+  // chunking (the byte-identity guarantee).
+  if (first == 0) {
+    // Bootstrap batch: no prefix graph exists; points score each other
+    // exhaustively (the GPU does this as a brute-force tile kernel — here
+    // one batched range scan per inserted point).
+    exec.parallel_for(count - 1, [&](std::size_t lo, std::size_t hi) {
+      std::vector<float> tile;
+      for (std::size_t v = lo + 1; v < hi + 1; ++v) {
+        auto& list = b.found[v];
+        tile.resize(v);
+        ds.distance_batch_range(ds.base_vector(v), 0, v, tile);
+        list.reserve(v);
+        for (std::size_t u = 0; u < v; ++u) {
+          list.emplace_back(tile[u], static_cast<NodeId>(u));
+        }
+        std::sort(list.begin(), list.end());
+        if (list.size() > cfg.ef_construction) {
+          list.resize(cfg.ef_construction);
+        }
+        b.scored[v] = v;
+      }
+    });
+    return b;
+  }
+  // The beam width follows the dataset's row count (staged rows included),
+  // not the prefix: a stream that stages every row up front searches
+  // exactly like the offline build.
+  const std::size_t m = std::min(cfg.degree, ds.num_base() - 1);
+  const std::size_t ef = std::max(cfg.ef_construction, m);
+  exec.parallel_for(count, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      b.found[i] = build_beam_search(ds, g, ds.base_vector(first + i), ef, 0,
+                                     first, &b.scored[i]);
+    }
+  });
+  return b;
+}
+
+BuildCost link_batch(const Dataset& ds, Graph& g, const BuildConfig& cfg,
+                     InsertBatch& batch) {
+  BuildCost cost;
+  if (batch.count == 0) return cost;
+  const std::size_t begin = batch.first;
+  const std::size_t end = begin + batch.count;
+
+  // Cost accounting stays serial and in insertion-id order so the modeled
+  // times match the serial schedule exactly. The bootstrap's row 0 has no
+  // search to pay for.
+  std::vector<sim::CtaTask> tasks;
+  for (std::size_t i = begin == 0 ? 1 : 0; i < batch.count; ++i) {
+    const double d = insert_cost_ns(cfg, ds.dim(), batch.scored[i]);
+    tasks.push_back({tasks.size(), d});
+    cost.scored_points += batch.scored[i];
+    cost.serial_build_ns += d;
+  }
+  const std::size_t capacity = construction_capacity(cfg, ds.dim());
+  const std::vector<double> no_merge(tasks.size(), 0.0);
+  const sim::BatchTiming timing =
+      sim::wave_schedule(tasks, tasks.size(), capacity, no_merge);
+  cost.virtual_build_ns = cfg.cost.kernel_launch_ns + timing.gpu_end_ns;
+  cost.serial_build_ns += cfg.cost.kernel_launch_ns;
+  cost.batches = 1;
+
+  // select_neighbors rewrites v's own row from its beam; link() backlinks
+  // into earlier rows. Serial application makes every row a deterministic
+  // fold over the batch.
+  std::vector<NodeId> row_ids;
+  std::vector<float> row_dists;
+  for (std::size_t v = std::max<std::size_t>(begin, 1); v < end; ++v) {
+    auto& candidates = batch.found[v - begin];
+    if (candidates.empty()) continue;
+    select_neighbors(ds, g, static_cast<NodeId>(v), candidates);
+    row_ids.clear();
+    for (NodeId u : g.neighbors(static_cast<NodeId>(v))) {
+      if (u != kInvalidNode) row_ids.push_back(u);
+    }
+    row_dists.resize(row_ids.size());
+    ds.distance_batch(ds.base_vector(v), row_ids, row_dists);
+    for (std::size_t i = 0; i < row_ids.size(); ++i) {
+      link(ds, g, row_ids[i], static_cast<NodeId>(v), row_dists[i]);
+    }
+  }
+  return cost;
+}
 
 BuildReport build_nsw(const Dataset& ds, const BuildConfig& cfg) {
   const std::size_t n = ds.num_base();
   BuildReport out;
   out.graph = Graph(n, cfg.degree);
-  Graph& g = out.graph;
   if (n == 0) return out;
-  if (n == 1) {
-    g.set_entry_point(0);
-    return out;
-  }
 
   BuildExecutor exec(cfg.threads);
-  const std::size_t capacity = construction_capacity(cfg, ds.dim());
+  ds.warm_caches();  // not thread-safe on first touch: warm before forking
   const std::size_t batch = std::max<std::size_t>(1, cfg.insert_batch);
-  const std::size_t m = std::min(cfg.degree, n - 1);
-  const std::size_t ef = std::max(cfg.ef_construction, m);
-
-  // Warm the lazily-built dataset caches before forking: the norm table
-  // (cosine) and the encoded store (quantized codecs) are not thread-safe
-  // on first touch.
-  if (ds.metric() == Metric::kCosine) ds.base_norms();
-  if (ds.storage() != StorageCodec::kF32) ds.vector_store();
-
-  std::vector<std::vector<std::pair<float, NodeId>>> found;
-  std::vector<std::size_t> scored;
-  std::vector<double> durations;
-  std::vector<NodeId> row_ids;
-  std::vector<float> row_dists;
-  for (std::size_t begin = 0; begin < n; begin += batch) {
-    const std::size_t end = std::min(begin + batch, n);
-    found.assign(end - begin, {});
-    scored.assign(end - begin, 0);
-    durations.clear();
-
-    // Phase 1 — concurrent searches against the frozen prefix [0, begin).
-    // Each insertion writes only its own found/scored slot, so the phase
-    // is embarrassingly parallel and its results are independent of the
-    // chunking (the byte-identity guarantee).
-    if (begin == 0) {
-      // Bootstrap batch: no prefix graph exists; points score each other
-      // exhaustively (the GPU does this as a brute-force tile kernel —
-      // here one batched range scan per inserted point).
-      exec.parallel_for(end - 1, [&](std::size_t lo, std::size_t hi) {
-        std::vector<float> tile;
-        for (std::size_t v = lo + 1; v < hi + 1; ++v) {
-          auto& list = found[v];
-          tile.resize(v);
-          ds.distance_batch_range(ds.base_vector(v), 0, v, tile);
-          list.reserve(v);
-          for (std::size_t u = 0; u < v; ++u) {
-            list.emplace_back(tile[u], static_cast<NodeId>(u));
-          }
-          std::sort(list.begin(), list.end());
-          if (list.size() > cfg.ef_construction) {
-            list.resize(cfg.ef_construction);
-          }
-          scored[v] = v;
-        }
-      });
-    } else {
-      exec.parallel_for(end - begin, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          const std::size_t v = begin + i;
-          found[i] = build_beam_search(ds, g, ds.base_vector(v), ef, 0,
-                                       begin, &scored[i]);
-        }
-      });
-    }
-    // Cost accounting stays serial and in insertion-id order so the
-    // modeled times match the serial schedule exactly.
-    for (std::size_t i = begin == 0 ? 1 : 0; i < end - begin; ++i) {
-      out.scored_points += scored[i];
-      durations.push_back(construction_insert_cost_ns(cfg, ds.dim(),
-                                                      scored[i]));
-    }
-
-    // Phase 2 — apply the batch's links serially in insertion-id order.
-    // select_neighbors rewrites v's own row from its beam; link() backlinks
-    // into earlier rows. Serial application makes every row a deterministic
-    // fold over the batch.
-    for (std::size_t v = std::max<std::size_t>(begin, 1); v < end; ++v) {
-      auto& candidates = found[v - begin];
-      if (candidates.empty()) continue;
-      select_neighbors(ds, g, static_cast<NodeId>(v), candidates);
-      row_ids.clear();
-      for (NodeId u : g.neighbors(static_cast<NodeId>(v))) {
-        if (u != kInvalidNode) row_ids.push_back(u);
-      }
-      row_dists.resize(row_ids.size());
-      ds.distance_batch(ds.base_vector(v), row_ids, row_dists);
-      for (std::size_t i = 0; i < row_ids.size(); ++i) {
-        link(ds, g, row_ids[i], static_cast<NodeId>(v), row_dists[i]);
-      }
-    }
-
-    out.virtual_build_ns +=
-        cfg.cost.kernel_launch_ns + construction_wave_makespan(durations,
-                                                               capacity);
-    for (double d : durations) out.serial_build_ns += d;
-    ++out.batches;
+  for (std::size_t first = 0; first < n; first += batch) {
+    InsertBatch b = search_batch(ds, out.graph, cfg, exec, first,
+                                 std::min(batch, n - first));
+    out += link_batch(ds, out.graph, cfg, b);
   }
-  out.serial_build_ns +=
-      cfg.cost.kernel_launch_ns * static_cast<double>(out.batches);
-
-  g.set_entry_point(approximate_medoid(ds, exec));
+  out.graph.set_entry_point(approximate_medoid(ds, exec));
   return out;
 }
 

@@ -2,7 +2,10 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <limits>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "dataset/dataset.hpp"
 #include "dataset/ground_truth.hpp"
@@ -141,6 +144,25 @@ TEST(Io, FvecsRoundTrip) {
   const auto read = read_fvecs(path, dim);
   EXPECT_EQ(dim, 3u);
   EXPECT_EQ(read, data);
+  std::remove(path.c_str());
+}
+
+TEST(Io, FvecsRejectsNonFinite) {
+  const std::string path = temp_path("algas_test_nonfinite.fvecs");
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+    write_fvecs(path, {1.0f, 2.0f, 3.0f, 4.0f, bad, 6.0f}, 3);
+    std::size_t dim = 0;
+    try {
+      read_fvecs(path, dim);
+      ADD_FAILURE() << "read_fvecs accepted " << bad;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(path), std::string::npos) << what;
+      EXPECT_NE(what.find("row 1"), std::string::npos) << what;
+    }
+  }
   std::remove(path.c_str());
 }
 
@@ -344,6 +366,20 @@ TEST(DatasetAppend, DropsStaleGroundTruthAndValidatesShape) {
   EXPECT_THROW(ds.append_base({tail.data(), 3}), std::invalid_argument);
   Dataset dimless;
   EXPECT_THROW(dimless.append_base(tail), std::invalid_argument);
+
+  // Non-finite rows are rejected before anything changes: a NaN distance
+  // compares false against everything downstream.
+  compute_ground_truth(ds, 4);
+  const std::vector<float> before = ds.base();
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+    std::vector<float> rows = tail;
+    rows[ds.dim() + 1] = bad;  // second row
+    EXPECT_THROW(ds.append_base(rows), std::invalid_argument);
+    EXPECT_TRUE(ds.has_ground_truth());
+    EXPECT_EQ(ds.base(), before);
+  }
 }
 
 }  // namespace

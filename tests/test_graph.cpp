@@ -6,8 +6,8 @@
 #include <fstream>
 #include <set>
 
+#include "common/thread_pool.hpp"
 #include "graph/builder.hpp"
-#include "graph/gpu_construction.hpp"
 #include "metrics/recall.hpp"
 #include "search/multi_cta.hpp"
 #include "graph/graph.hpp"
@@ -299,7 +299,8 @@ TEST(Builders, BeamSearchFindsExactNearest) {
 
 TEST(Builders, ApproximateMedoidIsCentral) {
   const auto& world = testing::tiny_world();
-  const NodeId medoid = approximate_medoid(world.ds);
+  BuildExecutor serial(1);
+  const NodeId medoid = approximate_medoid(world.ds, serial);
   ASSERT_LT(medoid, world.ds.num_base());
   // The medoid must be closer to the centroid than 95% of points; spot
   // check against a sample.

@@ -70,17 +70,26 @@ void expect_same_graph(const Graph& a, const Graph& b) {
 // ---------------- insert ----------------
 
 TEST(MutableInsert, FromEmptyMatchesOfflineBuild) {
-  const Dataset full = small_ds();
-  const BuildConfig cfg = small_cfg();
-  const Graph offline = build_graph(GraphKind::kNsw, full, cfg).graph;
+  for (const Metric metric : {Metric::kL2, Metric::kCosine}) {
+    SCOPED_TRACE(metric == Metric::kL2 ? "l2" : "cosine");
+    const Dataset full = small_ds(metric);
+    const BuildConfig cfg = small_cfg();
+    const BuildReport offline = build_graph(GraphKind::kNsw, full, cfg);
 
-  MutableIndex idx(empty_like(full), cfg);
-  const auto rep = idx.insert(full.base());
-  EXPECT_EQ(rep.inserted, full.num_base());
-  EXPECT_GT(rep.batches, 1u);
-  EXPECT_EQ(idx.published(), full.num_base());
-  EXPECT_EQ(idx.pending(), 0u);
-  expect_same_graph(idx.graph(), offline);
+    MutableIndex idx(empty_like(full), cfg);
+    const auto rep = idx.insert(full.base());
+    EXPECT_EQ(rep.inserted, full.num_base());
+    EXPECT_GT(rep.batches, 1u);
+    EXPECT_EQ(idx.published(), full.num_base());
+    EXPECT_EQ(idx.pending(), 0u);
+    expect_same_graph(idx.graph(), offline.graph);
+    // One ledger: the streamed batches sum to exactly the offline cost,
+    // float summation order included.
+    EXPECT_EQ(rep.scored_points, offline.scored_points);
+    EXPECT_EQ(rep.batches, offline.batches);
+    EXPECT_EQ(rep.virtual_build_ns, offline.virtual_build_ns);
+    EXPECT_EQ(rep.serial_build_ns, offline.serial_build_ns);
+  }
 }
 
 TEST(MutableInsert, ServingBetweenPhasesChangesNothing) {

@@ -7,7 +7,6 @@
 #include <set>
 #include <tuple>
 
-#include "baselines/batch_runner.hpp"
 #include "common/rng.hpp"
 #include "core/engine.hpp"
 #include "search/bitonic.hpp"
@@ -16,6 +15,7 @@
 #include "search/multi_cta.hpp"
 #include "search/topk_merge.hpp"
 #include "simgpu/channel.hpp"
+#include "simgpu/wave_schedule.hpp"
 #include "test_util.hpp"
 
 namespace algas {
@@ -224,7 +224,7 @@ TEST_P(WaveProperty, ConservationAndBounds) {
   const std::size_t queries = 1 + rng.next_below(8);
   const std::size_t ctas_per_query = 1 + rng.next_below(4);
   const std::size_t capacity = 1 + rng.next_below(6);
-  std::vector<baselines::CtaTask> tasks;
+  std::vector<sim::CtaTask> tasks;
   double total = 0.0;
   double max_dur = 0.0;
   for (std::size_t q = 0; q < queries; ++q) {
@@ -235,7 +235,7 @@ TEST_P(WaveProperty, ConservationAndBounds) {
       max_dur = std::max(max_dur, dur);
     }
   }
-  const auto timing = baselines::wave_schedule(
+  const auto timing = sim::wave_schedule(
       tasks, queries, capacity, std::vector<double>(queries, 0.0));
   // Work conservation.
   EXPECT_NEAR(timing.active_ns, total, 1e-6);

@@ -11,6 +11,7 @@
 #include "simgpu/shared_memory.hpp"
 #include "simgpu/sim_group.hpp"
 #include "simgpu/simulation.hpp"
+#include "simgpu/wave_schedule.hpp"
 
 namespace algas::sim {
 namespace {
@@ -542,6 +543,52 @@ TEST(CostModel, GpuMergeMoreExpensiveThanHostMerge) {
   // The §III-B motivation: cross-CTA global-memory merge is costly.
   EXPECT_GT(cm.gpu_topk_merge_ns(8, 128), cm.host_topk_merge_ns(8, 16));
   EXPECT_EQ(cm.gpu_topk_merge_ns(1, 128), 0.0);
+}
+
+// ---------------- wave_schedule.hpp ----------------
+
+TEST(WaveSchedule, UnlimitedCapacityRunsConcurrently) {
+  std::vector<CtaTask> tasks{{0, 100.0}, {0, 50.0}, {1, 80.0}};
+  const auto t = wave_schedule(tasks, 2, 16, {0.0, 0.0});
+  EXPECT_DOUBLE_EQ(t.query_search_end[0], 100.0);
+  EXPECT_DOUBLE_EQ(t.query_search_end[1], 80.0);
+  EXPECT_DOUBLE_EQ(t.gpu_end_ns, 100.0);
+  // Idle: CTA1 waits 50, CTA2 waits 20, CTA0 waits 0.
+  EXPECT_DOUBLE_EQ(t.idle_ns, 70.0);
+  EXPECT_DOUBLE_EQ(t.active_ns, 230.0);
+}
+
+TEST(WaveSchedule, CapacityOneSerializes) {
+  std::vector<CtaTask> tasks{{0, 10.0}, {1, 10.0}, {2, 10.0}};
+  const auto t = wave_schedule(tasks, 3, 1, {0.0, 0.0, 0.0});
+  EXPECT_DOUBLE_EQ(t.query_search_end[0], 10.0);
+  EXPECT_DOUBLE_EQ(t.query_search_end[1], 20.0);
+  EXPECT_DOUBLE_EQ(t.query_search_end[2], 30.0);
+  EXPECT_DOUBLE_EQ(t.gpu_end_ns, 30.0);
+}
+
+TEST(WaveSchedule, MergeExtendsQueryCompletion) {
+  std::vector<CtaTask> tasks{{0, 10.0}, {1, 20.0}};
+  const auto t = wave_schedule(tasks, 2, 4, {5.0, 1.0});
+  EXPECT_DOUBLE_EQ(t.query_final[0], 15.0);
+  EXPECT_DOUBLE_EQ(t.query_final[1], 21.0);
+  EXPECT_DOUBLE_EQ(t.gpu_end_ns, 21.0);
+}
+
+TEST(DeviceCapacity, ShrinksWithLayout) {
+  const auto dev = DeviceProps::rtx_a6000();
+  SharedMemoryLayout small;
+  small.candidate_entries = 64;
+  small.dim = 128;
+  SharedMemoryLayout big;
+  big.candidate_entries = 2048;
+  big.expand_entries = 2048;
+  big.dim = 960;
+  const auto cap_small = device_capacity(dev, small, 1024);
+  const auto cap_big = device_capacity(dev, big, 1024);
+  EXPECT_GT(cap_small, cap_big);
+  EXPECT_LE(cap_small, dev.max_resident_blocks());
+  EXPECT_GE(cap_big, dev.num_sms);  // at least 1 block/SM fits here
 }
 
 }  // namespace

@@ -208,6 +208,36 @@ void print_filtered_recall(const Dataset& ds,
               rep.summary.served);
 }
 
+/// BuildConfig from the shared construction flags (build, insert, delete,
+/// and the per-shard graphs of search/serve). --threads defaults to the
+/// environment (flag > env > default).
+BuildConfig parse_build_config(const Args& args) {
+  BuildConfig cfg;
+  cfg.degree = args.get_size("degree", 32);
+  cfg.ef_construction = args.get_size("ef", 64);
+  cfg.threads =
+      args.get_size("threads", RuntimeOptions::from_env().build_threads);
+  cfg.insert_batch = args.get_size("batch", cfg.insert_batch);
+  return cfg;
+}
+
+/// AlgasConfig from the shared engine flags (search and serve).
+core::AlgasConfig parse_engine_config(const Args& args,
+                                      const search::AcceptPredicate& accept,
+                                      sim::Tracer* trace) {
+  core::AlgasConfig cfg;
+  cfg.search.topk = args.get_size("topk", 16);
+  cfg.search.candidate_len = args.get_size("list", 128);
+  cfg.search.beam_width = args.get_size("beam", 4);
+  cfg.search.accept = accept;
+  cfg.slots = args.get_size("slots", 16);
+  cfg.n_parallel = args.get_size("nparallel", 0);
+  cfg.host_threads = args.get_size("hosts", 1);
+  cfg.host_sync = parse_sync(args.get_or("sync", "mirrored"));
+  cfg.tracer = trace;
+  return cfg;
+}
+
 int cmd_gen(const Args& args) {
   const std::string name = args.get("name");
   SyntheticSpec spec;
@@ -247,13 +277,8 @@ int cmd_import(const Args& args) {
 int cmd_build(const Args& args) {
   Dataset ds = load_dataset(args.get("dataset"));
   apply_storage(ds, args);
-  BuildConfig cfg;
-  cfg.degree = args.get_size("degree", 32);
-  cfg.ef_construction = args.get_size("ef", 64);
-  // --threads/--batch default to the environment (flag > env > default).
-  cfg.threads = args.get_size("threads", RuntimeOptions::from_env().build_threads);
-  cfg.insert_batch = args.get_size("batch", cfg.insert_batch);
-  const BuildReport report = build_graph(parse_kind(args.get("kind")), ds, cfg);
+  const BuildReport report =
+      build_graph(parse_kind(args.get("kind")), ds, parse_build_config(args));
   const Graph& g = report.graph;
   g.save(args.get("out"));
   const auto stats = g.stats();
@@ -292,17 +317,6 @@ void print_report(const char* engine_name, const core::EngineReport& rep) {
               rep.summary.mean_service_us, rep.summary.p99_service_us,
               rep.summary.throughput_qps,
               static_cast<unsigned long long>(rep.pcie_transactions));
-}
-
-/// BuildConfig from the shared construction flags (insert/delete/build).
-BuildConfig parse_build_config(const Args& args) {
-  BuildConfig cfg;
-  cfg.degree = args.get_size("degree", 32);
-  cfg.ef_construction = args.get_size("ef", 64);
-  cfg.threads =
-      args.get_size("threads", RuntimeOptions::from_env().build_threads);
-  cfg.insert_batch = args.get_size("batch", cfg.insert_batch);
-  return cfg;
 }
 
 /// Load the mutable index named by --index, or adopt --graph, or (neither)
@@ -404,9 +418,6 @@ int cmd_search(const Args& args) {
                 "(run `algas_cli gt` first)\n");
   }
   const std::string engine = args.get_or("engine", "algas");
-  const std::size_t topk = args.get_size("topk", 16);
-  const std::size_t list = args.get_size("list", 128);
-  const std::size_t slots = args.get_size("slots", 16);
   const std::size_t queries = args.get_size("queries", ds.num_queries());
 
   // --trace: explicit SimTrace sink, written once the run completes. Pure
@@ -424,6 +435,8 @@ int cmd_search(const Args& args) {
         "--filter is traversal-integrated and only serves the algas engine "
         "(the ivf post-filter baseline lives in bench_filtered)");
   }
+  const core::AlgasConfig acfg = parse_engine_config(args, accept, trace);
+  const std::size_t topk = acfg.search.topk;
 
   if (engine == "ivf") {
     if (trace) {
@@ -432,7 +445,7 @@ int cmd_search(const Args& args) {
     baselines::IvfConfig cfg;
     cfg.topk = topk;
     cfg.nprobe = args.get_size("nprobe", 8);
-    cfg.batch_size = slots;
+    cfg.batch_size = acfg.slots;
     baselines::IvfEngine e(ds, cfg);
     print_report("ivf", e.run_closed_loop(queries));
     return 0;
@@ -441,26 +454,17 @@ int cmd_search(const Args& args) {
   // --index: serve a mutable-index snapshot — same engine, but tombstoned
   // rows are excluded from results and the snapshot's graph is used.
   const std::string index_path = args.get_or("index", "");
+  const std::size_t shards = args.get_size("shards", 0);
   if (!index_path.empty()) {
     if (engine != "algas") {
       throw std::invalid_argument("--index only serves the algas engine");
     }
     core::MutableIndex idx = core::MutableIndex::load(
         index_path, std::move(ds), parse_build_config(args));
-    core::AlgasConfig cfg;
-    cfg.search.topk = topk;
-    cfg.search.candidate_len = list;
-    cfg.search.beam_width = args.get_size("beam", 4);
-    cfg.search.accept = accept;
-    cfg.slots = slots;
-    cfg.n_parallel = args.get_size("nparallel", 0);
-    cfg.host_threads = args.get_size("hosts", 1);
-    cfg.host_sync = parse_sync(args.get_or("sync", "mirrored"));
-    cfg.tracer = trace;
     std::printf("index: epoch %llu | %zu live of %zu published\n",
                 static_cast<unsigned long long>(idx.epoch()), idx.live(),
                 idx.published());
-    const core::EngineReport rep = idx.serve(cfg, queries);
+    const core::EngineReport rep = idx.serve(acfg, queries);
     print_report("algas", rep);
     if (filter != nullptr) {
       // Truth must honor the tombstones serve() conjoined in, or deleted
@@ -469,32 +473,15 @@ int cmd_search(const Args& args) {
                             accept.with_tombstones(&idx.tombstones()), rep,
                             topk);
     }
-    if (trace) {
-      trace->save(trace_path);
-      std::printf("wrote trace %s (%llu events)\n", trace_path.c_str(),
-                  static_cast<unsigned long long>(trace->events_recorded()));
-    }
-    return 0;
-  }
-
-  // --shards: scatter-gather over K simulated devices. Per-shard graphs
-  // are built here (deterministically, from the shared build flags); a
-  // monolithic --graph cannot be split, so the flag is ignored.
-  const std::size_t shards = args.get_size("shards", 0);
-  if (shards > 0) {
+  } else if (shards > 0) {
+    // --shards: scatter-gather over K simulated devices. Per-shard graphs
+    // are built here (deterministically, from the shared build flags); a
+    // monolithic --graph cannot be split, so the flag is ignored.
     if (engine != "algas") {
       throw std::invalid_argument("--shards only serves the algas engine");
     }
     core::ShardedConfig scfg;
-    scfg.base.search.topk = topk;
-    scfg.base.search.candidate_len = list;
-    scfg.base.search.beam_width = args.get_size("beam", 4);
-    scfg.base.search.accept = accept;
-    scfg.base.slots = slots;
-    scfg.base.n_parallel = args.get_size("nparallel", 0);
-    scfg.base.host_threads = args.get_size("hosts", 1);
-    scfg.base.host_sync = parse_sync(args.get_or("sync", "mirrored"));
-    scfg.base.tracer = trace;
+    scfg.base = acfg;
     scfg.shards = shards;
     scfg.fanout = args.get_size("fanout", 0);
     scfg.router_centroids = args.get_size("router-centroids", 8);
@@ -517,52 +504,32 @@ int cmd_search(const Args& args) {
                 static_cast<unsigned long long>(rep.bus_transactions),
                 static_cast<unsigned long long>(rep.bus_bytes),
                 100.0 * rep.bus_utilization);
-    if (trace) {
-      trace->save(trace_path);
-      std::printf("wrote trace %s (%llu events)\n", trace_path.c_str(),
-                  static_cast<unsigned long long>(trace->events_recorded()));
-    }
-    return 0;
-  }
-
-  const Graph g = Graph::load(args.get("graph"));
-  if (engine == "algas") {
-    core::AlgasConfig cfg;
-    cfg.search.topk = topk;
-    cfg.search.candidate_len = list;
-    cfg.search.beam_width = args.get_size("beam", 4);
-    cfg.search.accept = accept;
-    cfg.slots = slots;
-    cfg.n_parallel = args.get_size("nparallel", 0);
-    cfg.host_threads = args.get_size("hosts", 1);
-    cfg.host_sync = parse_sync(args.get_or("sync", "mirrored"));
-    cfg.tracer = trace;
-    core::AlgasEngine e(ds, g, cfg);
-    std::printf("plan: %s\n", e.plan().describe().c_str());
-    const core::EngineReport rep = e.run_closed_loop(queries);
-    print_report("algas", rep);
-    if (filter != nullptr) {
-      print_filtered_recall(ds, accept, rep, topk);
-    }
-  } else if (engine == "cagra") {
-    baselines::StaticConfig cfg;
-    cfg.search.topk = topk;
-    cfg.search.candidate_len = list;
-    cfg.batch_size = slots;
-    cfg.n_parallel = args.get_size("nparallel", 4);
-    cfg.tracer = trace;
-    baselines::StaticBatchEngine e(ds, g, cfg);
-    print_report("cagra", e.run_closed_loop(queries));
-  } else if (engine == "ganns") {
-    baselines::StaticConfig cfg;
-    cfg.search.topk = topk;
-    cfg.search.candidate_len = list;
-    cfg.batch_size = slots;
-    cfg.tracer = trace;
-    baselines::StaticBatchEngine e(ds, g, baselines::ganns_config(cfg));
-    print_report("ganns", e.run_closed_loop(queries));
   } else {
-    throw std::invalid_argument("unknown engine: " + engine);
+    const Graph g = Graph::load(args.get("graph"));
+    if (engine == "algas") {
+      core::AlgasEngine e(ds, g, acfg);
+      std::printf("plan: %s\n", e.plan().describe().c_str());
+      const core::EngineReport rep = e.run_closed_loop(queries);
+      print_report("algas", rep);
+      if (filter != nullptr) {
+        print_filtered_recall(ds, accept, rep, topk);
+      }
+    } else {
+      baselines::StaticConfig cfg;
+      cfg.search.topk = topk;
+      cfg.search.candidate_len = acfg.search.candidate_len;
+      cfg.batch_size = acfg.slots;
+      cfg.tracer = trace;
+      if (engine == "cagra") {
+        cfg.n_parallel = args.get_size("nparallel", 4);
+      } else if (engine == "ganns") {
+        cfg = baselines::ganns_config(cfg);
+      } else {
+        throw std::invalid_argument("unknown engine: " + engine);
+      }
+      baselines::StaticBatchEngine e(ds, g, cfg);
+      print_report(engine.c_str(), e.run_closed_loop(queries));
+    }
   }
   if (trace) {
     trace->save(trace_path);
@@ -595,14 +562,7 @@ int cmd_serve(const Args& args) {
   const search::AcceptPredicate accept{filter.get()};
 
   core::AlgasConfig& base = cfg.sharded.base;
-  base.search.topk = args.get_size("topk", 16);
-  base.search.candidate_len = args.get_size("list", 128);
-  base.search.beam_width = args.get_size("beam", 4);
-  base.search.accept = accept;
-  base.slots = args.get_size("slots", 16);
-  base.n_parallel = args.get_size("nparallel", 0);
-  base.host_threads = args.get_size("hosts", 1);
-  base.host_sync = parse_sync(args.get_or("sync", "mirrored"));
+  base = parse_engine_config(args, accept, nullptr);
   // An unbounded queue is the closed-loop default; serving mode (the
   // AdmissionActor front-end) activates only when --capacity is given.
   base.admission.capacity =
