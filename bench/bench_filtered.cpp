@@ -84,14 +84,14 @@ std::uint64_t results_checksum(const metrics::Collector& col) {
 /// Bitset accepting exactly `want` rows: the `want` smallest (timestamp,
 /// id) pairs. Ties break by id, so the accepted set — and everything
 /// downstream — is a pure function of the attribute arrays.
-search::NodeBitset timestamp_tier(const Dataset& ds, std::size_t want) {
+NodeBitset timestamp_tier(const Dataset& ds, std::size_t want) {
   const auto& ts = ds.timestamps();
   std::vector<std::pair<std::uint32_t, NodeId>> order(ts.size());
   for (std::size_t i = 0; i < ts.size(); ++i) {
     order[i] = {ts[i], static_cast<NodeId>(i)};
   }
   std::sort(order.begin(), order.end());
-  search::NodeBitset bits(ds.num_base());
+  NodeBitset bits(ds.num_base());
   for (std::size_t i = 0; i < want && i < order.size(); ++i) {
     bits.set(order[i].second);
   }
@@ -149,7 +149,7 @@ int main() {
     TierResult& r = tiers[t];
     const auto want = std::max<std::size_t>(
         1, static_cast<std::size_t>(kTiers[t] * static_cast<double>(n) + 0.5));
-    const search::NodeBitset bits = timestamp_tier(ds, want);
+    const NodeBitset bits = timestamp_tier(ds, want);
     const search::AcceptPredicate accept(&bits);
     r.accepted = bits.count();
 

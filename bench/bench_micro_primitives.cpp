@@ -1,16 +1,15 @@
 // Microbenchmarks (google-benchmark) for the hot primitives: distance
-// kernels across the Table III dimensions, bitonic sort/merge across list
-// sizes, candidate-list maintenance, host TopK merge, and the DES core's
-// event throughput. These are *wall-clock* numbers for the functional
-// implementations (not virtual time) — they bound how fast the simulator
-// itself runs.
+// kernels across the Table III dimensions, candidate-list maintenance, host
+// TopK merge, and the DES core's event throughput. These are *wall-clock*
+// numbers for the functional implementations (not virtual time) — they
+// bound how fast the simulator itself runs.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "distance/distance.hpp"
-#include "search/bitonic.hpp"
 #include "search/candidate_list.hpp"
 #include "search/topk_merge.hpp"
 #include "simgpu/simulation.hpp"
@@ -57,18 +56,6 @@ std::vector<KV> random_kvs(std::size_t n) {
   }
   return v;
 }
-
-void BM_BitonicSort(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto base = random_kvs(n);
-  std::vector<KV> work(n);
-  for (auto _ : state) {
-    work = base;
-    search::bitonic_sort(std::span<KV>(work));
-    benchmark::DoNotOptimize(work.data());
-  }
-}
-BENCHMARK(BM_BitonicSort)->Arg(32)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
 
 void BM_CandidateListMerge(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -89,7 +89,9 @@ int main() {
     const auto t0 = std::chrono::steady_clock::now();
     std::size_t found = 0;
     for (std::size_t q = 0; q < nq; ++q) {
-      found += brute_force_topk(ds, ds.query(q), 10).size();
+      found +=
+          brute_force_topk(ds, ds.query(q), 10, search::AcceptPredicate{})
+              .size();
     }
     Section s{"bulk"};
     s.wall_s = seconds_since(t0);

@@ -15,6 +15,12 @@ namespace algas::baselines {
 
 namespace {
 
+/// Lloyd iterations of the coarse quantizer's k-means.
+constexpr std::size_t kKmeansIters = 8;
+/// Lloyd iterations train on at most this many points (subsampled); the
+/// final assignment always covers the full dataset.
+constexpr std::size_t kTrainLimit = 20000;
+
 /// One batched L2 scan of `point` against all centroids; returns argmin,
 /// first index winning ties — the order the scalar scan resolved them.
 std::size_t nearest_centroid(std::span<const float> point,
@@ -82,14 +88,14 @@ IvfIndex IvfIndex::build(const Dataset& ds, const IvfBuildConfig& cfg) {
   }
 
   // Lloyd iterations on a subsample (FAISS-style training set cap).
-  const std::size_t train_n = std::min(n, std::max(cfg.train_limit, nlist));
+  const std::size_t train_n = std::min(n, std::max(kTrainLimit, nlist));
   const std::size_t stride = std::max<std::size_t>(1, n / train_n);
   std::vector<NodeId> train_ids;
   train_ids.reserve(train_n);
   for (std::size_t i = 0; i < n && train_ids.size() < train_n; i += stride) {
     train_ids.push_back(static_cast<NodeId>(i));
   }
-  for (std::size_t it = 0; it < cfg.kmeans_iters; ++it) {
+  for (std::size_t it = 0; it < kKmeansIters; ++it) {
     std::vector<std::size_t> assign(train_ids.size(), 0);
     global_pool().parallel_for(
         train_ids.size(), [&](std::size_t begin, std::size_t end) {

@@ -15,10 +15,6 @@ namespace algas::baselines {
 struct IvfBuildConfig {
   /// Number of inverted lists; 0 = sqrt(n) heuristic.
   std::size_t nlist = 0;
-  std::size_t kmeans_iters = 8;
-  /// Lloyd iterations train on at most this many points (subsampled);
-  /// the final assignment always covers the full dataset.
-  std::size_t train_limit = 20000;
   std::uint64_t seed = 11;
 };
 

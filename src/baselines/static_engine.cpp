@@ -29,13 +29,8 @@ StaticBatchEngine::StaticBatchEngine(const Dataset& ds, const Graph& g,
     throw std::invalid_argument("batch_size must be >= 1");
   }
 
-  sim::SharedMemoryLayout layout;
-  layout.candidate_entries = cfg_.search.candidate_len;
-  layout.expand_entries =
-      next_pow2(std::max<std::size_t>(1, cfg_.search.beam_width) *
-                g.degree());
-  layout.dim = ds.dim();
-  layout.elem_bytes = ds.elem_bytes();
+  const sim::SharedMemoryLayout layout =
+      search::shared_memory_layout(cfg_.search, ds, g.degree());
   const std::size_t reserved = core::auto_reserved_bytes(ds.dim());
   capacity_ = sim::device_capacity(cfg_.device, layout, reserved);
   if (capacity_ == 0) {

@@ -16,7 +16,7 @@
 //     Write rights rotate between the listed actors, handed off by an
 //     epoch: the slot state machine (CTA owns the field while the word is
 //     in Work, the host worker outside it) or a generation stamp
-//     (VisitedTable). The static check admits every listed actor; WHICH
+//     (StampedSet). The static check admits every listed actor; WHICH
 //     one may write at a given virtual time is the dynamic half, enforced
 //     by ProtocolChecker/SimCheck. This is exactly the pre-wiring the
 //     streaming-mutability roadmap item needs: concurrent insert+search

@@ -63,8 +63,7 @@ struct SlotRuntime {
   SimTime deadline_ns ALGAS_OWNED_BY(HostWorker) =
       std::numeric_limits<SimTime>::infinity();
   std::uint8_t priority ALGAS_OWNED_BY(HostWorker) = 0;
-  search::VisitedTable visited ALGAS_GUARDED_BY_EPOCH(CtaActor, HostWorker,
-                                                      RunState);
+  StampedSet visited ALGAS_GUARDED_BY_EPOCH(CtaActor, HostWorker, RunState);
   std::vector<NodeId> entries ALGAS_OWNED_BY(HostWorker);  // per-CTA entry pts
   // T * L contiguous result block (§IV-B): host fills/drains outside Work,
   // CTAs write their stripes inside Work, RunState sizes it at wiring time.
@@ -773,11 +772,7 @@ AlgasEngine::AlgasEngine(const Dataset& ds, const Graph& g, AlgasConfig cfg)
   in.device = cfg_.device;
   in.slots = cfg_.slots;
   in.requested_parallel = cfg_.n_parallel;
-  in.layout.candidate_entries = cfg_.search.candidate_len;
-  in.layout.expand_entries =
-      next_pow2(std::max<std::size_t>(1, cfg_.search.beam_width) * g.degree());
-  in.layout.dim = ds.dim();
-  in.layout.elem_bytes = ds.elem_bytes();
+  in.layout = search::shared_memory_layout(cfg_.search, ds, g.degree());
   layout_ = in.layout;
   plan_ = tune(in);
   if (!plan_.ok) {

@@ -139,7 +139,7 @@ bool MutableIndex::remove(NodeId v) {
                             std::to_string(v) + " is not published (" +
                             std::to_string(published_) + " nodes)");
   }
-  return tombstones_.mark(v);
+  return tombstones_.insert(v);
 }
 
 CompactReport MutableIndex::compact() {
@@ -225,9 +225,9 @@ CompactReport MutableIndex::compact() {
     ng.set_entry_point(approximate_medoid(nds, exec));
   }
 
-  // Reclamation recycles the VisitedTable trick: the generation bump
-  // retires every tombstone in O(1); the resize then re-bases the set on
-  // the compacted id space.
+  // Reclamation is the visited table's O(1) clear: the generation bump
+  // retires every tombstone; the resize then re-bases the set on the
+  // compacted id space.
   tombstones_.clear();
   tombstones_.resize(live_n);
   ds_ = std::move(nds);
@@ -320,7 +320,7 @@ MutableIndex MutableIndex::load(const std::string& path, Dataset ds,
         std::to_string(ds.num_base()) + " rows");
   }
   MutableIndex idx(std::move(ds), std::move(g), std::move(cfg));
-  for (NodeId id : ids) idx.tombstones_.mark(id);
+  for (NodeId id : ids) idx.tombstones_.insert(id);
   idx.epoch_ = epoch;
   return idx;
 }

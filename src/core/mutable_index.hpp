@@ -21,12 +21,12 @@
 //                       interleaved with queries), recompute the entry
 //                       point over the published prefix, bump the epoch.
 //
-// Deletion tombstones a node (TombstoneSet): it keeps routing traversals
-// but the accept step excludes it from results. compact() reclaims: live
-// rows remap down in id order, rows that lost dead neighbors re-select
-// over their live 2-hop neighborhood, and the tombstone epoch bump retires
-// every mark in O(1) — the VisitedTable generation trick applied to
-// reclamation.
+// Deletion tombstones a node (a StampedSet, common/node_set.hpp): it keeps
+// routing traversals but the accept step excludes it from results.
+// compact() reclaims: live rows remap down in id order, rows that lost dead
+// neighbors re-select over their live 2-hop neighborhood, and the tombstone
+// epoch bump retires every mark in O(1) — the same generation-stamped set
+// the search uses as its per-query visited table.
 //
 // MutationChecker is the dynamic half of the single-writer story — the
 // ProtocolChecker discipline (core/protocol_checker.hpp) extended to the
@@ -43,13 +43,13 @@
 #include <span>
 #include <string>
 
+#include "common/node_set.hpp"
 #include "common/ownership.hpp"
 #include "core/engine.hpp"
 #include "dataset/dataset.hpp"
 #include "graph/builder.hpp"
 #include "graph/graph.hpp"
 #include "graph/nsw_builder.hpp"
-#include "graph/tombstones.hpp"
 
 namespace algas::core {
 
@@ -140,7 +140,7 @@ class MutableIndex {
 
   const Dataset& dataset() const { return ds_; }
   const Graph& graph() const { return graph_; }
-  const TombstoneSet& tombstones() const { return tombstones_; }
+  const StampedSet& tombstones() const { return tombstones_; }
   const BuildConfig& config() const { return cfg_; }
 
   /// Rows the serving graph covers (== graph().num_nodes()).
@@ -204,7 +204,7 @@ class MutableIndex {
   /// rules).
   Dataset ds_ ALGAS_GUARDED_BY_EPOCH(MutableIndex);
   Graph graph_ ALGAS_GUARDED_BY_EPOCH(MutableIndex);
-  TombstoneSet tombstones_ ALGAS_GUARDED_BY_EPOCH(MutableIndex);
+  StampedSet tombstones_ ALGAS_GUARDED_BY_EPOCH(MutableIndex);
   BuildConfig cfg_;
   std::size_t published_ ALGAS_GUARDED_BY_EPOCH(MutableIndex) = 0;
   std::uint64_t epoch_ ALGAS_GUARDED_BY_EPOCH(MutableIndex) = 0;

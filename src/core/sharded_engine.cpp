@@ -18,6 +18,9 @@ namespace algas::core {
 
 namespace {
 
+/// Seed of the fanout router's per-shard k-means.
+constexpr std::uint64_t kRouterSeed = 11;
+
 /// Scatter-side state of one in-flight query: which shards owe a run, the
 /// runs received so far (indexed by the shard's position in the route, so
 /// the concatenation order is shard-ascending regardless of completion
@@ -176,13 +179,13 @@ ShardedEngine::ShardedEngine(const Dataset& ds, ShardedConfig cfg)
   engines_.reserve(k);
   for (std::size_t s = 0; s < k; ++s) {
     AlgasConfig shard_cfg = cfg_.base;
-    if (k > 1 && cfg_.scale_candidate_len) {
-      // Each shard searches 1/K of the base set, so ~1/K of the candidate
-      // depth keeps the merged union's quality; normalize_config re-clamps
-      // to a power of two >= topk and >= the graph degree.
-      shard_cfg.search.candidate_len = search::scaled_candidate_len(
-          cfg_.base.search.candidate_len, cfg_.base.search.topk, k);
-    }
+    // Each shard searches 1/K of the base set, so ~1/K of the candidate
+    // depth keeps the merged union's quality while cutting per-shard search
+    // work ~K-fold: this is where the scale-out throughput comes from.
+    // normalize_config re-clamps to a power of two >= topk and >= the graph
+    // degree; K = 1 keeps the length, and byte identity.
+    shard_cfg.search.candidate_len = search::scaled_candidate_len(
+        cfg_.base.search.candidate_len, cfg_.base.search.topk, k);
     if (shard_cfg.search.accept.has_filter()) {
       // The filter bitset is indexed by global id; shard s sees local ids,
       // so give it an offset view at its contiguous range start.
@@ -201,7 +204,7 @@ ShardedEngine::ShardedEngine(const Dataset& ds, ShardedConfig cfg)
   if (selective_) {
     baselines::IvfBuildConfig rcfg;
     rcfg.nlist = cfg_.router_centroids;
-    rcfg.seed = cfg_.router_seed;
+    rcfg.seed = kRouterSeed;
     routers_.reserve(k);
     for (std::size_t s = 0; s < k; ++s) {
       routers_.push_back(baselines::IvfIndex::build(shard_ds_[s], rcfg));

@@ -50,6 +50,8 @@ struct ShardedConfig {
   /// ids, and each shard engine receives an offset view
   /// (AcceptPredicate::with_offset) sliced at its contiguous id range.
   AlgasConfig base;
+  /// Shard count K. Each shard searches with `base.search.candidate_len`
+  /// divided by K (floored at topk).
   std::size_t shards = 2;
   /// Shards probed per query: 0 (or >= shards) scatters to all; otherwise
   /// each query goes to the `fanout` shards with the closest router
@@ -61,16 +63,6 @@ struct ShardedConfig {
   /// Coarse-quantizer size per shard for the fanout router (only built
   /// when 1 <= fanout < shards).
   std::size_t router_centroids = 8;
-  std::uint64_t router_seed = 11;
-  /// Divide `base.search.candidate_len` by the shard count (floored at
-  /// topk; the engine re-clamps to a power of two >= the graph degree).
-  /// This is where the scale-out throughput comes from: each shard holds
-  /// 1/K of the base set, so a candidate list ~1/K as long preserves the
-  /// quality of the merged union while cutting per-shard search work
-  /// ~K-fold. K = 1 leaves the length untouched, preserving the
-  /// byte-identity guarantee. Disable to probe each shard at the full
-  /// unsharded depth (higher recall headroom, flat throughput).
-  bool scale_candidate_len = true;
 };
 
 struct ShardedReport {

@@ -65,30 +65,74 @@ void write_pod(std::ofstream& out, const T& v) {
 }
 
 template <typename T>
-void read_pod(std::ifstream& in, T& v) {
-  if (!in.read(reinterpret_cast<char*>(&v), sizeof(T))) {
-    throw std::runtime_error("truncated dataset file");
-  }
-}
-
-template <typename T>
 void write_vec(std::ofstream& out, const std::vector<T>& v) {
   write_pod(out, static_cast<std::uint64_t>(v.size()));
   out.write(reinterpret_cast<const char*>(v.data()),
             static_cast<std::streamsize>(v.size() * sizeof(T)));
 }
 
-template <typename T>
-std::vector<T> read_vec(std::ifstream& in) {
-  std::uint64_t n = 0;
-  read_pod(in, n);
-  std::vector<T> v(n);
-  if (n > 0 &&
-      !in.read(reinterpret_cast<char*>(v.data()),
-               static_cast<std::streamsize>(n * sizeof(T)))) {
-    throw std::runtime_error("truncated dataset payload");
+/// Bounded reads from one `.abin` file: every declared length is checked
+/// against the bytes left in the file before anything is allocated, and
+/// every error names the file and the defect.
+class AbinReader {
+ public:
+  explicit AbinReader(const std::string& path)
+      : path_(path), in_(path, std::ios::binary | std::ios::ate) {
+    if (!in_) throw std::runtime_error("cannot open " + path);
+    size_ = static_cast<std::uint64_t>(in_.tellg());
+    in_.seekg(0);
   }
-  return v;
+
+  [[noreturn]] void fail(const std::string& defect) const {
+    throw std::runtime_error("dataset file " + path_ + ": " + defect);
+  }
+
+  std::uint64_t left() {
+    return size_ - static_cast<std::uint64_t>(in_.tellg());
+  }
+
+  void bytes(char* out, std::uint64_t n, const std::string& what) {
+    if (n > left() || !in_.read(out, static_cast<std::streamsize>(n))) {
+      fail("truncated " + what);
+    }
+  }
+
+  template <typename T>
+  T pod(const std::string& what) {
+    T v{};
+    bytes(reinterpret_cast<char*>(&v), sizeof(T), what);
+    return v;
+  }
+
+  template <typename T>
+  std::vector<T> vec(const std::string& what) {
+    const auto n = pod<std::uint64_t>(what + " length");
+    if (n > left() / sizeof(T)) {
+      fail(what + " declares " + std::to_string(n) + " elements but " +
+           std::to_string(left()) + " bytes remain");
+    }
+    std::vector<T> v(n);
+    bytes(reinterpret_cast<char*>(v.data()), n * sizeof(T), what);
+    return v;
+  }
+
+ private:
+  std::string path_;
+  std::ifstream in_;
+  std::uint64_t size_ = 0;
+};
+
+/// Whole finite rows of `dim` floats, or `r.fail` naming the defect.
+void check_rows(const AbinReader& r, const std::vector<float>& rows,
+                std::uint64_t dim, const std::string& what) {
+  if (dim == 0 ? !rows.empty() : rows.size() % dim != 0) {
+    r.fail(what + " holds " + std::to_string(rows.size()) +
+           " floats, not whole rows of dim " + std::to_string(dim));
+  }
+  if (dim == 0) return;
+  if (const auto bad = non_finite_row(rows, dim)) {
+    r.fail(what + " row " + std::to_string(*bad) + " holds a NaN or infinity");
+  }
 }
 
 }  // namespace
@@ -139,42 +183,56 @@ void save_dataset(const Dataset& ds, const std::string& path) {
 }
 
 Dataset load_dataset(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open " + path);
+  AbinReader r(path);
   char magic[8];
-  if (!in.read(magic, sizeof(magic)) ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    throw std::runtime_error("not an ALGAS dataset file: " + path);
+  r.bytes(magic, sizeof(magic), "magic");
+  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+    r.fail("not an ALGAS dataset file");
   }
-  std::uint64_t name_len = 0;
-  read_pod(in, name_len);
-  std::string name(name_len, '\0');
-  if (!in.read(name.data(), static_cast<std::streamsize>(name_len))) {
-    throw std::runtime_error("truncated dataset name");
+  const auto name = r.vec<char>("name");
+  const auto dim = r.pod<std::uint64_t>("dim");
+  const auto metric = r.pod<std::uint32_t>("metric");
+  const auto gt_k = r.pod<std::uint64_t>("ground-truth depth");
+  if (metric > static_cast<std::uint32_t>(Metric::kCosine)) {
+    r.fail("unknown metric " + std::to_string(metric));
   }
-  std::uint64_t dim = 0;
-  std::uint32_t metric = 0;
-  std::uint64_t gt_k = 0;
-  read_pod(in, dim);
-  read_pod(in, metric);
-  read_pod(in, gt_k);
 
-  Dataset ds(name, dim, static_cast<Metric>(metric));
-  ds.mutable_base() = read_vec<float>(in);
-  ds.mutable_queries() = read_vec<float>(in);
-  auto gt = read_vec<NodeId>(in);
-  if (gt_k > 0) ds.set_ground_truth(std::move(gt), gt_k);
-  char attr_magic[8];
-  if (in.read(attr_magic, sizeof(attr_magic))) {
-    if (std::memcmp(attr_magic, kAttrMagic, sizeof(kAttrMagic)) != 0) {
-      throw std::runtime_error("unknown trailer in dataset file: " + path);
+  Dataset ds(std::string(name.begin(), name.end()), dim,
+             static_cast<Metric>(metric));
+  ds.mutable_base() = r.vec<float>("base");
+  check_rows(r, ds.base(), dim, "base");
+  ds.mutable_queries() = r.vec<float>("queries");
+  check_rows(r, ds.queries(), dim, "queries");
+  auto gt = r.vec<NodeId>("ground truth");
+  // gt_k comes from the file: divide rather than multiply, so no overflow.
+  const std::uint64_t gt_rows = gt_k == 0 ? 0 : gt.size() / gt_k;
+  if (gt_rows * gt_k != gt.size() ||
+      (gt_k > 0 && gt_rows != ds.num_queries())) {
+    r.fail("ground truth holds " + std::to_string(gt.size()) +
+           " ids, not " + std::to_string(ds.num_queries()) + " queries x " +
+           std::to_string(gt_k));
+  }
+  for (const NodeId id : gt) {
+    if (id >= ds.num_base()) {
+      r.fail("ground-truth id " + std::to_string(id) + " out of range for " +
+             std::to_string(ds.num_base()) + " base rows");
     }
-    auto cats = read_vec<std::uint32_t>(in);
-    auto ts = read_vec<std::uint32_t>(in);
+  }
+  if (gt_k > 0) ds.set_ground_truth(std::move(gt), gt_k);
+  if (r.left() > 0) {
+    char attr_magic[8];
+    r.bytes(attr_magic, sizeof(attr_magic), "trailer");
+    if (std::memcmp(attr_magic, kAttrMagic, sizeof(kAttrMagic)) != 0) {
+      r.fail("unknown trailer");
+    }
+    auto cats = r.vec<std::uint32_t>("categories");
+    auto ts = r.vec<std::uint32_t>("timestamps");
+    if (cats.size() != ds.num_base() || ts.size() != ds.num_base()) {
+      r.fail("attribute trailer holds " + std::to_string(cats.size()) + "/" +
+             std::to_string(ts.size()) + " entries for " +
+             std::to_string(ds.num_base()) + " base rows");
+    }
     ds.set_attributes(std::move(cats), std::move(ts));
-  } else if (in.gcount() != 0) {
-    // A partial 1-7 byte read is corruption, not an absent trailer.
-    throw std::runtime_error("truncated trailer in dataset file: " + path);
   }
   return ds;
 }

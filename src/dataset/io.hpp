@@ -33,7 +33,11 @@ void write_ivecs(const std::string& path,
 /// Serialize a whole Dataset (base, queries, ground truth) to `path`.
 void save_dataset(const Dataset& ds, const std::string& path);
 
-/// Load a Dataset written by save_dataset. Throws on version mismatch.
+/// Load a Dataset written by save_dataset. A malformed file throws
+/// std::runtime_error naming the file and the defect: a wrong magic, a
+/// declared length past the end of the file (checked before allocating),
+/// an unknown metric, partial or non-finite rows, ground truth that is not
+/// num_queries x gt_k ids below num_base, or a mismatched attribute trailer.
 Dataset load_dataset(const std::string& path);
 
 /// Assemble a Dataset from the TEXMEX file triple the paper's corpora ship

@@ -8,8 +8,8 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "common/bitset.hpp"
 #include "common/env.hpp"
+#include "common/node_set.hpp"
 #include "common/thread_pool.hpp"
 #include "dataset/io.hpp"
 #include "graph/cagra_builder.hpp"
@@ -105,7 +105,7 @@ std::vector<std::pair<float, NodeId>> build_beam_search(
   // Min-heap of frontier candidates, max-heap of current best ef results.
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> frontier;
   std::priority_queue<Entry> best;
-  Bitset visited(limit);
+  NodeBitset visited(limit);
   std::size_t scored = 1;
   std::vector<NodeId> fresh;        // this expansion's unvisited neighbors
   std::vector<float> fresh_dists;   // their batched distances

@@ -6,7 +6,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/bitset.hpp"
+#include "common/node_set.hpp"
 #include "common/thread_pool.hpp"
 #include "graph/nsw_builder.hpp"
 
@@ -135,7 +135,7 @@ BuildReport build_cagra(const Dataset& ds, const BuildConfig& cfg) {
     }
   }
 
-  Bitset reachable(n);
+  NodeBitset reachable(n);
   std::deque<NodeId> frontier;
   auto flood = [&](NodeId start) {
     frontier.push_back(start);

@@ -6,7 +6,7 @@
 #include <limits>
 #include <stdexcept>
 
-#include "common/bitset.hpp"
+#include "common/node_set.hpp"
 
 namespace algas {
 
@@ -31,7 +31,7 @@ Graph::Stats Graph::stats() const {
   }
   s.avg_degree = total / static_cast<double>(num_nodes_);
 
-  Bitset seen(num_nodes_);
+  NodeBitset seen(num_nodes_);
   std::deque<NodeId> frontier{entry_point_};
   seen.set(entry_point_);
   std::size_t reached = 1;

@@ -1,5 +1,5 @@
-// The accept-step predicate — the pluggable replacement for the raw
-// `const TombstoneSet*` that PR 7 threaded through the search layer.
+// The accept-step predicate — one view over the attribute filter and the
+// streaming-delete tombstones, so the search layer takes no raw set pointer.
 //
 // Filtered search (attribute predicates), streaming deletes (tombstones),
 // and their conjunction all share one traversal contract: a rejected node
@@ -9,7 +9,9 @@
 // TopK. AcceptPredicate packages that contract behind a single O(1)
 // `accepts(node_id)` view cheap enough to sit inside the simulated kernel's
 // merge loop: two pointer checks and at most one bitset probe plus one
-// generation-stamp compare per candidate.
+// generation-stamp compare per candidate. The filter is a NodeBitset (one
+// bit per base row, built on the host) and the tombstones a StampedSet, the
+// two node-set representations of common/node_set.hpp.
 //
 // The null predicate (default-constructed) accepts everything and leaves
 // every accept path byte-identical to the unfiltered build — the same
@@ -23,75 +25,13 @@
 // afterwards — tools/algas_lint rejects writes from outside the class.
 #pragma once
 
-#include <bit>
 #include <cstddef>
-#include <cstdint>
-#include <vector>
 
+#include "common/node_set.hpp"
 #include "common/ownership.hpp"
 #include "common/types.hpp"
-#include "graph/tombstones.hpp"
 
 namespace algas::search {
-
-/// Dense accept mask over node ids: bit v set = node v passes the attribute
-/// filter. This is the host-built, device-resident form of a predicate —
-/// one bit per base row, so a 1M-row shard costs 128 KiB and a membership
-/// probe is one word load plus a shift, exactly what a kernel can afford
-/// per merged candidate.
-class NodeBitset {
- public:
-  NodeBitset() = default;
-  explicit NodeBitset(std::size_t num_nodes, bool value = false)
-      : size_(num_nodes),
-        words_((num_nodes + 63) / 64,
-               value ? ~std::uint64_t{0} : std::uint64_t{0}) {
-    trim_tail();
-  }
-
-  void set(NodeId v) { words_[word(v)] |= bit(v); }
-  void reset(NodeId v) { words_[word(v)] &= ~bit(v); }
-  bool test(NodeId v) const {
-    return (words_[word(v)] & bit(v)) != 0;
-  }
-
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-
-  /// Number of set bits — the numerator of a selectivity estimate.
-  std::size_t count() const {
-    std::size_t n = 0;
-    for (const std::uint64_t w : words_) n += std::popcount(w);
-    return n;
-  }
-
-  /// Set bits within [begin, end) — per-shard accepted counts for the
-  /// fanout router's filter-empty fallback.
-  std::size_t count_range(std::size_t begin, std::size_t end) const {
-    std::size_t n = 0;
-    end = end < size_ ? end : size_;
-    for (std::size_t v = begin; v < end; ++v) {
-      if (test(static_cast<NodeId>(v))) ++n;
-    }
-    return n;
-  }
-
- private:
-  static std::size_t word(NodeId v) { return static_cast<std::size_t>(v) >> 6; }
-  static std::uint64_t bit(NodeId v) { return std::uint64_t{1} << (v & 63); }
-  /// Keep bits past size_ clear so count() needs no tail mask.
-  void trim_tail() {
-    const std::size_t tail = size_ & 63;
-    if (tail != 0 && !words_.empty()) {
-      words_.back() &= (std::uint64_t{1} << tail) - 1;
-    }
-  }
-
-  std::size_t size_ = 0;
-  /// Built word by word while function-local (set/reset above), immutable
-  /// once a predicate pointing at it is published into an engine config.
-  std::vector<std::uint64_t> words_ ALGAS_IMMUTABLE_AFTER_PUBLISH;
-};
 
 /// The accept-step predicate: an optional attribute filter (bitset), an
 /// optional tombstone set, and their conjunction — a node is accepted only
@@ -105,17 +45,17 @@ class AcceptPredicate {
   AcceptPredicate() = default;
 
   explicit AcceptPredicate(const NodeBitset* filter,
-                           const TombstoneSet* tombstones = nullptr)
+                           const StampedSet* tombstones = nullptr)
       : filter_(filter), tombset_(tombstones) {}
 
   /// Tombstones-only predicate — what MutableIndex::serve attaches.
-  static AcceptPredicate deleted_only(const TombstoneSet* tombstones) {
+  static AcceptPredicate deleted_only(const StampedSet* tombstones) {
     return AcceptPredicate(nullptr, tombstones);
   }
 
   /// This predicate with the tombstone component replaced — how a mutable
   /// index conjoins its deletion set with a caller's attribute filter.
-  AcceptPredicate with_tombstones(const TombstoneSet* tombstones) const {
+  AcceptPredicate with_tombstones(const StampedSet* tombstones) const {
     AcceptPredicate p = *this;
     p.tombset_ = tombstones;
     return p;
@@ -137,7 +77,7 @@ class AcceptPredicate {
   bool has_filter() const { return filter_ != nullptr; }
   bool has_tombstones() const { return tombset_ != nullptr; }
   const NodeBitset* filter() const { return filter_; }
-  const TombstoneSet* tombstones() const { return tombset_; }
+  const StampedSet* tombstones() const { return tombset_; }
   std::size_t offset() const { return offset_; }
 
   /// O(1) accept check — the only call the kernel-side accept step makes.
@@ -176,7 +116,7 @@ class AcceptPredicate {
   // Non-owning, set at construction, immutable after the predicate is
   // published into a SearchConfig (lint rule `ownership`).
   const NodeBitset* filter_ ALGAS_IMMUTABLE_AFTER_PUBLISH = nullptr;
-  const TombstoneSet* tombset_ ALGAS_IMMUTABLE_AFTER_PUBLISH = nullptr;
+  const StampedSet* tombset_ ALGAS_IMMUTABLE_AFTER_PUBLISH = nullptr;
   std::size_t offset_ ALGAS_IMMUTABLE_AFTER_PUBLISH = 0;
 };
 

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "common/types.hpp"
-#include "search/bitonic.hpp"
 
 namespace algas::search {
 
@@ -57,7 +56,7 @@ std::size_t CandidateList::merge_sorted(std::span<const KV> expand) {
   if (expand.size() > cap) {
     throw std::invalid_argument("expand list larger than candidate list");
   }
-  assert(is_sorted_kv(expand));
+  assert(std::is_sorted(expand.begin(), expand.end()));
   // The kernel concatenates [candidates | reversed expand padded to L] and
   // runs a 2L bitonic merge, keeping the lower half. The visited bitmap
   // guarantees each id is scored at most once per query, so every non-empty

@@ -10,7 +10,7 @@ GreedyResult greedy_search(const Dataset& ds, const Graph& g,
 
   IntraCtaSearch cta(ds, g, cm, greedy_cfg);
   cta.enable_trace(true);
-  VisitedTable visited(ds.num_base());
+  StampedSet visited(ds.num_base());
   cta.reset(query, g.entry_point(), &visited);
 
   StepCost cost;

@@ -25,7 +25,7 @@ IntraCtaSearch::IntraCtaSearch(const Dataset& ds, const Graph& g,
 }
 
 void IntraCtaSearch::reset(std::span<const float> query, NodeId entry,
-                           VisitedTable* visited) {
+                           StampedSet* visited) {
   assert(visited != nullptr && visited->size() == ds_.num_base());
   query_ = query;
   query_norm_ = ds_.query_norm(query);
@@ -48,7 +48,7 @@ void IntraCtaSearch::reset(std::span<const float> query, NodeId entry,
   // claimed it, start from an empty list: the first gather would find it
   // visited anyway and this CTA ends immediately — matching the kernel,
   // where entry collisions make a CTA redundant.
-  if (!visited_->test_and_set(entry)) {
+  if (visited_->insert(entry)) {
     const float d = ds_.score(query_, entry);
     list_.seed(KV::make(d, entry));
     pending_ns_ = cm_.distance_round_ns(ds_.dim(), 1, 32, ds_.elem_bytes()) +
@@ -85,7 +85,7 @@ bool IntraCtaSearch::step(StepCost& cost) {
   // --- 2+3. gather neighbors + filter via bitmap, then one batched
   // distance round over the surviving ids — the same gather/score split the
   // kernel's coalesced round performs (§IV-B step 3). Claiming via
-  // test_and_set during the gather keeps the id order (and therefore every
+  // insert during the gather keeps the id order (and therefore every
   // float result) identical to the seed's fused loop.
   gathered_.clear();
   for (std::size_t s = 0; s < got; ++s) {
@@ -96,7 +96,7 @@ bool IntraCtaSearch::step(StepCost& cost) {
       if (nb == kInvalidNode) continue;
       c.gather_ns += cm_.gather_per_neighbor_ns;
       c.gather_ns += cm_.bitmap_check_ns;
-      if (visited_->test_and_set(nb)) continue;  // another CTA owns it
+      if (!visited_->insert(nb)) continue;  // another CTA owns it
       gathered_.push_back(nb);
     }
   }
@@ -149,12 +149,15 @@ std::vector<KV> IntraCtaSearch::results() const {
   return out;
 }
 
-sim::SharedMemoryLayout IntraCtaSearch::shared_memory_layout() const {
+sim::SharedMemoryLayout shared_memory_layout(const SearchConfig& cfg,
+                                             const Dataset& ds,
+                                             std::size_t degree) {
   sim::SharedMemoryLayout layout;
-  layout.candidate_entries = cfg_.candidate_len;
-  layout.expand_entries = next_pow2(cfg_.beam_width * g_.degree());
-  layout.dim = ds_.dim();
-  layout.elem_bytes = ds_.elem_bytes();
+  layout.candidate_entries = cfg.candidate_len;
+  layout.expand_entries =
+      next_pow2(std::max<std::size_t>(1, cfg.beam_width) * degree);
+  layout.dim = ds.dim();
+  layout.elem_bytes = ds.elem_bytes();
   return layout;
 }
 

@@ -21,12 +21,12 @@
 #include <span>
 #include <vector>
 
+#include "common/node_set.hpp"
 #include "dataset/dataset.hpp"
 #include "graph/graph.hpp"
 #include "search/accept.hpp"
 #include "search/candidate_list.hpp"
 #include "search/search_params.hpp"
-#include "search/visited.hpp"
 #include "simgpu/cost_model.hpp"
 #include "simgpu/shared_memory.hpp"
 
@@ -95,7 +95,7 @@ class IntraCtaSearch {
   /// must already be clear or shared-cleared by the caller. The entry point
   /// is scored and seeded here (cost charged to the first round).
   void reset(std::span<const float> query, NodeId entry,
-             VisitedTable* visited);
+             StampedSet* visited);
 
   /// Execute one maintenance round. Returns false (and leaves `cost`
   /// untouched) when the search has already terminated.
@@ -117,9 +117,6 @@ class IntraCtaSearch {
 
   void enable_trace(bool on) { trace_ = on; }
 
-  /// Shared-memory footprint of this configuration (for the tuner).
-  sim::SharedMemoryLayout shared_memory_layout() const;
-
  private:
   const Dataset& ds_;
   const Graph& g_;
@@ -133,13 +130,20 @@ class IntraCtaSearch {
   std::vector<float> round_dists_;    // their batched distances
   std::span<const float> query_;
   std::optional<float> query_norm_;  // cosine: norm(query_), once per query
-  VisitedTable* visited_ = nullptr;
+  StampedSet* visited_ = nullptr;
   bool done_ = true;
   bool diffusing_ = false;
   bool trace_ = false;
   double pending_ns_ = 0.0;  // entry-scoring cost carried into round 1
   SearchStats stats_;
 };
+
+/// Per-CTA shared-memory footprint of a search configuration (§IV-C): the
+/// candidate list, the expand list of one full beam round, and the query at
+/// the base rows' stored width. The engines budget occupancy with it.
+sim::SharedMemoryLayout shared_memory_layout(const SearchConfig& cfg,
+                                             const Dataset& ds,
+                                             std::size_t degree);
 
 }  // namespace algas::search
 

@@ -38,7 +38,7 @@ MultiCtaResult multi_cta_search(const Dataset& ds, const Graph& g,
     return res;  // empty graph: empty TopK, zero cost
   }
 
-  VisitedTable visited(ds.num_base());
+  StampedSet visited(ds.num_base());
   std::vector<IntraCtaSearch> ctas;
   ctas.reserve(entries.size());
   for (std::size_t t = 0; t < entries.size(); ++t) {

@@ -6,12 +6,19 @@
 
 namespace algas::sim {
 
-SimCheck::SimCheck(SimCheckConfig cfg) : cfg_(cfg) {}
+namespace {
+/// Ring-buffer entries kept per traced actor / state word.
+constexpr std::size_t kTraceCapacity = 32;
+/// Simulation::schedule() clamps past targets to now(); requesting a
+/// wake-up further in the past than this tolerance is a violation (a
+/// cost-accounting bug, not the documented clamp).
+constexpr double kSchedulePastToleranceNs = 1e-6;
+}  // namespace
 
 void SimCheck::record(const std::string& actor, SimTime t, std::string what) {
   auto it = traces_.find(actor);
   if (it == traces_.end()) {
-    it = traces_.emplace(actor, TraceRing(cfg_.trace_capacity)).first;
+    it = traces_.emplace(actor, TraceRing(kTraceCapacity)).first;
   }
   it->second.push(t, std::move(what));
   ++traced_;
@@ -67,12 +74,12 @@ const std::string& SimCheck::actor_key(const Actor* a, const char* name) {
 void SimCheck::on_schedule(const Actor* a, const char* name, SimTime now,
                            SimTime requested) {
   ++checks_;
-  if (requested + cfg_.schedule_past_tolerance_ns < now) {
+  if (requested + kSchedulePastToleranceNs < now) {
     const std::string& key = actor_key(a, name);
     std::ostringstream msg;
     msg << key << " requested a wake-up at t=" << requested << "ns, "
         << (now - requested) << "ns in the past (beyond the documented "
-        << "clamp tolerance of " << cfg_.schedule_past_tolerance_ns << "ns)";
+        << "clamp tolerance of " << kSchedulePastToleranceNs << "ns)";
     fail("schedule-in-past", key, now, msg.str());
   }
 }
@@ -81,7 +88,7 @@ void SimCheck::on_event(const Actor* a, const char* name, SimTime now,
                         SimTime event_time) {
   ++checks_;
   const std::string& key = actor_key(a, name);
-  if (event_time + cfg_.schedule_past_tolerance_ns < now) {
+  if (event_time + kSchedulePastToleranceNs < now) {
     std::ostringstream msg;
     msg << "event queue regressed: popped " << key << " at t=" << event_time
         << "ns after virtual time already reached " << now << "ns";

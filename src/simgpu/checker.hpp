@@ -44,15 +44,6 @@ class SimCheckError : public std::logic_error {
   std::string kind_;
 };
 
-struct SimCheckConfig {
-  /// Ring-buffer entries kept per traced actor / state word.
-  std::size_t trace_capacity = 32;
-  /// Simulation::schedule() clamps past targets to now(); requesting a
-  /// wake-up further in the past than this tolerance is a violation
-  /// (a cost-accounting bug, not the documented clamp).
-  double schedule_past_tolerance_ns = 1e-6;
-};
-
 /// One traced event of one actor.
 struct TraceEvent {
   SimTime t = 0.0;
@@ -81,10 +72,6 @@ class TraceRing {
 
 class SimCheck {
  public:
-  explicit SimCheck(SimCheckConfig cfg = SimCheckConfig{});
-
-  const SimCheckConfig& config() const { return cfg_; }
-
   // ---- trace & violation machinery ------------------------------------
   /// Append one event to `actor`'s ring buffer.
   void record(const std::string& actor, SimTime t, std::string what);
@@ -94,7 +81,7 @@ class SimCheck {
   [[noreturn]] void fail(const std::string& kind, const std::string& actor,
                          SimTime t, const std::string& message) const;
 
-  /// The last `trace_capacity` events of one actor, formatted one per line.
+  /// The last events of one actor (its ring buffer), one per line.
   std::string trace_dump(const std::string& actor) const;
 
   /// Count one invariant evaluation (kept so tests can assert the checker
@@ -139,7 +126,6 @@ class SimCheck {
   /// Stable deterministic key for an actor pointer: "<name>#<ordinal>".
   const std::string& actor_key(const Actor* a, const char* name);
 
-  SimCheckConfig cfg_;
   std::string run_label_;
   std::map<std::string, TraceRing> traces_;
   // Diagnostics use the deterministic "<name>#<ordinal>" value instead.

@@ -9,8 +9,8 @@
 #include <thread>
 #include <vector>
 
-#include "common/bitset.hpp"
 #include "common/env.hpp"
+#include "common/node_set.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
@@ -230,10 +230,10 @@ TEST(Histogram, TsvAppendsOutOfRangeRows) {
   EXPECT_NE(tsv.find("4\tinf\t1\t"), std::string::npos);
 }
 
-// ---------------- bitset.hpp ----------------
+// ---------------- node_set.hpp: NodeBitset ----------------
 
 TEST(Bitset, SetTestReset) {
-  Bitset b(200);
+  NodeBitset b(200);
   EXPECT_FALSE(b.test(63));
   b.set(63);
   b.set(64);
@@ -249,14 +249,14 @@ TEST(Bitset, SetTestReset) {
 }
 
 TEST(Bitset, TestAndSetSemantics) {
-  Bitset b(128);
+  NodeBitset b(128);
   EXPECT_FALSE(b.test_and_set(77));
   EXPECT_TRUE(b.test_and_set(77));
   EXPECT_TRUE(b.test(77));
 }
 
 TEST(Bitset, ClearResetsAll) {
-  Bitset b(1000);
+  NodeBitset b(1000);
   for (std::size_t i = 0; i < 1000; i += 7) b.set(i);
   b.clear();
   EXPECT_EQ(b.count(), 0u);

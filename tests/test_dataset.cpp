@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -263,6 +265,87 @@ TEST(Io, RejectsWrongMagic) {
   const std::string path = temp_path("algas_bad.abin");
   write_fvecs(path, {1.0f, 2.0f}, 2);
   EXPECT_THROW(load_dataset(path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+/// The fields of one `.abin` file in save_dataset's order, each settable
+/// so a case can break exactly one. The defaults are a valid 4-row, 1-query
+/// L2 set at dim 2 with ground-truth depth 1.
+struct RawAbin {
+  std::string name = "raw";
+  std::uint64_t name_len = 3;
+  std::uint64_t dim = 2;
+  std::uint32_t metric = 0;
+  std::uint64_t gt_k = 1;
+  std::vector<float> base{0.0f, 0.0f, 1.0f, 0.0f, 0.0f, 1.0f, 1.0f, 1.0f};
+  std::uint64_t base_len = 8;
+  std::vector<float> queries{0.9f, 0.9f};
+  std::vector<NodeId> gt{3};
+
+  void write(const std::string& path) const {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    auto pod = [&](const auto& v) {
+      out.write(reinterpret_cast<const char*>(&v), sizeof(v));
+    };
+    auto vec = [&](const auto& v, std::uint64_t declared) {
+      pod(declared);
+      out.write(reinterpret_cast<const char*>(v.data()),
+                static_cast<std::streamsize>(v.size() * sizeof(v[0])));
+    };
+    out.write("ALGASDS1", 8);
+    pod(name_len);
+    out.write(name.data(), static_cast<std::streamsize>(name.size()));
+    pod(dim);
+    pod(metric);
+    pod(gt_k);
+    vec(base, base_len);
+    vec(queries, std::uint64_t{queries.size()});
+    vec(gt, std::uint64_t{gt.size()});
+  }
+};
+
+TEST(Io, DatasetRejectsMalformed) {
+  const std::string path = temp_path("algas_malformed.abin");
+  RawAbin valid;
+  valid.write(path);
+  const Dataset ok = load_dataset(path);
+  ASSERT_EQ(ok.num_base(), 4u);
+  ASSERT_EQ(ok.ground_truth(0)[0], 3u);
+
+  struct Case {
+    const char* defect;
+    RawAbin raw;
+  };
+  std::vector<Case> cases;
+  auto add = [&](const char* defect, auto&& mutate) {
+    RawAbin raw;
+    mutate(raw);
+    cases.push_back({defect, raw});
+  };
+  add("ground truth holds", [](RawAbin& r) { r.gt_k = 2; });
+  add("unknown metric 7", [](RawAbin& r) { r.metric = 7; });
+  add("not whole rows of dim 3", [](RawAbin& r) {
+    r.dim = 3;
+    r.queries = {0.5f, 0.5f, 0.5f};
+  });
+  add("base row 2 holds a NaN", [](RawAbin& r) {
+    r.base[5] = std::numeric_limits<float>::quiet_NaN();
+  });
+  add("ground-truth id 99 out of range", [](RawAbin& r) { r.gt = {99}; });
+  add("base declares", [](RawAbin& r) { r.base_len = std::uint64_t{1} << 60; });
+  add("name declares", [](RawAbin& r) { r.name_len = std::uint64_t{1} << 62; });
+
+  for (const Case& c : cases) {
+    c.raw.write(path);
+    try {
+      load_dataset(path);
+      ADD_FAILURE() << "loaded a file with: " << c.defect;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(path), std::string::npos) << what;
+      EXPECT_NE(what.find(c.defect), std::string::npos) << what;
+    }
+  }
   std::remove(path.c_str());
 }
 

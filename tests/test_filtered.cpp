@@ -24,7 +24,6 @@ namespace algas {
 namespace {
 
 using search::AcceptPredicate;
-using search::NodeBitset;
 
 // ---------------- search/accept.hpp ----------------
 
@@ -71,8 +70,8 @@ TEST(AcceptPredicate, FilterTombstoneConjunction) {
   wanted.set(1);
   wanted.set(2);
   wanted.set(3);
-  TombstoneSet dead(8);
-  dead.mark(2);
+  StampedSet dead(8);
+  dead.insert(2);
   const AcceptPredicate p(&wanted, &dead);
   EXPECT_FALSE(p.null());
   EXPECT_FALSE(p.accepts(0));  // rejected by filter
@@ -324,7 +323,7 @@ TEST(FilteredSharded, RoutesFallBackWhenSelectedShardsAreFilterEmpty) {
 
 TEST(FilteredSharded, RejectsTombstonePredicates) {
   const auto& world = algas::testing::tiny_world();
-  TombstoneSet dead(world.ds.num_base());
+  StampedSet dead(world.ds.num_base());
   core::ShardedConfig cfg;
   cfg.base = small_config();
   cfg.shards = 2;

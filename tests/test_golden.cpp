@@ -12,8 +12,10 @@
 // The cases cover every HostSync mode in a closed loop and in a bounded-
 // admission open loop whose deadlines both shed and evict, each unsharded
 // and over K=4 shards; one run with more slots than queries, where sibling
-// CTAs idle in lockstep from launch until late arrivals; and one where
-// rounding merges the poll sequences of siblings that parked apart.
+// CTAs idle in lockstep from launch until late arrivals; one where
+// rounding merges the poll sequences of siblings that parked apart; and
+// accept-predicate runs whose filter bitset and tombstone set reject
+// results while the rejected nodes keep routing.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "common/node_set.hpp"
 #include "core/engine.hpp"
 #include "core/sharded_engine.hpp"
 #include "test_util.hpp"
@@ -272,6 +275,46 @@ TEST(VirtualTimeGolden, SiblingsOnMergedPollSequences) {
     cfg.seed = 5;
     expect_fingerprint(run_single(cfg, nullptr, 30), want[m],
                        std::string("merged ") + host_sync_name(modes[m]));
+  }
+}
+
+TEST(VirtualTimeGolden, AcceptPredicateFilterAndTombstones) {
+  // A filter accepting every third row, conjoined with tombstones on every
+  // seventh: the candidate list widens 4x for the ~29% selectivity, and
+  // rejected nodes route the search but never reach a result. The sharded
+  // run carries the filter alone (tombstones hold global ids).
+  const auto& world = algas::testing::tiny_world();
+  const std::size_t n = world.ds.num_base();
+  NodeBitset filter(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    if (v % 3 == 0) filter.set(static_cast<NodeId>(v));
+  }
+  StampedSet dead(n);
+  for (std::size_t v = 0; v < n; v += 7) dead.insert(static_cast<NodeId>(v));
+
+  const search::AcceptPredicate both(&filter, &dead);
+  const search::AcceptPredicate filter_only(&filter);
+  AlgasConfig cfg = golden_config(HostSync::kPollMirrored);
+  for (const bool sharded : {false, true}) {
+    const search::AcceptPredicate& accept = sharded ? filter_only : both;
+    cfg.search.accept = accept;
+    const auto rep = sharded ? run_sharded(cfg, nullptr, 40)
+                             : run_single(cfg, nullptr, 40);
+    const std::string name = sharded ? "filter K=4" : "filter+tombstones K=1";
+    std::size_t returned = 0;
+    for (const metrics::QueryRecord& r : rep.collector.records()) {
+      for (const KV& kv : r.results) {
+        EXPECT_TRUE(accept.accepts(kv.id())) << name << " id " << kv.id();
+        ++returned;
+      }
+    }
+    EXPECT_GT(returned, 0u) << name;
+    const Fingerprint want =
+        sharded ? Fingerprint{0xb07f86ed3797b303ull, 68416, 1810, 4288,
+                              435712, 0, 3968}
+                : Fingerprint{0x61841fb8ebde5a42ull, 53416, 5968, 1072,
+                              661888, 0, 992};
+    expect_fingerprint(rep, want, name);
   }
 }
 

@@ -1,5 +1,5 @@
 // Property tests for the batched distance kernels (distance/kernels.hpp)
-// and the generation-stamped VisitedTable epochs.
+// and the epochs of the generation-stamped StampedSet (common/node_set.hpp).
 //
 // The batched kernels promise BITWISE-identical results to per-point
 // distance() calls, so every comparison here is on the float's bit pattern
@@ -10,11 +10,11 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/node_set.hpp"
 #include "common/rng.hpp"
 #include "dataset/dataset.hpp"
 #include "distance/distance.hpp"
 #include "distance/kernels.hpp"
-#include "search/visited.hpp"
 
 namespace algas {
 namespace {
@@ -204,108 +204,110 @@ TEST(DatasetBatch, NormCacheInvalidatesOnMutableBase) {
                           ds.base_vector(1))));
 }
 
-// ---------------- VisitedTable epochs ----------------
+// ---------------- StampedSet epochs ----------------
+// One set serves as the per-query visited table and as the streaming
+// tombstones, so these cover both.
 
 TEST(VisitedEpochs, ClearStartsANewGenerationWithoutTouchingStamps) {
-  search::VisitedTable vt(8);
-  EXPECT_FALSE(vt.test_and_set(3));
-  EXPECT_TRUE(vt.test_and_set(3));
-  EXPECT_TRUE(vt.test(3));
-  EXPECT_EQ(vt.visited_count(), 1u);
-  EXPECT_EQ(vt.checks(), 2u);
+  StampedSet vt(8);
+  EXPECT_TRUE(vt.insert(3));
+  EXPECT_FALSE(vt.insert(3));
+  EXPECT_TRUE(vt.contains(3));
+  EXPECT_EQ(vt.count(), 1u);
 
   const auto gen_before = vt.generation();
   vt.clear();
   EXPECT_EQ(vt.generation(), gen_before + 1);
-  EXPECT_EQ(vt.checks(), 0u);
-  EXPECT_FALSE(vt.test(3));  // old stamp, new epoch
-  EXPECT_EQ(vt.visited_count(), 0u);
+  EXPECT_FALSE(vt.contains(3));  // old stamp, new epoch
+  EXPECT_EQ(vt.count(), 0u);
 
-  // Second generation behaves like a fresh table.
-  EXPECT_FALSE(vt.test_and_set(3));
-  EXPECT_FALSE(vt.test_and_set(5));
-  EXPECT_TRUE(vt.test_and_set(5));
-  EXPECT_EQ(vt.visited_count(), 2u);
+  // Second generation behaves like a fresh set.
+  EXPECT_TRUE(vt.insert(3));
+  EXPECT_TRUE(vt.insert(5));
+  EXPECT_FALSE(vt.insert(5));
+  EXPECT_EQ(vt.count(), 2u);
 
-  // Third generation: nodes from both prior epochs read unvisited.
+  // Third generation: nodes from both prior epochs read as non-members.
   vt.clear();
-  EXPECT_FALSE(vt.test(3));
-  EXPECT_FALSE(vt.test(5));
-  EXPECT_FALSE(vt.test_and_set(5));
+  EXPECT_FALSE(vt.contains(3));
+  EXPECT_FALSE(vt.contains(5));
+  EXPECT_TRUE(vt.insert(5));
 }
 
 TEST(VisitedEpochs, WraparoundForcesFullStampReset) {
-  search::VisitedTable vt(4);
-  EXPECT_FALSE(vt.test_and_set(2));  // stamped with generation 1
+  StampedSet vt(4);
+  EXPECT_TRUE(vt.insert(2));  // stamped with generation 1
 
   // Drive the 16-bit generation all the way around. After 65535 clears the
-  // counter would hit 0; the table must fully reset stamps and restart at
-  // generation 1 without node 2's stale stamp reading as visited.
+  // counter would hit 0; the set must fully reset stamps and restart at
+  // generation 1 without node 2's stale stamp reading as a member.
   const std::uint32_t kClears = 65535;
   for (std::uint32_t i = 0; i < kClears; ++i) vt.clear();
   EXPECT_EQ(vt.generation(), 1u);
-  EXPECT_FALSE(vt.test(2));
-  EXPECT_EQ(vt.visited_count(), 0u);
-  EXPECT_FALSE(vt.test_and_set(2));
-  EXPECT_TRUE(vt.test(2));
+  EXPECT_FALSE(vt.contains(2));
+  EXPECT_EQ(vt.count(), 0u);
+  EXPECT_TRUE(vt.insert(2));
+  EXPECT_TRUE(vt.contains(2));
 }
 
 TEST(VisitedEpochs, GrowPreservesTheCurrentEpoch) {
-  // Streaming inserts grow the table on every publish; the live epoch must
+  // Streaming inserts grow the set on every publish; the live epoch must
   // survive so mid-flight marks stay valid and the grow is O(new nodes).
-  search::VisitedTable vt(4);
+  StampedSet vt(4);
   vt.clear();
   vt.clear();  // generation 3
-  vt.test_and_set(1);
-  vt.test_and_set(3);
+  vt.insert(1);
+  vt.insert(3);
   vt.resize(10);
   EXPECT_EQ(vt.size(), 10u);
   EXPECT_EQ(vt.generation(), 3u);
-  EXPECT_TRUE(vt.test(1));
-  EXPECT_TRUE(vt.test(3));
-  EXPECT_EQ(vt.visited_count(), 2u);
-  // Appended nodes start unvisited in this and every later generation.
-  for (std::size_t i = 4; i < 10; ++i) EXPECT_FALSE(vt.test(i));
+  EXPECT_TRUE(vt.contains(1));
+  EXPECT_TRUE(vt.contains(3));
+  EXPECT_EQ(vt.count(), 2u);
+  EXPECT_EQ(vt.ids(), (std::vector<NodeId>{1, 3}));
+  // Appended nodes start as non-members in this and every later generation.
+  for (std::size_t i = 4; i < 10; ++i) EXPECT_FALSE(vt.contains(i));
   vt.clear();
-  for (std::size_t i = 0; i < 10; ++i) EXPECT_FALSE(vt.test(i));
+  for (std::size_t i = 0; i < 10; ++i) EXPECT_FALSE(vt.contains(i));
 }
 
 TEST(VisitedEpochs, ShrinkOrSameSizeResetsEverything) {
   // A shrink follows a compaction remap — the surviving prefix's stamps are
   // for the OLD ids, so the historical full-reset semantics stay.
   for (const std::size_t new_size : {3u, 4u}) {
-    search::VisitedTable vt(4);
-    vt.test_and_set(1);
+    StampedSet vt(4);
+    vt.insert(1);
     vt.clear();
     vt.clear();
     vt.resize(new_size);
     EXPECT_EQ(vt.size(), new_size);
     EXPECT_EQ(vt.generation(), 1u);
-    EXPECT_EQ(vt.checks(), 0u);
-    EXPECT_EQ(vt.visited_count(), 0u);
-    for (std::size_t i = 0; i < new_size; ++i) EXPECT_FALSE(vt.test(i));
+    EXPECT_EQ(vt.count(), 0u);
+    for (std::size_t i = 0; i < new_size; ++i) EXPECT_FALSE(vt.contains(i));
   }
 }
 
 TEST(VisitedEpochs, WraparoundStaysCorrectAcrossAGrow) {
   // Property: after any interleaving of clears and grows, a node marked in
-  // a PRIOR epoch never reads visited, including across the 16-bit
+  // a PRIOR epoch never reads as a member, including across the 16-bit
   // generation wraparound. Node 2 is stamped just before the counter
   // wraps; the grown nodes' zero stamps must also survive the reset.
-  search::VisitedTable vt(4);
+  StampedSet vt(4);
   for (std::uint32_t i = 0; i < 65533; ++i) vt.clear();  // generation 65534
-  vt.test_and_set(2);
+  vt.insert(2);
   vt.resize(8);  // grow mid-epoch
   EXPECT_EQ(vt.generation(), 65534u);
-  EXPECT_TRUE(vt.test(2));
-  EXPECT_FALSE(vt.test(6));
+  EXPECT_TRUE(vt.contains(2));
+  EXPECT_FALSE(vt.contains(6));
   vt.clear();  // 65535
-  vt.test_and_set(6);
+  vt.insert(6);
   vt.clear();  // wraps: full stamp reset, back to generation 1
   EXPECT_EQ(vt.generation(), 1u);
-  for (std::size_t i = 0; i < 8; ++i) EXPECT_FALSE(vt.test(i));
-  EXPECT_FALSE(vt.test_and_set(2));
-  EXPECT_TRUE(vt.test(2));
+  for (std::size_t i = 0; i < 8; ++i) EXPECT_FALSE(vt.contains(i));
+  EXPECT_TRUE(vt.ids().empty());
+  EXPECT_TRUE(vt.insert(2));
+  EXPECT_TRUE(vt.contains(2));
+  EXPECT_EQ(vt.ids(), (std::vector<NodeId>{2}));
 }
 
 }  // namespace

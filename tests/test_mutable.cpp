@@ -241,7 +241,7 @@ TEST(MutableCompact, ReclaimsAndRemapsInOrder) {
   EXPECT_EQ(rep.survivors, full.num_base() - dead.size());
   EXPECT_EQ(idx.published(), rep.survivors);
   EXPECT_EQ(idx.live(), rep.survivors);
-  EXPECT_TRUE(idx.tombstones().empty());
+  EXPECT_EQ(idx.tombstones().count(), 0u);
   EXPECT_EQ(idx.epoch(), epoch + 1);
 
   // Survivors keep their original vectors, in id order.

@@ -9,7 +9,6 @@
 
 #include "common/rng.hpp"
 #include "core/engine.hpp"
-#include "search/bitonic.hpp"
 #include "search/candidate_list.hpp"
 #include "search/intra_cta.hpp"
 #include "search/multi_cta.hpp"

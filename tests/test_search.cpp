@@ -4,16 +4,15 @@
 #include <set>
 #include <vector>
 
+#include "common/node_set.hpp"
 #include "common/rng.hpp"
 #include "metrics/recall.hpp"
-#include "search/bitonic.hpp"
 #include "search/candidate_list.hpp"
 #include "search/greedy.hpp"
 #include "search/intra_cta.hpp"
 #include "search/kv.hpp"
 #include "search/multi_cta.hpp"
 #include "search/topk_merge.hpp"
-#include "search/visited.hpp"
 #include "test_util.hpp"
 
 namespace algas::search {
@@ -49,63 +48,6 @@ TEST(Kv, TiesBreakById) {
   EXPECT_FALSE(b < a);
 }
 
-// ---------------- bitonic.hpp ----------------
-
-std::vector<KV> random_kvs(std::size_t n, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<KV> v;
-  v.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    v.push_back(KV::make(rng.next_float() * 100.0f,
-                         static_cast<NodeId>(rng.next_below(1 << 20))));
-  }
-  return v;
-}
-
-class BitonicSizes : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(BitonicSizes, SortsRandomArrays) {
-  const std::size_t n = GetParam();
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    auto data = random_kvs(n, seed * 17);
-    auto expect = data;
-    std::sort(expect.begin(), expect.end());
-    bitonic_sort(std::span<KV>(data));
-    EXPECT_TRUE(is_sorted_kv(data)) << "n=" << n << " seed=" << seed;
-    // Same multiset: bitonic networks only swap.
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(data[i].key, expect[i].key);
-    }
-  }
-}
-
-TEST_P(BitonicSizes, MergeSortedHalves) {
-  const std::size_t n = GetParam();
-  if (n < 2) return;
-  auto lo = random_kvs(n / 2, 7);
-  auto hi = random_kvs(n / 2, 8);
-  std::sort(lo.begin(), lo.end());
-  std::sort(hi.begin(), hi.end());
-  std::vector<KV> data;
-  data.insert(data.end(), lo.begin(), lo.end());
-  data.insert(data.end(), hi.begin(), hi.end());
-  merge_sorted_halves(std::span<KV>(data));
-  EXPECT_TRUE(is_sorted_kv(data));
-}
-
-INSTANTIATE_TEST_SUITE_P(Pow2Sweep, BitonicSizes,
-                         ::testing::Values<std::size_t>(1, 2, 4, 8, 32, 128,
-                                                        512));
-
-TEST(Bitonic, HandlesDuplicatesAndEmpties) {
-  std::vector<KV> data{KV::empty(), KV::make(1.0f, 2), KV::make(1.0f, 2),
-                       KV::empty()};
-  bitonic_sort(std::span<KV>(data));
-  EXPECT_TRUE(is_sorted_kv(data));
-  EXPECT_EQ(data[0].id(), 2u);
-  EXPECT_TRUE(data[2].is_empty());
-}
-
 // ---------------- candidate_list.hpp ----------------
 
 TEST(CandidateList, RejectsNonPow2) {
@@ -121,7 +63,7 @@ TEST(CandidateList, SeedKeepsSorted) {
   EXPECT_EQ(list.at(0).id(), 2u);
   EXPECT_EQ(list.at(1).id(), 1u);
   EXPECT_EQ(list.at(2).id(), 3u);
-  EXPECT_TRUE(is_sorted_kv(list.entries()));
+  EXPECT_TRUE(std::is_sorted(list.entries().begin(), list.entries().end()));
 }
 
 TEST(CandidateList, FirstUncheckedAndTake) {
@@ -189,17 +131,15 @@ TEST(CandidateList, TopkSkipsNothingWhenFull) {
   EXPECT_EQ(list.topk(100).size(), 4u);
 }
 
-// ---------------- visited.hpp ----------------
+// ---------------- StampedSet as the visited table ----------------
 
 TEST(VisitedTable, TestAndSetCounts) {
-  VisitedTable v(100);
-  EXPECT_FALSE(v.test_and_set(5));
-  EXPECT_TRUE(v.test_and_set(5));
-  EXPECT_EQ(v.checks(), 2u);
-  EXPECT_EQ(v.visited_count(), 1u);
+  StampedSet v(100);
+  EXPECT_TRUE(v.insert(5));
+  EXPECT_FALSE(v.insert(5));
+  EXPECT_EQ(v.count(), 1u);
   v.clear();
-  EXPECT_EQ(v.checks(), 0u);
-  EXPECT_FALSE(v.test(5));
+  EXPECT_FALSE(v.contains(5));
 }
 
 // ---------------- intra_cta.hpp ----------------
@@ -233,7 +173,7 @@ TEST(IntraCta, FindsNearestOnTinyWorld) {
   double total_recall = 0.0;
   const std::size_t nq = 50;
   for (std::size_t q = 0; q < nq; ++q) {
-    VisitedTable visited(world.ds.num_base());
+    StampedSet visited(world.ds.num_base());
     cta.reset(world.ds.query(q), world.nsw.entry_point(), &visited);
     StepCost cost;
     while (cta.step(cost)) {
@@ -249,7 +189,7 @@ TEST(IntraCta, StatsAccumulate) {
   SearchConfig cfg;
   cfg.candidate_len = 64;
   IntraCtaSearch cta(world.ds, world.nsw, cm, cfg);
-  VisitedTable visited(world.ds.num_base());
+  StampedSet visited(world.ds.num_base());
   cta.reset(world.ds.query(0), world.nsw.entry_point(), &visited);
   StepCost cost;
   while (cta.step(cost)) {
@@ -270,7 +210,7 @@ TEST(IntraCta, TraceRecordsSelectedDistances) {
   cfg.candidate_len = 64;
   IntraCtaSearch cta(world.ds, world.nsw, cm, cfg);
   cta.enable_trace(true);
-  VisitedTable visited(world.ds.num_base());
+  StampedSet visited(world.ds.num_base());
   cta.reset(world.ds.query(3), world.nsw.entry_point(), &visited);
   StepCost cost;
   while (cta.step(cost)) {
@@ -297,7 +237,7 @@ TEST(IntraCta, BeamExtendReducesSortRounds) {
   for (std::size_t q = 0; q < 30; ++q) {
     {
       IntraCtaSearch cta(world.ds, world.nsw, cm, greedy);
-      VisitedTable visited(world.ds.num_base());
+      StampedSet visited(world.ds.num_base());
       cta.reset(world.ds.query(q), world.nsw.entry_point(), &visited);
       StepCost cost;
       while (cta.step(cost)) {
@@ -307,7 +247,7 @@ TEST(IntraCta, BeamExtendReducesSortRounds) {
     }
     {
       IntraCtaSearch cta(world.ds, world.nsw, cm, beam);
-      VisitedTable visited(world.ds.num_base());
+      StampedSet visited(world.ds.num_base());
       cta.reset(world.ds.query(q), world.nsw.entry_point(), &visited);
       StepCost cost;
       while (cta.step(cost)) {
@@ -333,7 +273,7 @@ TEST(IntraCta, BeamExtendKeepsRecall) {
   const std::size_t nq = 50;
   for (std::size_t q = 0; q < nq; ++q) {
     IntraCtaSearch cta(world.ds, world.nsw, cm, beam);
-    VisitedTable visited(world.ds.num_base());
+    StampedSet visited(world.ds.num_base());
     cta.reset(world.ds.query(q), world.nsw.entry_point(), &visited);
     StepCost cost;
     while (cta.step(cost)) {
@@ -348,8 +288,8 @@ TEST(IntraCta, VisitedEntryEndsImmediately) {
   const sim::CostModel cm;
   SearchConfig cfg;
   IntraCtaSearch cta(world.ds, world.nsw, cm, cfg);
-  VisitedTable visited(world.ds.num_base());
-  visited.test_and_set(world.nsw.entry_point());
+  StampedSet visited(world.ds.num_base());
+  visited.insert(world.nsw.entry_point());
   cta.reset(world.ds.query(0), world.nsw.entry_point(), &visited);
   EXPECT_TRUE(cta.done());
   StepCost cost;
@@ -364,7 +304,7 @@ TEST(IntraCta, InvalidEntryEndsImmediately) {
   const sim::CostModel cm;
   SearchConfig cfg;
   IntraCtaSearch cta(world.ds, world.nsw, cm, cfg);
-  VisitedTable visited(world.ds.num_base());
+  StampedSet visited(world.ds.num_base());
   StepCost cost;
   for (const NodeId entry :
        {kInvalidNode, static_cast<NodeId>(world.nsw.num_nodes())}) {
@@ -384,7 +324,7 @@ TEST(IntraCta, TombstonesFilterResultsNotRouting) {
 
   auto run = [&](const SearchConfig& c, std::size_t q) {
     IntraCtaSearch cta(world.ds, world.nsw, cm, c);
-    VisitedTable visited(world.ds.num_base());
+    StampedSet visited(world.ds.num_base());
     cta.reset(world.ds.query(q), world.nsw.entry_point(), &visited);
     StepCost cost;
     while (cta.step(cost)) {
@@ -395,9 +335,9 @@ TEST(IntraCta, TombstonesFilterResultsNotRouting) {
   for (std::size_t q = 0; q < 10; ++q) {
     const auto [plain, plain_expanded] = run(cfg, q);
     ASSERT_GE(plain.size(), 2u);
-    TombstoneSet dead(world.ds.num_base());
-    dead.mark(plain[0].id());
-    dead.mark(plain[1].id());
+    StampedSet dead(world.ds.num_base());
+    dead.insert(plain[0].id());
+    dead.insert(plain[1].id());
     SearchConfig filtered = cfg;
     filtered.accept = AcceptPredicate::deleted_only(&dead);
     const auto [masked, masked_expanded] = run(filtered, q);
@@ -423,6 +363,17 @@ TEST(IntraCta, TombstonesFilterResultsNotRouting) {
 }
 
 // ---------------- topk_merge.hpp ----------------
+
+std::vector<KV> random_kvs(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<KV> v;
+  v.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    v.push_back(KV::make(rng.next_float() * 100.0f,
+                         static_cast<NodeId>(rng.next_below(1 << 20))));
+  }
+  return v;
+}
 
 TEST(TopkMerge, MergesAndDedups) {
   std::vector<KV> concat{
@@ -496,9 +447,9 @@ TEST(TopkMerge, TombstonedIdsAreSkippedWithoutBurningSlots) {
   std::vector<KV> concat{
       KV::make(1.0f, 10), KV::make(3.0f, 30), KV::empty(),
       KV::make(2.0f, 20), KV::make(4.0f, 40), KV::make(5.0f, 50)};
-  TombstoneSet dead(64);
-  dead.mark(20);
-  dead.mark(40);
+  StampedSet dead(64);
+  dead.insert(20);
+  dead.insert(40);
   const auto merged =
       merge_sorted_runs(concat, 2, 3, 3, AcceptPredicate::deleted_only(&dead));
   ASSERT_EQ(merged.size(), 3u);  // deleted ids did not consume k slots
@@ -510,7 +461,7 @@ TEST(TopkMerge, TombstonedIdsAreSkippedWithoutBurningSlots) {
   EXPECT_EQ(plain[1].id(), 20u);
   // Ids past the set's size (e.g. rows published after the set was sized)
   // are never treated as deleted.
-  TombstoneSet tiny(15);
+  StampedSet tiny(15);
   const auto unscreened =
       merge_sorted_runs(concat, 2, 3, 3, AcceptPredicate::deleted_only(&tiny));
   EXPECT_EQ(unscreened[1].id(), 20u);

@@ -352,7 +352,7 @@ TEST(ShardedEngine, RejectsMalformedRuns) {
 
 TEST(ShardedEngine, RejectsTombstonedConfig) {
   const auto& world = algas::testing::tiny_world();
-  TombstoneSet tombs(world.ds.num_base());
+  StampedSet tombs(world.ds.num_base());
   ShardedConfig cfg = tiny_sharded_config(2);
   cfg.base.search.accept = search::AcceptPredicate::deleted_only(&tombs);
   EXPECT_THROW(ShardedEngine(world.ds, cfg), std::invalid_argument);

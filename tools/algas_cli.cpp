@@ -160,7 +160,7 @@ core::HostSync parse_sync(const std::string& s) {
 /// or "ts<T" (timestamp strictly below T). Returns nullptr when no filter
 /// was requested. The bitset must outlive any engine configured with it —
 /// callers keep the unique_ptr alive across the run.
-std::unique_ptr<search::NodeBitset> parse_filter(const Dataset& ds,
+std::unique_ptr<NodeBitset> parse_filter(const Dataset& ds,
                                                  const Args& args) {
   const std::string spec = args.get_or("filter", "");
   if (spec.empty()) return nullptr;
@@ -169,7 +169,7 @@ std::unique_ptr<search::NodeBitset> parse_filter(const Dataset& ds,
         "--filter needs a dataset with attributes; regenerate it with "
         "`algas_cli gen` (synthetic datasets attach them automatically)");
   }
-  auto bits = std::make_unique<search::NodeBitset>(ds.num_base());
+  auto bits = std::make_unique<NodeBitset>(ds.num_base());
   if (spec.rfind("cat=", 0) == 0) {
     const auto want = static_cast<std::uint32_t>(
         std::strtoul(spec.c_str() + 4, nullptr, 10));
