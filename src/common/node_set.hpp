@@ -139,16 +139,6 @@ class NodeBitset {
     return n;
   }
 
-  /// Set bits within [begin, end).
-  std::size_t count_range(std::size_t begin, std::size_t end) const {
-    std::size_t n = 0;
-    end = std::min(end, bits_);
-    for (std::size_t v = begin; v < end; ++v) {
-      if (test(static_cast<NodeId>(v))) ++n;
-    }
-    return n;
-  }
-
  private:
   static std::size_t word(NodeId v) { return static_cast<std::size_t>(v) >> 6; }
   static std::uint64_t bit(NodeId v) { return std::uint64_t{1} << (v & 63); }

@@ -111,12 +111,13 @@ InsertReport MutableIndex::apply(StagedBatch& batch) {
   if (batch.count == 0) return {};
   graph_.grow(batch.count);
   tombstones_.resize(graph_.num_nodes());
-  const InsertReport rep{link_batch(ds_, graph_, cfg_, batch), batch.count};
+  BuildExecutor exec(cfg_.threads);
+  const InsertReport rep{link_batch(ds_, graph_, cfg_, exec, batch),
+                         batch.count};
 
   // Publish: the entry point recomputes over the published prefix only —
   // staged-but-unlinked rows must never become the entry.
   published_ = graph_.num_nodes();
-  BuildExecutor exec(cfg_.threads);
   graph_.set_entry_point(approximate_medoid(ds_, exec, published_));
   ++epoch_;
   return rep;
@@ -186,7 +187,8 @@ CompactReport MutableIndex::compact() {
   Graph ng(live_n, graph_.degree());
   std::vector<NodeId> ids;
   std::vector<float> dists;
-  std::vector<std::pair<float, NodeId>> candidates;
+  LinkScratch scratch;
+  std::vector<std::pair<float, NodeId>>& candidates = scratch.candidates;
   for (std::size_t v = 0; v < n; ++v) {
     const NodeId nv = remap[v];
     if (nv == kInvalidNode) continue;
@@ -212,12 +214,13 @@ CompactReport MutableIndex::compact() {
     ++rep.patched;
     if (ids.empty()) continue;
     dists.resize(ids.size());
-    nds.distance_batch(nds.base_vector(nv), ids, dists);
+    nds.distance_batch(nds.base_vector(nv), ids, dists,
+                       nds.base_query_norm(nv));
     candidates.clear();
     for (std::size_t i = 0; i < ids.size(); ++i) {
       candidates.emplace_back(dists[i], ids[i]);
     }
-    select_neighbors(nds, ng, nv, candidates);
+    select_neighbors(nds, ng, nv, candidates, scratch);
   }
 
   if (live_n > 0) {

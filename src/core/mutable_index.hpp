@@ -15,11 +15,12 @@
 //                       out on the BuildExecutor. Runs concurrently with
 //                       serve() — both only read published state.
 //   apply()    writer   phase 2 (link_batch): grow the graph and apply the
-//                       batch's links serially in insertion-id order (the
-//                       byte-identity guarantee: the published graph is
-//                       independent of thread count and of how inserts
-//                       interleaved with queries), recompute the entry
-//                       point over the published prefix, bump the epoch.
+//                       batch's links on the BuildExecutor, each row's in
+//                       insertion-id order (the byte-identity guarantee:
+//                       the published graph is independent of thread count
+//                       and of how inserts interleaved with queries),
+//                       recompute the entry point over the published
+//                       prefix, bump the epoch.
 //
 // Deletion tombstones a node (a StampedSet, common/node_set.hpp): it keeps
 // routing traversals but the accept step excludes it from results.
@@ -161,9 +162,9 @@ class MutableIndex {
   /// read the frozen prefix. Returns an empty batch when nothing pends.
   StagedBatch prepare_next(std::size_t max_rows = 0);
 
-  /// Writer: phase 2 for a prepared batch — grow, link serially in
-  /// insertion-id order, recompute the entry point, publish. Batches must
-  /// apply in stage order (batch.first == published()).
+  /// Writer: phase 2 for a prepared batch — grow, link (each row's links
+  /// in insertion-id order), recompute the entry point, publish. Batches
+  /// must apply in stage order (batch.first == published()).
   InsertReport apply(StagedBatch& batch);
 
   /// Convenience: stage + {prepare_next, apply} until drained. With all

@@ -146,6 +146,18 @@ class Dataset {
   /// metric: norm(query) for cosine, nullopt for metrics that need none.
   std::optional<float> query_norm(std::span<const float> query) const;
 
+  /// query_norm(base_vector(i)) for scoring from base row i, read from the
+  /// norm table where that is the same float: f32 rows under cosine
+  /// (base_norms()[i] is norm(base_vector(i))). Otherwise nullopt, and
+  /// distance_batch computes it: the f16/int8 tables hold decoded-row
+  /// norms, not the f32 row's.
+  std::optional<float> base_query_norm(std::size_t i) const {
+    if (metric_ != Metric::kCosine || codec_ != StorageCodec::kF32) {
+      return std::nullopt;
+    }
+    return base_norms()[i];
+  }
+
   /// Batched scoring of the contiguous rows [first, first + count).
   void distance_batch_range(std::span<const float> query, std::size_t first,
                             std::size_t count, std::span<float> out) const;

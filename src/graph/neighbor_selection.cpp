@@ -10,7 +10,8 @@ namespace algas {
 /// of short and long (navigable) edges, which plain closest-first eviction
 /// destroys. Pruned candidates backfill remaining slots.
 void select_neighbors(const Dataset& ds, Graph& g, NodeId v,
-                      std::vector<std::pair<float, NodeId>>& candidates) {
+                      std::vector<std::pair<float, NodeId>>& candidates,
+                      LinkScratch& scratch) {
   std::sort(candidates.begin(), candidates.end());
   candidates.erase(std::unique(candidates.begin(), candidates.end(),
                                [](const auto& a, const auto& b) {
@@ -21,15 +22,18 @@ void select_neighbors(const Dataset& ds, Graph& g, NodeId v,
   auto row = g.mutable_neighbors(v);
   std::fill(row.begin(), row.end(), kInvalidNode);
   std::size_t kept = 0;
-  std::vector<std::size_t> pruned;
-  std::vector<float> kept_dists(row.size());
+  std::vector<std::size_t>& pruned = scratch.pruned;
+  std::vector<float>& kept_dists = scratch.kept_dists;
+  pruned.clear();
+  kept_dists.resize(row.size());
   for (std::size_t i = 0; i < candidates.size() && kept < row.size(); ++i) {
     const auto [d_vu, u] = candidates[i];
     // One batched round scores u against every kept neighbor. This drops
     // the scalar loop's early exit, but the kept prefix is <= degree and
     // the ILP/prefetch win dominates the extra tail evaluations.
     ds.distance_batch(ds.base_vector(u),
-                      std::span<const NodeId>{row.data(), kept}, kept_dists);
+                      std::span<const NodeId>{row.data(), kept}, kept_dists,
+                      ds.base_query_norm(u));
     bool diverse = true;
     for (std::size_t j = 0; j < kept; ++j) {
       if (kept_dists[j] < d_vu) {
@@ -50,7 +54,8 @@ void select_neighbors(const Dataset& ds, Graph& g, NodeId v,
 }
 
 /// Add edge v->u; on overflow re-select v's row with the heuristic.
-void link(const Dataset& ds, Graph& g, NodeId v, NodeId u, float d_vu) {
+void link(const Dataset& ds, Graph& g, NodeId v, NodeId u, float d_vu,
+          LinkScratch& scratch) {
   auto row = g.mutable_neighbors(v);
   for (std::size_t i = 0; i < row.size(); ++i) {
     if (row[i] == u) return;
@@ -59,17 +64,18 @@ void link(const Dataset& ds, Graph& g, NodeId v, NodeId u, float d_vu) {
       return;
     }
   }
-  std::vector<std::pair<float, NodeId>> candidates;
-  candidates.reserve(row.size() + 1);
+  std::vector<std::pair<float, NodeId>>& candidates = scratch.candidates;
+  std::vector<float>& row_dists = scratch.row_dists;
+  candidates.clear();
   candidates.emplace_back(d_vu, u);
-  std::vector<float> row_dists(row.size());
+  row_dists.resize(row.size());
   ds.distance_batch(ds.base_vector(v),
                     std::span<const NodeId>{row.data(), row.size()},
-                    row_dists);
+                    row_dists, ds.base_query_norm(v));
   for (std::size_t i = 0; i < row.size(); ++i) {
     candidates.emplace_back(row_dists[i], row[i]);
   }
-  select_neighbors(ds, g, v, candidates);
+  select_neighbors(ds, g, v, candidates, scratch);
 }
 
 }  // namespace algas

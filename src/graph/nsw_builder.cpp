@@ -1,6 +1,7 @@
 #include "graph/nsw_builder.hpp"
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -91,7 +92,7 @@ InsertBatch search_batch(const Dataset& ds, const Graph& g,
 }
 
 BuildCost link_batch(const Dataset& ds, Graph& g, const BuildConfig& cfg,
-                     InsertBatch& batch) {
+                     BuildExecutor& exec, InsertBatch& batch) {
   BuildCost cost;
   if (batch.count == 0) return cost;
   const std::size_t begin = batch.first;
@@ -115,25 +116,52 @@ BuildCost link_batch(const Dataset& ds, Graph& g, const BuildConfig& cfg,
   cost.serial_build_ns += cfg.cost.kernel_launch_ns;
   cost.batches = 1;
 
-  // select_neighbors rewrites v's own row from its beam; link() backlinks
-  // into earlier rows. Serial application makes every row a deterministic
-  // fold over the batch.
-  std::vector<NodeId> row_ids;
-  std::vector<float> row_dists;
-  for (std::size_t v = std::max<std::size_t>(begin, 1); v < end; ++v) {
-    auto& candidates = batch.found[v - begin];
-    if (candidates.empty()) continue;
-    select_neighbors(ds, g, static_cast<NodeId>(v), candidates);
-    row_ids.clear();
-    for (NodeId u : g.neighbors(static_cast<NodeId>(v))) {
-      if (u != kInvalidNode) row_ids.push_back(u);
+  // Step 2a: every row v of the batch selects its neighbors from its beam
+  // and records its backlinks (its new neighbors and their distances to
+  // v) before any link can change row v. A beam holds only rows below the
+  // batch (in the bootstrap batch, rows below v), so select_neighbors(v)
+  // writes row v alone and the rows run in parallel. Row 0 of the
+  // bootstrap has an empty beam.
+  const std::size_t degree = g.degree();
+  std::vector<NodeId> back(batch.count * degree, kInvalidNode);
+  std::vector<float> back_dists(batch.count * degree);
+  exec.parallel_for(batch.count, [&](std::size_t lo, std::size_t hi) {
+    LinkScratch scratch;
+    for (std::size_t i = lo; i < hi; ++i) {
+      auto& candidates = batch.found[i];
+      if (candidates.empty()) continue;
+      const auto v = static_cast<NodeId>(begin + i);
+      select_neighbors(ds, g, v, candidates, scratch);
+      const std::span<NodeId> ids(back.data() + i * degree, degree);
+      std::size_t k = 0;
+      for (NodeId u : g.neighbors(v)) {
+        if (u != kInvalidNode) ids[k++] = u;
+      }
+      ds.distance_batch(ds.base_vector(v), ids.first(k),
+                        {back_dists.data() + i * degree, k},
+                        ds.base_query_norm(v));
     }
-    row_dists.resize(row_ids.size());
-    ds.distance_batch(ds.base_vector(v), row_ids, row_dists);
-    for (std::size_t i = 0; i < row_ids.size(); ++i) {
-      link(ds, g, row_ids[i], static_cast<NodeId>(v), row_dists[i]);
+  });
+
+  // Step 2b: link(w, v) reads and writes row w alone, and every link into
+  // w comes from a row above w, so the target rows run in parallel. Each
+  // chunk owns a contiguous range of targets (the rows below the batch, or
+  // the bootstrap batch's own rows) and walks the backlinks in insertion
+  // order, so each row receives its links in the serial fold's order:
+  // the graph is the same bytes at any thread count.
+  const std::size_t target_rows = begin == 0 ? end : begin;
+  exec.parallel_for(target_rows, [&](std::size_t lo, std::size_t hi) {
+    LinkScratch scratch;
+    for (std::size_t i = 0; i < batch.count; ++i) {
+      const auto v = static_cast<NodeId>(begin + i);
+      for (std::size_t j = i * degree;
+           j < (i + 1) * degree && back[j] != kInvalidNode; ++j) {
+        if (back[j] >= lo && back[j] < hi) {
+          link(ds, g, back[j], v, back_dists[j], scratch);
+        }
+      }
     }
-  }
+  });
   return cost;
 }
 
@@ -149,7 +177,7 @@ BuildReport build_nsw(const Dataset& ds, const BuildConfig& cfg) {
   for (std::size_t first = 0; first < n; first += batch) {
     InsertBatch b = search_batch(ds, out.graph, cfg, exec, first,
                                  std::min(batch, n - first));
-    out += link_batch(ds, out.graph, cfg, b);
+    out += link_batch(ds, out.graph, cfg, exec, b);
   }
   out.graph.set_entry_point(approximate_medoid(ds, exec));
   return out;

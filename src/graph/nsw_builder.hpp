@@ -2,11 +2,13 @@
 // are inserted in batches of cfg.insert_batch. Every point of a batch beam-
 // searches the frozen prefix (all previous batches) concurrently — the
 // host-side analogue of one CTA per insertion — then the batch's links are
-// applied serially in insertion-id order, capped at `degree` per row with
-// the select-neighbors heuristic on overflow. The two-phase structure makes
-// the graph a pure function of (dataset, config): byte-identical for any
-// thread count. insert_batch=1 degenerates to classic one-at-a-time
-// insertion.
+// applied, capped at `degree` per row with the select-neighbors heuristic
+// on overflow: every row selects its neighbors at once, then the backlinks
+// apply with the target rows in parallel, each row's links in insertion-id
+// order. The two-phase structure makes the graph a pure function of
+// (dataset, config): byte-identical for any thread count, and to linking
+// the whole batch serially in insertion-id order. insert_batch=1
+// degenerates to classic one-at-a-time insertion.
 //
 // The two phases are the only construction path: build_nsw loops over
 // them, and core::MutableIndex::prepare_next/apply run them beside live
@@ -41,13 +43,17 @@ InsertBatch search_batch(const Dataset& ds, const Graph& g,
                          const BuildConfig& cfg, BuildExecutor& exec,
                          std::size_t first, std::size_t count);
 
-/// Phase 2: link the batch into `g`, serially in insertion-id order, and
-/// return its modeled cost: one wave-scheduled kernel launch with one CTA
-/// per insertion. `g` must already hold the batch's rows. The batch's
-/// beams are consumed (select_neighbors reorders them in place). Leaves
-/// the entry point to the caller.
+/// Phase 2: link the batch into `g` on `exec` and return its modeled cost:
+/// one wave-scheduled kernel launch with one CTA per insertion. Step 2a
+/// selects every row's neighbors in parallel; step 2b applies the
+/// backlinks with the target rows in parallel, each row's links in
+/// insertion-id order, so the graph equals the serial fold's at any thread
+/// count (DESIGN.md, "Deterministic parallel construction"). `g` must
+/// already hold the batch's rows, and the dataset's caches must be warm.
+/// The batch's beams are consumed (select_neighbors reorders them in
+/// place). Leaves the entry point to the caller.
 BuildCost link_batch(const Dataset& ds, Graph& g, const BuildConfig& cfg,
-                     InsertBatch& batch);
+                     BuildExecutor& exec, InsertBatch& batch);
 
 /// Offline build: every row, batch by batch, then the medoid entry point.
 BuildReport build_nsw(const Dataset& ds, const BuildConfig& cfg);

@@ -5,6 +5,8 @@
 #include <memory>
 #include <ostream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "common/env.hpp"
 
@@ -54,7 +56,10 @@ std::string fmt_value(double v) {
 }  // namespace
 
 TraceArgs& TraceArgs::add(const std::string& key, const std::string& v) {
-  kv_.emplace_back(key, "\"" + escaped(v) + "\"");
+  std::string quoted = "\"";
+  quoted += escaped(v);
+  quoted += '"';
+  kv_.emplace_back(key, std::move(quoted));
   return *this;
 }
 

@@ -44,8 +44,6 @@ TEST(NodeBitset, SetTestCount) {
   bits.reset(63);
   EXPECT_FALSE(bits.test(63));
   EXPECT_EQ(bits.count(), 3u);
-  EXPECT_EQ(bits.count_range(0, 64), 1u);
-  EXPECT_EQ(bits.count_range(64, 130), 2u);
 }
 
 TEST(NodeBitset, AllTrueConstructionKeepsTailClear) {

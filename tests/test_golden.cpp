@@ -16,6 +16,14 @@
 // rounding merges the poll sequences of siblings that parked apart; and
 // accept-predicate runs whose filter bitset and tombstone set reject
 // results while the rejected nodes keep routing.
+//
+// The GraphGolden cases pin the construction path the same way: an FNV-1a
+// over each built graph (shape, entry point, every adjacency row) and its
+// BuildCost ledger, for offline builds and for a MutableIndex streamed in
+// waves, then tombstoned and compacted, at 1, 2 and 4 build threads. The
+// values were recorded from the serial link phase, so a parallel link
+// phase that drifts from it fails here even when it agrees with itself
+// across thread counts.
 
 #include <gtest/gtest.h>
 
@@ -28,6 +36,7 @@
 
 #include "common/node_set.hpp"
 #include "core/engine.hpp"
+#include "core/mutable_index.hpp"
 #include "core/sharded_engine.hpp"
 #include "test_util.hpp"
 
@@ -315,6 +324,170 @@ TEST(VirtualTimeGolden, AcceptPredicateFilterAndTombstones) {
                 : Fingerprint{0x61841fb8ebde5a42ull, 53416, 5968, 1072,
                               661888, 0, 992};
     expect_fingerprint(rep, want, name);
+  }
+}
+
+// ---------------- built graphs ----------------
+
+std::uint64_t double_bits(double d) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &d, sizeof bits);
+  return bits;
+}
+
+std::uint64_t graph_hash(const Graph& g) {
+  Fnv f;
+  f.mix(g.num_nodes());
+  f.mix(g.degree());
+  f.mix(g.entry_point());
+  for (const NodeId u : g.adjacency()) f.mix(u);
+  return f.h;
+}
+
+/// A built graph and the ledger of the batches that built it (virtual
+/// times as bits).
+struct GraphFingerprint {
+  std::uint64_t graph = 0;
+  std::uint64_t batches = 0;
+  std::uint64_t scored_points = 0;
+  std::uint64_t virtual_build_bits = 0;
+  std::uint64_t serial_build_bits = 0;
+};
+
+GraphFingerprint graph_fingerprint(const Graph& g, const BuildCost& cost) {
+  return {graph_hash(g), cost.batches, cost.scored_points,
+          double_bits(cost.virtual_build_ns),
+          double_bits(cost.serial_build_ns)};
+}
+
+std::string describe(const GraphFingerprint& fp) {
+  char buf[160];
+  std::snprintf(buf, sizeof buf, "{0x%016llxull, %llu, %llu, 0x%016llxull, "
+                "0x%016llxull}",
+                static_cast<unsigned long long>(fp.graph),
+                static_cast<unsigned long long>(fp.batches),
+                static_cast<unsigned long long>(fp.scored_points),
+                static_cast<unsigned long long>(fp.virtual_build_bits),
+                static_cast<unsigned long long>(fp.serial_build_bits));
+  return buf;
+}
+
+void expect_graph(const GraphFingerprint& got, const GraphFingerprint& want,
+                  const std::string& name) {
+  EXPECT_EQ(got.graph, want.graph) << name << " got " << describe(got);
+  EXPECT_EQ(got.batches, want.batches) << name;
+  EXPECT_EQ(got.scored_points, want.scored_points) << name;
+  EXPECT_EQ(got.virtual_build_bits, want.virtual_build_bits) << name;
+  EXPECT_EQ(got.serial_build_bits, want.serial_build_bits) << name;
+}
+
+constexpr std::size_t kBuildThreads[] = {1, 2, 4};
+
+BuildConfig golden_build(std::size_t insert_batch, std::size_t threads) {
+  BuildConfig cfg;
+  cfg.degree = 16;
+  cfg.ef_construction = 48;
+  cfg.insert_batch = insert_batch;
+  cfg.threads = threads;
+  return cfg;
+}
+
+TEST(GraphGolden, OfflineBuildsAtEveryThreadCount) {
+  struct Case {
+    const char* name;
+    Metric metric;
+    StorageCodec codec;
+    std::size_t rows;
+    std::size_t insert_batch;
+    GraphFingerprint want;
+  };
+  // 2000 % 384 leaves an uneven 80-row tail; a batch wider than the rows
+  // is the bootstrap batch alone.
+  const Case cases[] = {
+      {"l2 uneven tail", Metric::kL2, StorageCodec::kF32, 2000, 384,
+       {0x3a354e433e144539ull, 6, 396935, 0x4104ef54cccccccdull,
+        0x4171e62a3ccccccfull}},
+      {"cosine uneven tail", Metric::kCosine, StorageCodec::kF32, 2000, 384,
+       {0xa017b589d42c2066ull, 6, 390321, 0x4104ae8800000000ull,
+        0x4171b1ca43333334ull}},
+      {"cosine f16 uneven tail", Metric::kCosine, StorageCodec::kF16, 2000,
+       384,
+       {0x9f2acaa6e24d7af3ull, 6, 390272, 0x4104a94cccccccccull,
+        0x4171b14c9999999aull}},
+      {"l2 bootstrap only", Metric::kL2, StorageCodec::kF32, 2000, 4096,
+       {0x47dd91d259254e7full, 1, 1999000, 0x410eb27666666666ull,
+        0x4190d6fbf3333333ull}},
+      {"cosine bootstrap only", Metric::kCosine, StorageCodec::kF32, 600,
+       1024,
+       {0x939c5cd9a366bf22ull, 1, 179700, 0x40e4e52666666666ull,
+        0x415cf18633333333ull}},
+      {"l2 insert_batch 1", Metric::kL2, StorageCodec::kF32, 500, 1,
+       {0xdbff6fd4e822c6ffull, 500, 73967, 0x415fe34226666663ull,
+        0x415fe34226666663ull}},
+      {"cosine insert_batch 1", Metric::kCosine, StorageCodec::kF32, 500, 1,
+       {0x690bb4c1ec7a3883ull, 500, 72339, 0x415fb08e5999999aull,
+        0x415fb08e5999999aull}},
+  };
+  for (const Case& c : cases) {
+    Dataset ds = algas::testing::tiny_world(c.metric).ds;
+    ds.mutable_base().resize(c.rows * ds.dim());
+    ds.set_storage(c.codec);
+    for (const std::size_t threads : kBuildThreads) {
+      const BuildReport rep = build_graph(
+          GraphKind::kNsw, ds, golden_build(c.insert_batch, threads));
+      expect_graph(graph_fingerprint(rep.graph, rep), c.want,
+                   std::string(c.name) + " threads=" +
+                       std::to_string(threads));
+    }
+  }
+}
+
+TEST(GraphGolden, StreamedWavesThenRemovesAndCompact) {
+  // Waves of 700, 700 and 600 rows against 256-row batches, so batch
+  // boundaries fall inside waves; then every fifth row from 3 is removed
+  // and the compaction patches the rows that lost an edge.
+  struct Case {
+    Metric metric;
+    GraphFingerprint streamed;
+    std::uint64_t compacted;
+    std::size_t patched;
+  };
+  const Case cases[] = {
+      {Metric::kL2,
+       {0x48c0b60d5107981cull, 9, 375086, 0x41094e7b33333333ull,
+        0x4171404c93333334ull},
+       0x5c7be14feec2ecbaull, 1564},
+      {Metric::kCosine,
+       {0xef79a3fc1ef033eeull, 9, 368659, 0x41092b2800000000ull,
+        0x41710d5816666667ull},
+       0x11372c3213d8014aull, 1566},
+  };
+  for (const Case& c : cases) {
+    const Dataset& full = algas::testing::tiny_world(c.metric).ds;
+    const std::size_t dim = full.dim();
+    for (const std::size_t threads : kBuildThreads) {
+      const std::string name = std::string(metric_name(c.metric)) +
+                               " threads=" + std::to_string(threads);
+      MutableIndex idx(Dataset(full.name(), dim, c.metric),
+                       golden_build(256, threads));
+      InsertReport streamed;
+      std::size_t first = 0;
+      for (const std::size_t wave : {700u, 700u, 600u}) {
+        streamed += idx.insert({full.base().data() + first * dim, wave * dim});
+        first += wave;
+      }
+      expect_graph(graph_fingerprint(idx.graph(), streamed), c.streamed,
+                   name + " streamed");
+      for (std::size_t v = 3; v < first; v += 5) {
+        idx.remove(static_cast<NodeId>(v));
+      }
+      const CompactReport rep = idx.compact();
+      EXPECT_EQ(graph_hash(idx.graph()), c.compacted)
+          << name << " compacted got 0x" << std::hex
+          << graph_hash(idx.graph()) << std::dec << " patched "
+          << rep.patched;
+      EXPECT_EQ(rep.patched, c.patched) << name;
+    }
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "simgpu/channel.hpp"
@@ -321,7 +322,11 @@ TEST(SimCheck, StepsAreTracedPerActor) {
 
 TEST(SimCheck, TraceRingKeepsMostRecent) {
   TraceRing ring(3);
-  for (int i = 0; i < 5; ++i) ring.push(i, "e" + std::to_string(i));
+  for (int i = 0; i < 5; ++i) {
+    std::string what = "e";
+    what += std::to_string(i);
+    ring.push(i, std::move(what));
+  }
   EXPECT_EQ(ring.total_recorded(), 5u);
   ASSERT_EQ(ring.events().size(), 3u);
   EXPECT_EQ(ring.events().front().what, "e2");
