@@ -27,8 +27,9 @@ std::size_t nearest_centroid(std::span<const float> point,
                              const std::vector<float>& centroids,
                              std::size_t dim, std::size_t nlist,
                              std::span<float> scratch) {
-  distance_batch_range(Metric::kL2, point, centroids.data(), dim, 0, nlist,
-                       scratch);
+  distance_batch_range(Metric::kL2, point,
+                       {StorageCodec::kF32, centroids.data(), nullptr, dim}, 0,
+                       nlist, scratch);
   std::size_t arg = 0;
   float best = kInfDist;
   for (std::size_t c = 0; c < nlist; ++c) {
@@ -147,8 +148,9 @@ IvfIndex::SearchOut IvfIndex::search(const Dataset& ds,
   using CD = std::pair<float, std::size_t>;
   std::priority_queue<CD> coarse;  // max-heap, keep nprobe smallest
   std::vector<float> coarse_dists(nl);
-  distance_batch_range(Metric::kL2, query, centroids_.data(), dim_, 0, nl,
-                       coarse_dists);
+  distance_batch_range(Metric::kL2, query,
+                       {StorageCodec::kF32, centroids_.data(), nullptr, dim_},
+                       0, nl, coarse_dists);
   for (std::size_t c = 0; c < nl; ++c) {
     const float d = coarse_dists[c];
     if (coarse.size() < nprobe) {
@@ -190,8 +192,9 @@ IvfIndex::SearchOut IvfIndex::search(const Dataset& ds,
 std::vector<float> IvfIndex::centroid_distances(
     std::span<const float> query) const {
   std::vector<float> dists(nlist());
-  distance_batch_range(Metric::kL2, query, centroids_.data(), dim_, 0,
-                       nlist(), dists);
+  distance_batch_range(Metric::kL2, query,
+                       {StorageCodec::kF32, centroids_.data(), nullptr, dim_},
+                       0, nlist(), dists);
   return dists;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <mutex>
 #include <stdexcept>
 
 #include "common/thread_pool.hpp"
@@ -52,9 +53,6 @@ MutableIndex::MutableIndex(Dataset ds, Graph g, BuildConfig cfg)
   cfg_.degree = graph_.degree();
   published_ = graph_.num_nodes();
   tombstones_.resize(published_);
-  // Admit readers immediately: no lazy cache may be left for a concurrent
-  // first use.
-  ds_.warm_caches();
 }
 
 Dataset MutableIndex::require_empty(Dataset ds) {
@@ -75,7 +73,6 @@ std::size_t MutableIndex::stage(std::span<const float> rows) {
   // extends in place, the encoded store re-encodes — all while this writer
   // section holds the index exclusively.
   ds_.append_base(rows);
-  ds_.warm_caches();
   return rows.size() / ds_.dim();
 }
 
@@ -167,66 +164,72 @@ CompactReport MutableIndex::compact() {
 
   Dataset nds(ds_.name(), dim, ds_.metric());
   {
-    auto& base = nds.mutable_base();
+    std::vector<float> base;
     base.reserve(live_n * dim);
     for (std::size_t v = 0; v < n; ++v) {
       if (remap[v] == kInvalidNode) continue;
       const auto row = ds_.base_vector(v);
       base.insert(base.end(), row.begin(), row.end());
     }
+    nds.set_storage(ds_.storage());  // first, so the rows encode once
+    nds.set_base(std::move(base));
     nds.mutable_queries() = ds_.queries();
   }
-  nds.set_storage(ds_.storage());
-  nds.warm_caches();
 
-  // Remap rows in new-id order. A row that kept all its neighbors copies
-  // over verbatim (compacted padding at the tail); a row that lost dead
-  // edges re-selects over its live neighbors plus the dead neighbors' live
+  // Remap every live row. A row that kept all its neighbors copies over
+  // verbatim (compacted padding at the tail); a row that lost dead edges
+  // re-selects over its live neighbors plus the dead neighbors' live
   // neighbors — the 2-hop patch that keeps routes through reclaimed nodes
-  // navigable. All serial, so the compacted graph is deterministic.
+  // navigable. Each row writes only its own row of `ng` and reads only
+  // graph_, remap and base vectors, so rows run in parallel and the
+  // compacted graph is the same at any thread count.
   Graph ng(live_n, graph_.degree());
-  std::vector<NodeId> ids;
-  std::vector<float> dists;
-  LinkScratch scratch;
-  std::vector<std::pair<float, NodeId>>& candidates = scratch.candidates;
-  for (std::size_t v = 0; v < n; ++v) {
-    const NodeId nv = remap[v];
-    if (nv == kInvalidNode) continue;
-    ids.clear();
-    bool lost = false;
-    for (NodeId u : graph_.neighbors(static_cast<NodeId>(v))) {
-      if (u == kInvalidNode) continue;
-      if (remap[u] != kInvalidNode) {
-        ids.push_back(remap[u]);
+  BuildExecutor exec(cfg_.threads);
+  std::mutex patched_mu;
+  exec.parallel_for(n, [&](std::size_t lo, std::size_t hi) {
+    std::vector<NodeId> ids;
+    std::vector<float> dists;
+    LinkScratch scratch;
+    std::vector<std::pair<float, NodeId>>& candidates = scratch.candidates;
+    std::size_t patched = 0;
+    for (std::size_t v = lo; v < hi; ++v) {
+      const NodeId nv = remap[v];
+      if (nv == kInvalidNode) continue;
+      ids.clear();
+      bool lost = false;
+      for (NodeId u : graph_.neighbors(static_cast<NodeId>(v))) {
+        if (u == kInvalidNode) continue;
+        if (remap[u] != kInvalidNode) {
+          ids.push_back(remap[u]);
+          continue;
+        }
+        lost = true;
+        for (NodeId w : graph_.neighbors(u)) {
+          if (w == kInvalidNode || w == static_cast<NodeId>(v)) continue;
+          if (remap[w] != kInvalidNode) ids.push_back(remap[w]);
+        }
+      }
+      if (!lost) {
+        auto row = ng.mutable_neighbors(nv);
+        for (std::size_t i = 0; i < ids.size(); ++i) row[i] = ids[i];
         continue;
       }
-      lost = true;
-      for (NodeId w : graph_.neighbors(u)) {
-        if (w == kInvalidNode || w == static_cast<NodeId>(v)) continue;
-        if (remap[w] != kInvalidNode) ids.push_back(remap[w]);
+      ++patched;
+      if (ids.empty()) continue;
+      dists.resize(ids.size());
+      nds.distance_batch(nds.base_vector(nv), ids, dists,
+                         nds.base_query_norm(nv));
+      candidates.clear();
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        candidates.emplace_back(dists[i], ids[i]);
       }
+      select_neighbors(nds, ng, nv, candidates, scratch);
     }
-    if (!lost) {
-      auto row = ng.mutable_neighbors(nv);
-      for (std::size_t i = 0; i < ids.size(); ++i) row[i] = ids[i];
-      continue;
-    }
-    ++rep.patched;
-    if (ids.empty()) continue;
-    dists.resize(ids.size());
-    nds.distance_batch(nds.base_vector(nv), ids, dists,
-                       nds.base_query_norm(nv));
-    candidates.clear();
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      candidates.emplace_back(dists[i], ids[i]);
-    }
-    select_neighbors(nds, ng, nv, candidates, scratch);
-  }
+    std::lock_guard<std::mutex> lock(patched_mu);
+    rep.patched += patched;
+  });
 
-  if (live_n > 0) {
-    BuildExecutor exec(cfg_.threads);
-    ng.set_entry_point(approximate_medoid(nds, exec));
-  }
+  if (live_n > 0) ng.set_entry_point(approximate_medoid(nds, exec));
 
   // Reclamation is the visited table's O(1) clear: the generation bump
   // retires every tombstone; the resize then re-bases the set on the

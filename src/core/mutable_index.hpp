@@ -5,11 +5,11 @@
 // serving graph's frozen prefix. The lifecycle splits the builder's two
 // phases (graph/nsw_builder.hpp) across the reader/writer boundary:
 //
-//   stage()    writer   append rows to the dataset; extend/warm every
-//                       derived cache (norms, encoded store) and drop
-//                       ground truth while holding exclusive access — the
-//                       insert half of the epoch hand-off. The graph does
-//                       not grow yet, so the serving view stays frozen.
+//   stage()    writer   append rows to the dataset, which extends its
+//                       norm table, re-encodes its store and drops ground
+//                       truth while this writer holds exclusive access —
+//                       the insert half of the epoch hand-off. The graph
+//                       does not grow yet, so the serving view stays frozen.
 //   prepare()  READER   phase 1 (search_batch): per-row beam searches
 //                       against the frozen prefix [0, published), fanned
 //                       out on the BuildExecutor. Runs concurrently with
@@ -179,9 +179,10 @@ class MutableIndex {
   /// Writer: reclaim tombstoned rows. Live rows remap down in id order
   /// (order-preserving), rows that lost a dead neighbor re-select over
   /// their live neighbors plus the dead neighbors' live neighbors (2-hop
-  /// patch, serial in new-id order), the entry point recomputes, and the
-  /// tombstone generation bump retires every mark in O(1). Requires no
-  /// pending staged rows.
+  /// patch, on the BuildExecutor: each row writes only its own row, so the
+  /// result is the same at any thread count), the entry point recomputes,
+  /// and the tombstone generation bump retires every mark in O(1).
+  /// Requires no pending staged rows.
   CompactReport compact();
 
   /// Reader: serve the dataset's first `num_queries` queries through an

@@ -5,36 +5,73 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/half.hpp"
 #include "distance/kernels.hpp"
 
 namespace algas {
 
-void Dataset::append_base(std::span<const float> rows) {
-  if (dim_ == 0) {
-    throw std::invalid_argument("append_base: dataset has no dimensionality");
-  }
-  if (rows.size() % dim_ != 0) {
-    throw std::invalid_argument("append_base: data is not whole rows (got " +
+namespace {
+
+/// Index of the first row holding a value that float_to_half rounds to
+/// infinity, or nullopt when every value fits in binary16.
+std::optional<std::size_t> half_overflow_row(std::span<const float> rows,
+                                             std::size_t dim) {
+  const auto bad = std::find_if(rows.begin(), rows.end(), [](float v) {
+    return (float_to_half(v) & 0x7fffu) == 0x7c00u;
+  });
+  if (bad == rows.end()) return std::nullopt;
+  return static_cast<std::size_t>(bad - rows.begin()) / dim;
+}
+
+/// Throws std::invalid_argument (prefixed `who`) unless `rows` are whole,
+/// finite rows of `dim` floats that encode under `codec`.
+void check_rows(const char* who, std::span<const float> rows, std::size_t dim,
+                StorageCodec codec) {
+  const std::string at = who;
+  if (dim == 0 ? !rows.empty() : rows.size() % dim != 0) {
+    throw std::invalid_argument(at + ": data is not whole rows (got " +
                                 std::to_string(rows.size()) +
-                                " floats, dim=" + std::to_string(dim_) + ")");
+                                " floats, dim=" + std::to_string(dim) + ")");
   }
-  if (const auto bad = non_finite_row(rows, dim_)) {
-    throw std::invalid_argument("append_base: appended row " +
-                                std::to_string(*bad) +
+  if (rows.empty()) return;
+  if (const auto bad = non_finite_row(rows, dim)) {
+    throw std::invalid_argument(at + ": row " + std::to_string(*bad) +
                                 " holds a NaN or infinity");
   }
+  if (codec != StorageCodec::kF16) return;
+  if (const auto bad = half_overflow_row(rows, dim)) {
+    throw std::invalid_argument(
+        at + ": row " + std::to_string(*bad) +
+        " overflows f16 storage (|x| >= 65520 encodes as infinity)");
+  }
+}
+
+}  // namespace
+
+void Dataset::rebuild_caches(std::size_t first) {
+  const std::size_t n = num_base();
+  store_.encode(base_.data(), n, dim_, codec_);
+  if (metric_ != Metric::kCosine) return;
+  base_norms_.resize(n);
+  row_norms(encoded_rows(), first, n - first,
+            std::span<float>(base_norms_).subspan(first));
+}
+
+void Dataset::set_base(std::vector<float> rows) {
+  check_rows("set_base", rows, dim_, codec_);
+  clear_ground_truth();
+  clear_attributes();
+  base_ = std::move(rows);
+  rebuild_caches(0);
+}
+
+void Dataset::append_base(std::span<const float> rows) {
+  check_rows("append_base", rows, dim_, codec_);
   clear_ground_truth();  // exact only for the pre-append base set
   clear_attributes();    // likewise: they describe only the old rows
-  const bool had_norms = base_norms_.size() == num_base() && num_base() > 0;
+  const std::size_t old_n = num_base();
   base_.insert(base_.end(), rows.begin(), rows.end());
-  if (codec_ != StorageCodec::kF32) {
-    store_.encode(base_.data(), num_base(), dim_, codec_);
-    store_dirty_ = false;
-  }
-  // Extend (or, if never built, fully build) the norm cache while we still
-  // hold exclusive write access, instead of leaving a lazy rebuild for the
-  // first concurrent reader to trip over.
-  if (had_norms || metric_ == Metric::kCosine) base_norms();
+  rebuild_caches(old_n);
 }
 
 void Dataset::set_attributes(std::vector<std::uint32_t> categories,
@@ -50,60 +87,14 @@ void Dataset::set_attributes(std::vector<std::uint32_t> categories,
   timestamps_ = std::move(timestamps);
 }
 
-void Dataset::warm_caches() const {
-  if (metric_ == Metric::kCosine) base_norms();
-  if (codec_ != StorageCodec::kF32) vector_store();
-}
-
 void Dataset::set_storage(StorageCodec codec) {
-  if (codec == codec_ && !store_dirty_) return;
+  if (codec == codec_) return;
+  check_rows("set_storage", base_, dim_, codec);
   codec_ = codec;
-  base_norms_.clear();  // quantized norms differ from f32 norms
-  store_.encode(base_.data(), num_base(), dim_, codec_);
-  store_dirty_ = false;
-}
-
-const VectorStore& Dataset::vector_store() const {
-  if (store_dirty_ || store_.rows() != num_base()) {
-    store_.encode(base_.data(), num_base(), dim_, codec_);
-    store_dirty_ = false;
-  }
-  return store_;
-}
-
-std::span<const float> Dataset::base_norms() const {
-  const std::size_t n = num_base();
-  if (base_norms_.size() != n) {
-    // Per-row values, so extending a warm prefix after append_base() is
-    // bit-identical to rebuilding from scratch; a stale oversized cache
-    // (only possible through mutation paths that already clear it) is
-    // rebuilt wholesale.
-    if (base_norms_.size() > n) base_norms_.clear();
-    std::size_t i = base_norms_.size();
-    base_norms_.resize(n);
-    if (codec_ == StorageCodec::kF32) {
-      for (; i < n; ++i) {
-        base_norms_[i] = norm(base_vector(i));
-      }
-    } else {
-      // Norms of the decoded rows: exactly what the quantized kernels
-      // recompute when no table is supplied, so the table keeps the
-      // batched cosine bitwise-identical to table-free scoring.
-      const VectorStore& vs = vector_store();
-      std::vector<float> row(dim_);
-      for (; i < n; ++i) {
-        vs.decode_row(i, row);
-        base_norms_[i] = norm(row);
-      }
-    }
-  }
-  return base_norms_;
+  rebuild_caches(0);  // quantized norms differ from f32 norms
 }
 
 float Dataset::score(std::span<const float> q, NodeId id) const {
-  if (codec_ == StorageCodec::kF32) {
-    return distance(metric_, q, base_vector(id));
-  }
   const NodeId ids[1] = {id};
   float out[1];
   distance_batch(q, ids, out);
@@ -113,27 +104,8 @@ float Dataset::score(std::span<const float> q, NodeId id) const {
 void Dataset::distance_batch(std::span<const float> query,
                              std::span<const NodeId> ids, std::span<float> out,
                              std::optional<float> query_norm) const {
-  const auto norms = metric_ == Metric::kCosine ? base_norms()
-                                                : std::span<const float>{};
-  switch (codec_) {
-    case StorageCodec::kF32:
-      algas::distance_batch(metric_, query, base_.data(), dim_, ids, out,
-                            norms, query_norm);
-      return;
-    case StorageCodec::kF16: {
-      const VectorStore& vs = vector_store();
-      algas::distance_batch_f16(metric_, query, vs.f16_rows(), dim_, ids, out,
-                                norms, query_norm);
-      return;
-    }
-    case StorageCodec::kInt8: {
-      const VectorStore& vs = vector_store();
-      algas::distance_batch_i8(metric_, query, vs.i8_rows(),
-                               vs.i8_scales().data(), dim_, ids, out, norms,
-                               query_norm);
-      return;
-    }
-  }
+  algas::distance_batch(metric_, query, encoded_rows(), ids, out, base_norms_,
+                        query_norm);
 }
 
 std::optional<float> Dataset::query_norm(std::span<const float> query) const {
@@ -144,27 +116,8 @@ std::optional<float> Dataset::query_norm(std::span<const float> query) const {
 void Dataset::distance_batch_range(std::span<const float> query,
                                    std::size_t first, std::size_t count,
                                    std::span<float> out) const {
-  const auto norms = metric_ == Metric::kCosine ? base_norms()
-                                                : std::span<const float>{};
-  switch (codec_) {
-    case StorageCodec::kF32:
-      algas::distance_batch_range(metric_, query, base_.data(), dim_, first,
-                                  count, out, norms);
-      return;
-    case StorageCodec::kF16: {
-      const VectorStore& vs = vector_store();
-      algas::distance_batch_range_f16(metric_, query, vs.f16_rows(), dim_,
-                                      first, count, out, norms);
-      return;
-    }
-    case StorageCodec::kInt8: {
-      const VectorStore& vs = vector_store();
-      algas::distance_batch_range_i8(metric_, query, vs.i8_rows(),
-                                     vs.i8_scales().data(), dim_, first,
-                                     count, out, norms);
-      return;
-    }
-  }
+  algas::distance_batch_range(metric_, query, encoded_rows(), first, count,
+                              out, base_norms_);
 }
 
 std::string Dataset::describe() const {

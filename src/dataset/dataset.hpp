@@ -41,32 +41,21 @@ class Dataset {
     return {gt_.data() + q * gt_k_, gt_k_};
   }
 
-  std::vector<float>& mutable_base() {
-    base_norms_.clear();  // row norms are stale once the caller writes rows
-    store_dirty_ = true;  // so are the quantized rows and their scales
-    return base_;
-  }
+  /// Replace every base row. The rows must be whole (`rows.size()` a
+  /// multiple of dim) and finite, and under the f16 codec every value must
+  /// fit in binary16 (|x| < 65520); otherwise std::invalid_argument names
+  /// the first bad row and nothing changes. Ground truth and attributes
+  /// are dropped (they describe the old rows); the encoded store and, under
+  /// cosine, the norm table are rebuilt before the call returns.
+  void set_base(std::vector<float> rows);
 
-  /// Append whole, finite rows (`rows.size()` must be a multiple of dim;
-  /// a NaN or infinity throws before anything changes) — the
-  /// dataset half of the streaming insert epoch hand-off
-  /// (core::MutableIndex::stage). Unlike mutable_base(), every derived
-  /// cache is reconciled before the call returns, while the caller still
-  /// holds exclusive write access: ground truth is dropped (it was exact
-  /// only for the pre-append base set), the norm cache is extended in
-  /// place with the new rows' norms (per-row values, so extension is
-  /// bit-identical to a full rebuild), and quantized rows re-encode
-  /// immediately. Concurrent readers of the published prefix therefore
-  /// never hit the lazy first-use rebuild that base_norms() documents as
-  /// thread-unsafe.
+  /// Append rows, validated like set_base — the dataset half of the
+  /// streaming insert epoch hand-off (core::MutableIndex::stage). Ground
+  /// truth and attributes are dropped (exact only for the pre-append rows),
+  /// the store re-encodes, and the norm table is extended with the new
+  /// rows' norms (per-row values, so extension is bit-identical to a full
+  /// rebuild), all while the caller still holds exclusive write access.
   void append_base(std::span<const float> rows);
-
-  /// Build every lazily-initialized cache now (norm table under cosine,
-  /// encoded store under a quantized codec). Publish points — the builders
-  /// before forking parallel scans, the streaming index before admitting
-  /// concurrent readers — call this so first-use initialization never
-  /// races.
-  void warm_caches() const;
 
   /// Drop ground truth (stale after appends or a compaction remap).
   void clear_ground_truth() {
@@ -103,35 +92,38 @@ class Dataset {
     timestamps_.clear();
   }
 
-  /// Select the base-row storage codec. f32 (the default) keeps today's
-  /// flat float rows and the bit-identical scoring path; f16/int8 encode
-  /// the rows into the VectorStore and route every distance call through
-  /// the dequantize-in-register kernels. Changing the codec drops the norm
-  /// cache (quantized norms are norms of the DECODED rows). Note the codec
-  /// is a runtime property — ground truth should be computed/loaded before
-  /// quantizing so recall measures the quantization loss, not a quantized
-  /// ground truth.
+  /// Select the base-row storage codec. f32 (the default) scores the flat
+  /// float rows; f16/int8 encode the rows into the VectorStore, which the
+  /// kernels dequantize in-register. The norm table is rebuilt (quantized
+  /// norms are norms of the DECODED rows). Switching to f16 over a row that
+  /// overflows binary16 throws std::invalid_argument naming the row, before
+  /// anything changes. Note the codec is a runtime property — ground truth
+  /// should be computed/loaded before quantizing so recall measures the
+  /// quantization loss, not a quantized ground truth.
   void set_storage(StorageCodec codec);
   StorageCodec storage() const { return codec_; }
   /// Bytes per stored base element under the active codec (4 / 2 / 1) —
   /// what the cost model and shared-memory layout charge per dimension.
   std::size_t elem_bytes() const { return storage_elem_bytes(codec_); }
 
-  /// The encoded store for the active codec, re-encoded on demand after
-  /// mutable_base(). Like base_norms(), NOT thread-safe on first use after
-  /// a mutation; parallel scans must touch it once up front. f32 returns
-  /// the empty store (nothing encoded).
-  const VectorStore& vector_store() const;
+  /// The encoded store for the active codec; f32 returns the empty store
+  /// (nothing encoded).
+  const VectorStore& vector_store() const { return store_; }
+
+  /// The base rows as the kernels score them: the float rows under f32,
+  /// the encoded store's view otherwise. Inline: every batch call builds
+  /// one.
+  EncodedRows encoded_rows() const {
+    if (codec_ == StorageCodec::kF32) {
+      return {StorageCodec::kF32, base_.data(), nullptr, dim_};
+    }
+    return store_.view();
+  }
 
   /// Distance from `query` to base row `id` under the dataset metric and
-  /// the active storage codec. For f32 this is exactly distance(); for
-  /// quantized codecs it scores the encoded row (a batch of one).
+  /// the active storage codec: a batch of one. For f32 this is exactly
+  /// distance(); for quantized codecs it scores the encoded row.
   float score(std::span<const float> q, NodeId id) const;
-
-  /// Distance from query q to base vector i under the dataset metric.
-  float query_distance(std::size_t q, NodeId i) const {
-    return score(query(q), i);
-  }
 
   /// Score base rows `ids` against `query` in one batched kernel call —
   /// bitwise-identical to per-id score() (see distance/kernels.hpp). The
@@ -163,12 +155,10 @@ class Dataset {
                             std::size_t count, std::span<float> out) const;
 
   /// Per-row L2 norms of the rows AS SCORED under the active codec
-  /// (norm(base_vector(i)) for f32, norm of the decoded row for f16/int8),
-  /// computed on first use and dropped whenever mutable_base() is taken or
-  /// the codec changes. NOT thread-safe on first call: parallel cosine
-  /// scans must touch it once up front (the in-tree parallel call sites
-  /// do).
-  std::span<const float> base_norms() const;
+  /// (norm(base_vector(i)) for f32, norm of the decoded row for f16/int8).
+  /// Built under cosine only (empty otherwise), whenever the rows or the
+  /// codec change.
+  std::span<const float> base_norms() const { return base_norms_; }
 
   /// One-line summary ("SIFT-like  n=100000 d=128 metric=L2 q=1000").
   std::string describe() const;
@@ -187,21 +177,24 @@ class Dataset {
   std::vector<std::uint32_t> categories_;
   std::vector<std::uint32_t> timestamps_;
   StorageCodec codec_ = StorageCodec::kF32;
-  /// Lazy norm cache; empty = not built. Only read through base_norms().
-  /// Write rights rotate with the insert epoch: lazily built inside const
-  /// accessors while single-threaded, extended during the exclusive stage
-  /// section of a streaming append, immutable while readers are admitted.
-  mutable std::vector<float> base_norms_ ALGAS_GUARDED_BY_EPOCH(Dataset);
-  /// Encoded rows for the quantized codecs; rebuilt when store_dirty_.
-  /// Same epoch discipline as base_norms_.
-  mutable VectorStore store_ ALGAS_GUARDED_BY_EPOCH(Dataset);
-  mutable bool store_dirty_ ALGAS_GUARDED_BY_EPOCH(Dataset) = false;
+  /// Derived from base_ and codec_ by every call that changes either
+  /// (set_base, append_base, set_storage), never by a read. Write rights
+  /// rotate with the insert epoch: written only inside those calls, which
+  /// the streaming index runs in its exclusive writer sections, and
+  /// immutable while readers are admitted.
+  std::vector<float> base_norms_ ALGAS_GUARDED_BY_EPOCH(Dataset);
+  VectorStore store_ ALGAS_GUARDED_BY_EPOCH(Dataset);
+
+  /// Re-encode the store, then recompute the norm table from row `first`
+  /// on (cosine only); rows before `first` keep their norms.
+  void rebuild_caches(std::size_t first);
 };
 
 /// Index of the first row (of `dim` floats) in `rows` holding a NaN or an
 /// infinity, or nullopt when every value is finite. The ingress points
-/// (read_fvecs, Dataset::append_base) reject such rows, since a NaN
-/// distance compares false against everything downstream.
+/// (read_fvecs, load_dataset, Dataset::set_base/append_base) reject such
+/// rows, since a NaN distance compares false against everything
+/// downstream.
 std::optional<std::size_t> non_finite_row(std::span<const float> rows,
                                           std::size_t dim);
 

@@ -48,10 +48,6 @@ std::vector<NodeId> compute_filtered_ground_truth(
   const std::size_t q = ds.num_queries();
   k = std::min(k, ds.num_base());
   std::vector<NodeId> gt(q * k, kInvalidNode);
-  // Warm the lazily-built caches before forking: the norm table (cosine)
-  // and the encoded store (quantized codecs) are not thread-safe on first
-  // touch.
-  ds.warm_caches();
   BuildExecutor exec(threads);
   exec.parallel_for(q, [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {

@@ -199,8 +199,9 @@ Dataset load_dataset(const std::string& path) {
 
   Dataset ds(std::string(name.begin(), name.end()), dim,
              static_cast<Metric>(metric));
-  ds.mutable_base() = r.vec<float>("base");
-  check_rows(r, ds.base(), dim, "base");
+  auto base = r.vec<float>("base");
+  check_rows(r, base, dim, "base");
+  ds.set_base(std::move(base));
   ds.mutable_queries() = r.vec<float>("queries");
   check_rows(r, ds.queries(), dim, "queries");
   auto gt = r.vec<NodeId>("ground truth");
@@ -258,7 +259,7 @@ Dataset load_texmex(const std::string& name, const std::string& base_path,
       normalize({queries.data() + i, base_dim});
     }
   }
-  ds.mutable_base() = std::move(base);
+  ds.set_base(std::move(base));
   ds.mutable_queries() = std::move(queries);
 
   if (!gt_path.empty()) {

@@ -53,14 +53,13 @@ Dataset make_shard_dataset(const Dataset& ds, const ShardPartition& part,
   Dataset out(ds.name() + "/shard" + std::to_string(shard), ds.dim(),
               ds.metric());
   const std::size_t dim = ds.dim();
-  auto& base = out.mutable_base();
-  base.assign(ds.base().begin() + static_cast<std::ptrdiff_t>(r.begin * dim),
-              ds.base().begin() + static_cast<std::ptrdiff_t>(r.end * dim));
-  out.mutable_queries() = ds.queries();
-  // Codec last, mirroring the bench loaders: the slice is taken from the
-  // exact f32 rows, then quantized, so shard rows encode bit-identically to
-  // the same rows in the unsharded store.
+  // The codec first, so the rows encode once: the slice is taken from the
+  // exact f32 rows, and encoding is per row, so shard rows encode
+  // bit-identically to the same rows in the unsharded store.
   out.set_storage(ds.storage());
+  out.set_base({ds.base().begin() + static_cast<std::ptrdiff_t>(r.begin * dim),
+                ds.base().begin() + static_cast<std::ptrdiff_t>(r.end * dim)});
+  out.mutable_queries() = ds.queries();
   return out;
 }
 

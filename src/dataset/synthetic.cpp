@@ -54,8 +54,7 @@ Dataset make_synthetic(const SyntheticSpec& spec) {
   Mixture mix = make_mixture(spec, rng);
 
   Dataset ds(spec.name, spec.dim, spec.metric);
-  auto& base = ds.mutable_base();
-  base.resize(spec.num_base * spec.dim);
+  std::vector<float> base(spec.num_base * spec.dim);
   for (std::size_t i = 0; i < spec.num_base; ++i) {
     if (rng.next_double() < spec.background_fraction) {
       draw_uniform(spec.dim, rng, base.data() + i * spec.dim);
@@ -91,6 +90,7 @@ Dataset make_synthetic(const SyntheticSpec& spec) {
       normalize({queries.data() + i * spec.dim, spec.dim});
     }
   }
+  ds.set_base(std::move(base));
   // Attributes last, from their own stateless hash stream: the sequential
   // rng above must see exactly the draws it always has, or every pinned
   // vector (and with them all recall baselines) would change.

@@ -86,6 +86,13 @@ void VectorStore::encode(const float* base, std::size_t rows, std::size_t dim,
   throw std::invalid_argument("unknown storage codec");
 }
 
+EncodedRows VectorStore::view() const {
+  const void* data = nullptr;
+  if (codec_ == StorageCodec::kF16) data = f16_.data();
+  if (codec_ == StorageCodec::kInt8) data = i8_.data();
+  return {codec_, data, scales_.data(), dim_};
+}
+
 void VectorStore::decode_row(std::size_t i, std::span<float> out) const {
   switch (codec_) {
     case StorageCodec::kF32:

@@ -9,10 +9,11 @@
 //          q = round(v/scale) clamped to [-127,127], dequant v' = q*scale;
 //          1 byte/element + one float scale per row.
 //
-// Scoring NEVER materializes decoded rows: the batched kernels dequantize
-// in-register (distance/kernels.hpp), so a quantized distance is bitwise
-// equal to decoding the row and running the f32 kernel — decode_row exists
-// for tests, norms, and tooling, not for the hot path.
+// Scoring NEVER materializes decoded rows: view() hands the encoded rows
+// to the batched kernels, which dequantize in-register
+// (distance/kernels.hpp), so a quantized distance is bitwise equal to
+// decoding the row and running the f32 kernel. decode_row serves tests and
+// tooling only.
 #pragma once
 
 #include <cstddef>
@@ -21,13 +22,9 @@
 #include <string>
 #include <vector>
 
-namespace algas {
+#include "distance/kernels.hpp"
 
-enum class StorageCodec : std::uint8_t {
-  kF32 = 0,  ///< native float rows (bit-identical fast path)
-  kF16,      ///< IEEE binary16 rows
-  kInt8,     ///< int8 rows with a per-row symmetric scale
-};
+namespace algas {
 
 /// Short stable name ("f32", "f16", "int8") — used by the CLI flag, the
 /// bench knob, cache keys, traces, and the recall-gate JSON.
@@ -54,8 +51,11 @@ class VectorStore {
   std::size_t dim() const { return dim_; }
   std::size_t elem_bytes() const { return storage_elem_bytes(codec_); }
 
-  /// Encoded-row accessors (valid for the matching codec only).
-  const std::uint16_t* f16_rows() const { return f16_.data(); }
+  /// The encoded rows as the kernels read them. An f32 store holds
+  /// nothing, so its view has no data: f32 rows live with their owner.
+  EncodedRows view() const;
+
+  /// int8 codes, row-major (int8 codec; empty otherwise).
   const std::int8_t* i8_rows() const { return i8_.data(); }
   /// Per-row dequantization scales (int8 codec; empty otherwise).
   std::span<const float> i8_scales() const { return scales_; }

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cmath>
 #include <optional>
+#include <stdexcept>
 
 #include "common/half.hpp"
 
@@ -123,7 +124,7 @@ float norm_one(Row r, std::size_t dim) {
 
 /// The scalar cosine kernel recomputes norm(a) and norm(b) inside every
 /// call (cosine_similarity); batching hoists norm(a) — same function, same
-/// bits — and reads norm(b) from the caller's table when present.
+/// bits — and reads norm(b) from the caller's table.
 float cosine_from_parts(float na, float nb, float d) {
   if (na <= 0.0f || nb <= 0.0f) return 1.0f - 0.0f;
   return 1.0f - d / (na * nb);
@@ -189,95 +190,77 @@ void batch_impl(Metric m, std::span<const float> q, float query_norm,
   }
 }
 
-/// Shared wiring for the id-list entry points: builds the row/norm lambdas
-/// for a codec whose row accessor is `make_row(row_index)`.
-template <typename MakeRow>
-void batch_ids(Metric m, std::span<const float> query, std::size_t dim,
-               std::span<const NodeId> ids, std::span<float> out,
-               std::span<const float> base_norms,
-               std::optional<float> query_norm, MakeRow make_row) {
-  const auto row_of = [&](std::size_t k) {
-    return make_row(static_cast<std::size_t>(ids[k]));
-  };
-  const auto norm_of = [&](std::size_t k) {
-    return base_norms.empty() ? norm_one(row_of(k), dim)
-                              : base_norms[ids[k]];
-  };
-  const auto q = query.first(dim);
-  batch_impl(m, q, cosine_query_norm(m, q, query_norm), ids.size(), row_of,
-             norm_of, out);
+/// Calls fn(row_at), where row_at(i) is the accessor of row i under the
+/// view's codec: the one codec dispatch of every entry point below.
+template <typename Fn>
+void with_rows(const EncodedRows& rows, Fn&& fn) {
+  const std::size_t dim = rows.dim;
+  switch (rows.codec) {
+    case StorageCodec::kF32: {
+      const auto* base = static_cast<const float*>(rows.data);
+      fn([=](std::size_t i) { return F32Row{base + i * dim}; });
+      return;
+    }
+    case StorageCodec::kF16: {
+      const auto* base = static_cast<const std::uint16_t*>(rows.data);
+      fn([=](std::size_t i) { return F16Row{base + i * dim}; });
+      return;
+    }
+    case StorageCodec::kInt8: {
+      const auto* base = static_cast<const std::int8_t*>(rows.data);
+      const float* scales = rows.scales;
+      fn([=](std::size_t i) { return I8Row{base + i * dim, scales[i]}; });
+      return;
+    }
+  }
+  throw std::invalid_argument("distance kernels: unknown storage codec");
 }
 
-template <typename MakeRow>
-void batch_range(Metric m, std::span<const float> query, std::size_t dim,
-                 std::size_t first, std::size_t count, std::span<float> out,
-                 std::span<const float> base_norms, MakeRow make_row) {
-  const auto row_of = [&](std::size_t k) { return make_row(first + k); };
-  const auto norm_of = [&](std::size_t k) {
-    return base_norms.empty() ? norm_one(row_of(k), dim)
-                              : base_norms[first + k];
-  };
-  const auto q = query.first(dim);
-  batch_impl(m, q, cosine_query_norm(m, q, std::nullopt), count, row_of,
-             norm_of, out);
+/// The cosine metric reads every row norm from the caller's table. Kept
+/// out of line so the check costs the callers one compare per batch.
+[[noreturn]] void throw_missing_norms() {
+  throw std::invalid_argument(
+      "distance kernels: cosine scoring needs the row-norm table");
 }
 
 }  // namespace
 
-void distance_batch(Metric m, std::span<const float> query, const float* base,
-                    std::size_t dim, std::span<const NodeId> ids,
-                    std::span<float> out, std::span<const float> base_norms,
+void distance_batch(Metric m, std::span<const float> query,
+                    const EncodedRows& rows, std::span<const NodeId> ids,
+                    std::span<float> out, std::span<const float> norms,
                     std::optional<float> query_norm) {
-  batch_ids(m, query, dim, ids, out, base_norms, query_norm,
-            [&](std::size_t row) { return F32Row{base + row * dim}; });
+  if (ids.empty()) return;
+  if (m == Metric::kCosine && norms.empty()) throw_missing_norms();
+  const auto q = query.first(rows.dim);
+  const float qn = cosine_query_norm(m, q, query_norm);
+  with_rows(rows, [&](auto row_at) {
+    const auto row_of = [&](std::size_t k) { return row_at(ids[k]); };
+    const auto norm_of = [&](std::size_t k) { return norms[ids[k]]; };
+    batch_impl(m, q, qn, ids.size(), row_of, norm_of, out);
+  });
 }
 
 void distance_batch_range(Metric m, std::span<const float> query,
-                          const float* base, std::size_t dim,
-                          std::size_t first, std::size_t count,
-                          std::span<float> out,
-                          std::span<const float> base_norms) {
-  batch_range(m, query, dim, first, count, out, base_norms,
-              [&](std::size_t row) { return F32Row{base + row * dim}; });
+                          const EncodedRows& rows, std::size_t first,
+                          std::size_t count, std::span<float> out,
+                          std::span<const float> norms) {
+  if (count == 0) return;
+  if (m == Metric::kCosine && norms.empty()) throw_missing_norms();
+  const auto q = query.first(rows.dim);
+  const float qn = cosine_query_norm(m, q, std::nullopt);
+  with_rows(rows, [&](auto row_at) {
+    const auto row_of = [&](std::size_t k) { return row_at(first + k); };
+    const auto norm_of = [&](std::size_t k) { return norms[first + k]; };
+    batch_impl(m, q, qn, count, row_of, norm_of, out);
+  });
 }
 
-void distance_batch_f16(Metric m, std::span<const float> query,
-                        const std::uint16_t* base, std::size_t dim,
-                        std::span<const NodeId> ids, std::span<float> out,
-                        std::span<const float> base_norms,
-                        std::optional<float> query_norm) {
-  batch_ids(m, query, dim, ids, out, base_norms, query_norm,
-            [&](std::size_t row) { return F16Row{base + row * dim}; });
-}
-
-void distance_batch_range_f16(Metric m, std::span<const float> query,
-                              const std::uint16_t* base, std::size_t dim,
-                              std::size_t first, std::size_t count,
-                              std::span<float> out,
-                              std::span<const float> base_norms) {
-  batch_range(m, query, dim, first, count, out, base_norms,
-              [&](std::size_t row) { return F16Row{base + row * dim}; });
-}
-
-void distance_batch_i8(Metric m, std::span<const float> query,
-                       const std::int8_t* base, const float* row_scales,
-                       std::size_t dim, std::span<const NodeId> ids,
-                       std::span<float> out,
-                       std::span<const float> base_norms,
-                       std::optional<float> query_norm) {
-  batch_ids(m, query, dim, ids, out, base_norms, query_norm,
-            [&](std::size_t row) {
-              return I8Row{base + row * dim, row_scales[row]};
-            });
-}
-
-void distance_batch_range_i8(Metric m, std::span<const float> query,
-                             const std::int8_t* base, const float* row_scales,
-                             std::size_t dim, std::size_t first,
-                             std::size_t count, std::span<float> out,
-                             std::span<const float> base_norms) {
-  batch_range(m, query, dim, first, count, out, base_norms, [&](std::size_t row) {
-    return I8Row{base + row * dim, row_scales[row]};
+void row_norms(const EncodedRows& rows, std::size_t first, std::size_t count,
+               std::span<float> out) {
+  with_rows(rows, [&](auto row_at) {
+    for (std::size_t k = 0; k < count; ++k) {
+      out[k] = norm_one(row_at(first + k), rows.dim);
+    }
   });
 }
 

@@ -171,7 +171,6 @@ NodeId approximate_medoid(const Dataset& ds, BuildExecutor& exec,
   NodeId best = 0;
   float best_d = kInfDist;
   std::mutex merge_mu;
-  ds.warm_caches();  // before forking
   exec.parallel_for(n, [&](std::size_t begin, std::size_t end) {
     NodeId local_best = 0;
     float local_d = kInfDist;

@@ -37,7 +37,6 @@ BuildReport build_cagra(const Dataset& ds, const BuildConfig& cfg) {
   const std::size_t k = std::min(2 * cfg.degree, n - 1);
   std::vector<std::vector<std::pair<float, NodeId>>> knn(n);
   std::vector<std::size_t> scored(n, 0);
-  ds.warm_caches();  // before forking
   exec.parallel_for(n, [&](std::size_t begin, std::size_t end) {
     for (std::size_t v = begin; v < end; ++v) {
       auto found = build_beam_search(ds, scaffold, ds.base_vector(v),

@@ -172,7 +172,6 @@ BuildReport build_nsw(const Dataset& ds, const BuildConfig& cfg) {
   if (n == 0) return out;
 
   BuildExecutor exec(cfg.threads);
-  ds.warm_caches();  // not thread-safe on first touch: warm before forking
   const std::size_t batch = std::max<std::size_t>(1, cfg.insert_batch);
   for (std::size_t first = 0; first < n; first += batch) {
     InsertBatch b = search_batch(ds, out.graph, cfg, exec, first,

@@ -38,7 +38,6 @@ struct InsertBatch {
 /// [0, first) of `g`, fanned out on `exec`. The first batch has no prefix
 /// graph, so its points score each other exhaustively (the GPU's brute-
 /// force tile kernel). Only reads `g`: safe beside concurrent readers.
-/// The dataset's caches must be warm (Dataset::warm_caches).
 InsertBatch search_batch(const Dataset& ds, const Graph& g,
                          const BuildConfig& cfg, BuildExecutor& exec,
                          std::size_t first, std::size_t count);
@@ -49,9 +48,9 @@ InsertBatch search_batch(const Dataset& ds, const Graph& g,
 /// backlinks with the target rows in parallel, each row's links in
 /// insertion-id order, so the graph equals the serial fold's at any thread
 /// count (DESIGN.md, "Deterministic parallel construction"). `g` must
-/// already hold the batch's rows, and the dataset's caches must be warm.
-/// The batch's beams are consumed (select_neighbors reorders them in
-/// place). Leaves the entry point to the caller.
+/// already hold the batch's rows. The batch's beams are consumed
+/// (select_neighbors reorders them in place). Leaves the entry point to the
+/// caller.
 BuildCost link_batch(const Dataset& ds, Graph& g, const BuildConfig& cfg,
                      BuildExecutor& exec, InsertBatch& batch);
 

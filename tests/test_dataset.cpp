@@ -98,10 +98,7 @@ TEST(Synthetic, ClusteredIsNotUniform) {
 TEST(GroundTruth, ExactOnTinyData) {
   Dataset ds("tiny", 2, Metric::kL2);
   // Base points on a line: 0, 1, 2, 3, 4 along x.
-  for (float x : {0.0f, 1.0f, 2.0f, 3.0f, 4.0f}) {
-    ds.mutable_base().push_back(x);
-    ds.mutable_base().push_back(0.0f);
-  }
+  ds.set_base({0.0f, 0.0f, 1.0f, 0.0f, 2.0f, 0.0f, 3.0f, 0.0f, 4.0f, 0.0f});
   ds.mutable_queries() = {2.2f, 0.0f};
   compute_ground_truth(ds, 3);
   const auto gt = ds.ground_truth(0);
@@ -120,8 +117,8 @@ TEST(GroundTruth, AscendingByDistance) {
   for (std::size_t q = 0; q < ds.num_queries(); ++q) {
     const auto gt = ds.ground_truth(q);
     for (std::size_t i = 1; i < gt.size(); ++i) {
-      EXPECT_LE(ds.query_distance(q, gt[i - 1]),
-                ds.query_distance(q, gt[i]));
+      EXPECT_LE(ds.score(ds.query(q), gt[i - 1]),
+                ds.score(ds.query(q), gt[i]));
     }
   }
 }
@@ -423,8 +420,7 @@ TEST(DatasetAppend, ExtendsNormCacheBitIdentically) {
 TEST(DatasetAppend, ReencodesQuantizedStoreEagerly) {
   std::vector<float> tail;
   Dataset ds = two_part_ds(Metric::kL2, 50, 30, &tail);
-  ds.set_storage(StorageCodec::kInt8);
-  (void)ds.vector_store();  // encode the head
+  ds.set_storage(StorageCodec::kInt8);  // encodes the head
   ds.append_base(tail);
   // Scores over appended rows must match a dataset quantized in one shot.
   Dataset oneshot("oneshot", ds.dim(), ds.metric());
@@ -463,6 +459,39 @@ TEST(DatasetAppend, DropsStaleGroundTruthAndValidatesShape) {
     EXPECT_TRUE(ds.has_ground_truth());
     EXPECT_EQ(ds.base(), before);
   }
+}
+
+TEST(DatasetSetBase, RejectsPartialAndNonFiniteRowsUnchanged) {
+  std::vector<float> tail;
+  Dataset ds = two_part_ds(Metric::kCosine, 40, 20, &tail);
+  compute_ground_truth(ds, 4);
+  const std::vector<float> base = ds.base();
+  const std::vector<float> norms(ds.base_norms().begin(),
+                                 ds.base_norms().end());
+  std::vector<float> partial = tail;
+  partial.pop_back();
+  std::vector<float> nan_row = tail;
+  nan_row[2 * ds.dim() + 5] = std::numeric_limits<float>::quiet_NaN();
+  for (const auto& [rows, expected] :
+       {std::pair{partial, "whole rows"}, std::pair{nan_row, "row 2 "}}) {
+    try {
+      ds.set_base(rows);
+      ADD_FAILURE() << "set_base accepted bad rows";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(ds.base(), base);
+    EXPECT_TRUE(ds.has_ground_truth());
+    ASSERT_EQ(ds.base_norms().size(), norms.size());
+    for (std::size_t i = 0; i < norms.size(); ++i) {
+      EXPECT_EQ(ds.base_norms()[i], norms[i]) << "norm " << i;
+    }
+  }
+  ds.set_base(tail);  // whole finite rows replace the base
+  EXPECT_EQ(ds.num_base(), 20u);
+  EXPECT_FALSE(ds.has_ground_truth());
+  EXPECT_EQ(ds.base_norms().size(), 20u);
 }
 
 }  // namespace

@@ -430,7 +430,9 @@ TEST(GraphGolden, OfflineBuildsAtEveryThreadCount) {
   };
   for (const Case& c : cases) {
     Dataset ds = algas::testing::tiny_world(c.metric).ds;
-    ds.mutable_base().resize(c.rows * ds.dim());
+    ds.set_base({ds.base().begin(),
+                 ds.base().begin() +
+                     static_cast<std::ptrdiff_t>(c.rows * ds.dim())});
     ds.set_storage(c.codec);
     for (const std::size_t threads : kBuildThreads) {
       const BuildReport rep = build_graph(

@@ -236,7 +236,7 @@ INSTANTIATE_TEST_SUITE_P(Kinds, BuilderTest,
 
 TEST(Builders, SingleNodeGraph) {
   Dataset ds("one", 4, Metric::kL2);
-  ds.mutable_base() = {0.0f, 0.0f, 0.0f, 0.0f};
+  ds.set_base({0.0f, 0.0f, 0.0f, 0.0f});
   BuildConfig cfg;
   cfg.degree = 4;
   for (GraphKind kind : {GraphKind::kNsw, GraphKind::kCagra}) {
@@ -249,8 +249,8 @@ TEST(Builders, SingleNodeGraph) {
 TEST(Builders, FewerPointsThanDegree) {
   // n < degree: every node can link every other node, nothing out of range.
   Dataset ds("few", 4, Metric::kL2);
-  ds.mutable_base() = {0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 2, 2, 2, 2,
-                       0, 0, 0, 1, 1, 1, 0, 0};
+  ds.set_base({0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 2, 2, 2, 2,
+               0, 0, 0, 1, 1, 1, 0, 0});
   BuildConfig cfg;
   cfg.degree = 16;
   for (GraphKind kind : {GraphKind::kNsw, GraphKind::kCagra}) {
@@ -380,7 +380,7 @@ TEST(BatchedConstruction, SmallerBatchesCostMoreLaunches) {
 
 TEST(BatchedConstruction, SingleNodeDataset) {
   Dataset ds("one", 4, Metric::kL2);
-  ds.mutable_base() = {0.0f, 0.0f, 0.0f, 0.0f};
+  ds.set_base({0.0f, 0.0f, 0.0f, 0.0f});
   const BuildReport result = build_graph(GraphKind::kNsw, ds, BuildConfig{});
   EXPECT_EQ(result.graph.num_nodes(), 1u);
 }

@@ -8,6 +8,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "common/node_set.hpp"
@@ -33,6 +34,21 @@ std::vector<float> make_base(std::size_t n, std::size_t dim,
   return base;
 }
 
+/// f32 view of a row-major matrix.
+EncodedRows f32_rows(const std::vector<float>& base, std::size_t dim) {
+  return {StorageCodec::kF32, base.data(), nullptr, dim};
+}
+
+/// The cosine norm table of `base`: norm() of each row.
+std::vector<float> norm_table(const std::vector<float>& base,
+                              std::size_t dim) {
+  std::vector<float> norms(base.size() / dim);
+  for (std::size_t i = 0; i < norms.size(); ++i) {
+    norms[i] = norm({base.data() + i * dim, dim});
+  }
+  return norms;
+}
+
 std::vector<float> make_query(std::size_t dim, std::uint64_t seed) {
   Rng rng(seed);
   std::vector<float> q(dim);
@@ -56,6 +72,7 @@ TEST(DistanceBatch, BitwiseMatchesScalarAcrossDimsMetricsAndBatches) {
   constexpr std::size_t kRows = 129;
   for (std::size_t dim : kDims) {
     const auto base = make_base(kRows, dim, /*seed=*/dim);
+    const auto norms = norm_table(base, dim);
     const auto query = make_query(dim, /*seed=*/dim * 7919 + 1);
     for (Metric m : kMetrics) {
       for (std::size_t count : kBatchSizes) {
@@ -71,11 +88,11 @@ TEST(DistanceBatch, BitwiseMatchesScalarAcrossDimsMetricsAndBatches) {
           ids[1] = ids[count - 1];  // explicit duplicate
         }
         std::vector<float> out(count, -1.0f);
-        distance_batch(m, query, base.data(), dim, ids, out);
+        distance_batch(m, query, f32_rows(base, dim), ids, out, norms);
         // The caller-computed query norm path (one norm per query, many
         // batches) must score the same bits.
         std::vector<float> passed(count, -1.0f);
-        distance_batch(m, query, base.data(), dim, ids, passed, {},
+        distance_batch(m, query, f32_rows(base, dim), ids, passed, norms,
                        norm(query));
         for (std::size_t k = 0; k < count; ++k) {
           const std::span<const float> row{base.data() + ids[k] * dim, dim};
@@ -95,6 +112,7 @@ TEST(DistanceBatch, RangeVariantBitwiseMatchesScalar) {
   constexpr std::size_t kRows = 129;
   for (std::size_t dim : {1u, 3u, 32u, 129u}) {
     const auto base = make_base(kRows, dim, /*seed=*/dim + 17);
+    const auto norms = norm_table(base, dim);
     const auto query = make_query(dim, /*seed=*/dim + 18);
     for (Metric m : kMetrics) {
       // Ranges covering start, interior, tail, and the whole matrix.
@@ -104,7 +122,8 @@ TEST(DistanceBatch, RangeVariantBitwiseMatchesScalar) {
         for (std::size_t count : counts) {
           if (first + count > kRows) continue;
           std::vector<float> out(count, -1.0f);
-          distance_batch_range(m, query, base.data(), dim, first, count, out);
+          distance_batch_range(m, query, f32_rows(base, dim), first, count,
+                               out, norms);
           for (std::size_t k = 0; k < count; ++k) {
             const std::span<const float> row{base.data() + (first + k) * dim,
                                              dim};
@@ -121,46 +140,59 @@ TEST(DistanceBatch, RangeVariantBitwiseMatchesScalar) {
 TEST(DistanceBatch, EmptySpansAreNoOps) {
   const auto base = make_base(4, 8, 3);
   const auto query = make_query(8, 4);
-  distance_batch(Metric::kL2, query, base.data(), 8, {}, {});
-  distance_batch_range(Metric::kCosine, query, base.data(), 8, 2, 0, {});
+  const auto rows = f32_rows(base, 8);
+  distance_batch(Metric::kL2, query, rows, {}, {});
+  distance_batch_range(Metric::kCosine, query, rows, 2, 0, {});
   // out larger than ids: only the first ids.size() entries are written.
   std::vector<float> out(3, -7.0f);
   std::vector<NodeId> one_id{2};
-  distance_batch(Metric::kL2, query, base.data(), 8, one_id, out);
+  distance_batch(Metric::kL2, query, rows, one_id, out);
   EXPECT_EQ(out[1], -7.0f);
   EXPECT_EQ(out[2], -7.0f);
 }
 
-TEST(DistanceBatch, NormTableMatchesRecomputedCosine) {
-  constexpr std::size_t kRows = 37;
-  constexpr std::size_t kDim = 33;
-  const auto base = make_base(kRows, kDim, 5);
-  const auto query = make_query(kDim, 6);
-  std::vector<float> norms(kRows);
-  for (std::size_t i = 0; i < kRows; ++i) {
-    norms[i] = norm({base.data() + i * kDim, kDim});
+TEST(DistanceBatch, RowNormsBitwiseMatchNorm) {
+  for (std::size_t dim : kDims) {
+    const auto base = make_base(9, dim, dim + 5);  // row 0 is all-zero
+    std::vector<float> got(7, -1.0f);
+    row_norms(f32_rows(base, dim), 2, 7, got);
+    for (std::size_t k = 0; k < 7; ++k) {
+      EXPECT_EQ(bits(got[k]), bits(norm({base.data() + (2 + k) * dim, dim})))
+          << "dim=" << dim << " row " << 2 + k;
+    }
+    row_norms(f32_rows(base, dim), 0, 1, got);
+    EXPECT_EQ(bits(got[0]), bits(0.0f)) << "dim=" << dim;
   }
-  std::vector<NodeId> ids(kRows);
-  for (std::size_t i = 0; i < kRows; ++i) ids[i] = static_cast<NodeId>(i);
-  std::vector<float> with_table(kRows), without(kRows);
-  distance_batch(Metric::kCosine, query, base.data(), kDim, ids, with_table,
-                 norms);
-  distance_batch(Metric::kCosine, query, base.data(), kDim, ids, without);
-  for (std::size_t i = 0; i < kRows; ++i) {
-    EXPECT_EQ(bits(with_table[i]), bits(without[i])) << "row " << i;
-  }
+}
+
+TEST(DistanceBatch, CosineWithoutNormTableThrows) {
+  const auto base = make_base(6, 8, 5);
+  const auto query = make_query(8, 6);
+  const auto rows = f32_rows(base, 8);
+  std::vector<NodeId> ids{1, 4};
+  std::vector<float> out(ids.size());
+  EXPECT_THROW(distance_batch(Metric::kCosine, query, rows, ids, out),
+               std::invalid_argument);
+  EXPECT_THROW(distance_batch_range(Metric::kCosine, query, rows, 1, 2, out),
+               std::invalid_argument);
+  // The other metrics read no norms.
+  distance_batch(Metric::kL2, query, rows, ids, out);
+  distance_batch_range(Metric::kInnerProduct, query, rows, 1, 2, out);
 }
 
 TEST(DatasetBatch, MemberBatchBitwiseMatchesQueryDistance) {
   for (Metric m : kMetrics) {
     Dataset ds("t", 17, m);
-    ds.mutable_base() = make_base(50, 17, 11);
+    ds.set_base(make_base(50, 17, 11));
     ds.mutable_queries() = make_query(17, 12);
     std::vector<NodeId> ids{0, 3, 3, 49, 7, 0};
     std::vector<float> out(ids.size());
     ds.distance_batch(ds.query(0), ids, out);
     for (std::size_t k = 0; k < ids.size(); ++k) {
-      EXPECT_EQ(bits(out[k]), bits(ds.query_distance(0, ids[k])))
+      EXPECT_EQ(bits(out[k]), bits(ds.score(ds.query(0), ids[k])))
+          << metric_name(m) << " k=" << k;
+      EXPECT_EQ(bits(out[k]),
+                bits(distance(m, ds.query(0), ds.base_vector(ids[k]))))
           << metric_name(m) << " k=" << k;
     }
   }
@@ -171,7 +203,7 @@ TEST(DatasetBatch, PassedQueryNormBitwiseMatchesEveryCodec) {
     for (StorageCodec codec : {StorageCodec::kF32, StorageCodec::kF16,
                                StorageCodec::kInt8}) {
       Dataset ds("t", 33, m);
-      ds.mutable_base() = make_base(40, 33, 21);
+      ds.set_base(make_base(40, 33, 21));
       ds.mutable_queries() = make_query(33, 22);
       ds.set_storage(codec);
       const auto q = ds.query(0);
@@ -189,12 +221,13 @@ TEST(DatasetBatch, PassedQueryNormBitwiseMatchesEveryCodec) {
   }
 }
 
-TEST(DatasetBatch, NormCacheInvalidatesOnMutableBase) {
+TEST(DatasetBatch, SetBaseRebuildsNormCache) {
   Dataset ds("t", 4, Metric::kCosine);
-  ds.mutable_base() = {1.0f, 0.0f, 0.0f, 0.0f, 0.0f, 2.0f, 0.0f, 0.0f};
+  ds.set_base({1.0f, 0.0f, 0.0f, 0.0f, 0.0f, 2.0f, 0.0f, 0.0f});
   EXPECT_EQ(bits(ds.base_norms()[1]), bits(2.0f));
-  ds.mutable_base()[4] = 3.0f;  // row 1 becomes (3, 2, 0, 0)
-  const auto norms = ds.base_norms();  // must have been recomputed
+  ds.set_base({1.0f, 0.0f, 0.0f, 0.0f, 3.0f, 2.0f, 0.0f, 0.0f});
+  const auto norms = ds.base_norms();  // rebuilt by set_base
+  ASSERT_EQ(norms.size(), 2u);
   EXPECT_EQ(bits(norms[1]), bits(norm(ds.base_vector(1))));
   std::vector<NodeId> ids{1};
   std::vector<float> out(1);

@@ -1,7 +1,8 @@
 // Recall-gate semantics on a tiny deterministic dataset: pinned recall@10
 // per storage codec under the Fig 10/11 engine configuration, plus the
-// ordering the CI gate (scripts/check_recall.py) relies on — quantization
-// only ever loses recall, and the loss is bounded and reproducible.
+// ordering the CI gate (scripts/check_bench.py over
+// bench/recall_baseline.json) relies on — quantization only ever loses
+// recall, and the loss is bounded and reproducible.
 //
 // The pins are exact to double precision (EXPECT_DOUBLE_EQ): the sim is
 // deterministic, so the measured recall is a pure function of the dataset

@@ -9,13 +9,15 @@
 //   * accuracy — quantized vs the ORIGINAL floats is lossy by design, so
 //     round-trip tests assert analytic error bounds (half-ulp for f16,
 //     scale/2 for int8). Recall impact is gated separately by
-//     tools/recall_gate + scripts/check_recall.py.
+//     tools/recall_gate, which scripts/check_bench.py checks against
+//     bench/recall_baseline.json.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/half.hpp"
@@ -222,6 +224,16 @@ std::vector<float> decoded_matrix(const VectorStore& vs) {
   return out;
 }
 
+/// The cosine norm table of a decoded matrix: norm() of each row.
+std::vector<float> decoded_norms(const std::vector<float>& decoded,
+                                 std::size_t dim) {
+  std::vector<float> norms(decoded.size() / dim);
+  for (std::size_t r = 0; r < norms.size(); ++r) {
+    norms[r] = norm({decoded.data() + r * dim, dim});
+  }
+  return norms;
+}
+
 TEST(QuantizedKernels, BatchBitwiseEqualsF32OnDecodedRows) {
   constexpr std::size_t kRows = 67;
   for (std::size_t dim : {1u, 3u, 16u, 33u, 128u, 257u}) {
@@ -240,15 +252,13 @@ TEST(QuantizedKernels, BatchBitwiseEqualsF32OnDecodedRows) {
       VectorStore vs;
       vs.encode(base.data(), kRows, dim, codec);
       const auto decoded = decoded_matrix(vs);
+      const EncodedRows plain{StorageCodec::kF32, decoded.data(), nullptr,
+                              dim};
+      const auto norms = decoded_norms(decoded, dim);
       for (Metric m : kMetrics) {
         std::vector<float> got(ids.size()), want(ids.size());
-        distance_batch(m, query, decoded.data(), dim, ids, want);
-        if (codec == StorageCodec::kF16) {
-          distance_batch_f16(m, query, vs.f16_rows(), dim, ids, got);
-        } else {
-          distance_batch_i8(m, query, vs.i8_rows(), vs.i8_scales().data(),
-                            dim, ids, got);
-        }
+        distance_batch(m, query, plain, ids, want, norms);
+        distance_batch(m, query, vs.view(), ids, got, norms);
         for (std::size_t k = 0; k < ids.size(); ++k) {
           EXPECT_EQ(bits(got[k]), bits(want[k]))
               << storage_codec_name(codec) << " " << metric_name(m)
@@ -277,10 +287,16 @@ TEST(QuantizedKernels, RangeVariantAndNormTableBitwiseParity) {
     VectorStore vs;
     vs.encode(base.data(), kRows, kDim, codec);
     const auto decoded = decoded_matrix(vs);
-    // Cosine norm table = norms of the DECODED rows.
-    std::vector<float> norms(kRows);
+    const EncodedRows plain{StorageCodec::kF32, decoded.data(), nullptr,
+                            kDim};
+    // Cosine norm table = norms of the DECODED rows, which row_norms
+    // computes from the encoded rows bit for bit.
+    const auto norms = decoded_norms(decoded, kDim);
+    std::vector<float> encoded_norms(kRows);
+    row_norms(vs.view(), 0, kRows, encoded_norms);
     for (std::size_t r = 0; r < kRows; ++r) {
-      norms[r] = norm({decoded.data() + r * kDim, kDim});
+      EXPECT_EQ(bits(encoded_norms[r]), bits(norms[r]))
+          << storage_codec_name(codec) << " row " << r;
     }
     for (Metric m : kMetrics) {
       const std::size_t starts[] = {0, 1, 5, kRows - 1};
@@ -289,38 +305,12 @@ TEST(QuantizedKernels, RangeVariantAndNormTableBitwiseParity) {
         for (std::size_t count : counts) {
           if (first + count > kRows) continue;
           std::vector<float> got(count), want(count);
-          distance_batch_range(m, query, decoded.data(), kDim, first, count,
-                               want, norms);
-          if (codec == StorageCodec::kF16) {
-            distance_batch_range_f16(m, query, vs.f16_rows(), kDim, first,
-                                     count, got, norms);
-          } else {
-            distance_batch_range_i8(m, query, vs.i8_rows(),
-                                    vs.i8_scales().data(), kDim, first,
-                                    count, got, norms);
-          }
+          distance_batch_range(m, query, plain, first, count, want, norms);
+          distance_batch_range(m, query, vs.view(), first, count, got, norms);
           for (std::size_t k = 0; k < count; ++k) {
             EXPECT_EQ(bits(got[k]), bits(want[k]))
                 << storage_codec_name(codec) << " " << metric_name(m)
                 << " first=" << first << " count=" << count << " k=" << k;
-          }
-          // With-table must equal without-table (table entries are the
-          // decoded norms the kernel would recompute).
-          if (m == Metric::kCosine && count > 0) {
-            std::vector<float> no_table(count);
-            if (codec == StorageCodec::kF16) {
-              distance_batch_range_f16(m, query, vs.f16_rows(), kDim, first,
-                                       count, no_table);
-            } else {
-              distance_batch_range_i8(m, query, vs.i8_rows(),
-                                      vs.i8_scales().data(), kDim, first,
-                                      count, no_table);
-            }
-            for (std::size_t k = 0; k < count; ++k) {
-              EXPECT_EQ(bits(got[k]), bits(no_table[k]))
-                  << storage_codec_name(codec) << " first=" << first
-                  << " k=" << k;
-            }
           }
         }
       }
@@ -332,7 +322,7 @@ TEST(QuantizedKernels, RangeVariantAndNormTableBitwiseParity) {
 
 Dataset quantizable_dataset(Metric m) {
   Dataset ds("vs-test", 17, m);
-  ds.mutable_base() = make_rows(60, 17, 5);
+  ds.set_base(make_rows(60, 17, 5));
   Rng qr(6);
   std::vector<float> queries(3 * 17);
   for (auto& v : queries) v = qr.next_gaussian();
@@ -353,7 +343,8 @@ TEST(DatasetStorage, F32CodecIsTheIdentityPath) {
     plain.distance_batch(plain.query(0), ids, want);
     for (std::size_t k = 0; k < ids.size(); ++k) {
       EXPECT_EQ(bits(got[k]), bits(want[k])) << metric_name(m) << " k=" << k;
-      EXPECT_EQ(bits(got[k]), bits(plain.query_distance(0, ids[k])));
+      EXPECT_EQ(bits(got[k]),
+                bits(distance(m, plain.query(0), plain.base_vector(ids[k]))));
     }
   }
 }
@@ -395,17 +386,18 @@ TEST(DatasetStorage, BaseNormsAreDecodedRowNorms) {
   }
 }
 
-TEST(DatasetStorage, MutableBaseInvalidatesScalesAndNorms) {
+TEST(DatasetStorage, SetBaseRebuildsScalesAndNorms) {
   Dataset ds = quantizable_dataset(Metric::kCosine);
   ds.set_storage(StorageCodec::kInt8);
   const float scale_before = ds.vector_store().i8_scales()[1];
   const float norm_before = ds.base_norms()[1];
 
-  // Blow up row 1: every cached artifact derived from it is now stale.
-  auto& base = ds.mutable_base();
+  // Blow up row 1: every cached artifact derived from it must follow.
+  std::vector<float> base = ds.base();
   for (std::size_t d = 0; d < ds.dim(); ++d) {
     base[1 * ds.dim() + d] *= 64.0f;
   }
+  ds.set_base(std::move(base));
 
   const float scale_after = ds.vector_store().i8_scales()[1];
   EXPECT_EQ(bits(scale_after), bits(scale_before * 64.0f));
@@ -419,7 +411,55 @@ TEST(DatasetStorage, MutableBaseInvalidatesScalesAndNorms) {
   std::vector<NodeId> ids{1};
   std::vector<float> out(1);
   ds.distance_batch(ds.query(0), ids, out);
-  EXPECT_EQ(bits(out[0]), bits(ds.score(ds.query(0), 1)));
+  EXPECT_EQ(bits(out[0]), bits(distance(Metric::kCosine, ds.query(0), row)));
+}
+
+TEST(DatasetStorage, F16OverflowRejectedAtEveryIngress) {
+  // 65504 is the largest binary16; from 65520 up, float_to_half rounds to
+  // infinity, which would score as +inf (L2) or NaN (cosine, IP).
+  EXPECT_EQ(half_to_float(float_to_half(65504.0f)), 65504.0f);
+  for (Metric m : kMetrics) {
+    Dataset ds = quantizable_dataset(m);
+    std::vector<float> fits = ds.base();
+    fits[5 * ds.dim() + 3] = 65504.0f;
+    ds.set_base(fits);
+    ds.set_storage(StorageCodec::kF16);  // 65504.0f encodes
+
+    std::vector<float> big = fits;
+    big[7 * ds.dim() + 2] = 70000.0f;
+    const std::vector<float> row(big.begin() + 7 * ds.dim(),
+                                 big.begin() + 8 * ds.dim());
+    const std::vector<NodeId> ids{0, 5, 59};
+    std::vector<float> before(ids.size()), after(ids.size());
+    ds.distance_batch(ds.query(0), ids, before);
+    try {
+      ds.set_base(big);
+      ADD_FAILURE() << "set_base accepted an f16 overflow";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("row 7 "), std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(ds.append_base(row), std::invalid_argument);
+    EXPECT_EQ(ds.storage(), StorageCodec::kF16);
+    EXPECT_EQ(ds.base(), fits);
+    ds.distance_batch(ds.query(0), ids, after);
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      EXPECT_EQ(bits(after[k]), bits(before[k])) << metric_name(m);
+    }
+
+    // Switching an f32 dataset holding the row to f16 throws too.
+    Dataset wide = quantizable_dataset(m);
+    wide.set_base(big);
+    std::vector<float> wide_before(ids.size()), wide_after(ids.size());
+    wide.distance_batch(wide.query(0), ids, wide_before);
+    EXPECT_THROW(wide.set_storage(StorageCodec::kF16), std::invalid_argument);
+    EXPECT_EQ(wide.storage(), StorageCodec::kF32);
+    EXPECT_EQ(wide.base(), big);
+    wide.distance_batch(wide.query(0), ids, wide_after);
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      EXPECT_EQ(bits(wide_after[k]), bits(wide_before[k])) << metric_name(m);
+    }
+  }
 }
 
 TEST(DatasetStorage, DescribeMentionsOnlyQuantizedCodecs) {
