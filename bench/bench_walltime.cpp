@@ -21,9 +21,10 @@
 //             (batch 16, TopK 16, L 128, 4 CTAs, beam extend) — end-to-end
 //             queries/s and DES events/s.
 //   construction  deterministic batched NSW build on a capped corpus —
-//             insertions/s at threads=1 (gated) plus the parallel speedup
-//             at the default thread count (informational; CI machines have
-//             unpredictable core counts).
+//             insertions/s at threads=1 (gated; the median of kBuilds
+//             builds) plus the parallel speedup at the default thread
+//             count (informational; CI machines have unpredictable core
+//             counts).
 //
 // Prints a TSV block (like every bench) and writes a JSON summary to
 // ALGAS_BENCH_OUT (default "BENCH_walltime.json"), which
@@ -58,6 +59,8 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 constexpr double kMinTrialSeconds = 0.2;
 constexpr std::size_t kTrials = 5;
+/// Serial construction builds; the section reports the median wall.
+constexpr std::size_t kBuilds = 3;
 
 /// One trial: `passes` whole passes doing `work` units in `wall_s`.
 struct Trial {
@@ -249,8 +252,8 @@ int main() {
   }
 
   // --- graph construction: deterministic batched NSW build --------------
-  // The serial (threads=1) run is the gated number — insertions/s on one
-  // core is machine-comparable. The default-thread run only feeds the
+  // The serial (threads=1) median is the gated number — insertions/s on
+  // one core is machine-comparable. The default-thread run only feeds the
   // informational speedup (CI core counts vary); byte-identity of the two
   // graphs is pinned by tests, not here.
   double construction_ips = 0.0;
@@ -261,9 +264,15 @@ int main() {
         load_bench_dataset_sized(ds_name, 10000, 10, 32, /*use_cache=*/true);
     BuildConfig cfg = bench::bench_build_config();
     cfg.threads = 1;
-    const BuildReport serial = build_graph(GraphKind::kNsw, build_ds, cfg);
+    BuildReport serial;
+    std::array<double, kBuilds> walls;
+    for (double& wall : walls) {
+      serial = build_graph(GraphKind::kNsw, build_ds, cfg);
+      wall = serial.wall_build_s;
+    }
+    std::sort(walls.begin(), walls.end());
     Section s{"construction"};
-    s.wall_s = serial.wall_build_s;
+    s.wall_s = walls[kBuilds / 2];
     s.evals_per_s = static_cast<double>(serial.scored_points) / s.wall_s;
     construction_ips = static_cast<double>(build_ds.num_base()) / s.wall_s;
     sections.push_back(s);
@@ -271,7 +280,7 @@ int main() {
     cfg.threads = 0;  // default: ALGAS_BUILD_THREADS, then hardware
     const BuildReport parallel = build_graph(GraphKind::kNsw, build_ds, cfg);
     construction_parallel_wall_s = parallel.wall_build_s;
-    construction_speedup = serial.wall_build_s / parallel.wall_build_s;
+    construction_speedup = s.wall_s / parallel.wall_build_s;
   }
 
   metrics::TsvTable table({"section", "wall_s", "distance_evals_per_s",

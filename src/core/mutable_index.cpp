@@ -70,7 +70,7 @@ MutableIndex::MutableIndex(Dataset ds, BuildConfig cfg)
 std::size_t MutableIndex::stage(std::span<const float> rows) {
   WriteSection sec(checker_, "stage");
   // append_base is the epoch hand-off: ground truth drops, the norm table
-  // extends in place, the encoded store re-encodes — all while this writer
+  // and the encoded store extend with the new rows — all while this writer
   // section holds the index exclusively.
   ds_.append_base(rows);
   return rows.size() / ds_.dim();
@@ -190,7 +190,7 @@ CompactReport MutableIndex::compact() {
     std::vector<NodeId> ids;
     std::vector<float> dists;
     LinkScratch scratch;
-    std::vector<std::pair<float, NodeId>>& candidates = scratch.candidates;
+    std::vector<Candidate>& candidates = scratch.candidates;
     std::size_t patched = 0;
     for (std::size_t v = lo; v < hi; ++v) {
       const NodeId nv = remap[v];
@@ -221,7 +221,7 @@ CompactReport MutableIndex::compact() {
                          nds.base_query_norm(nv));
       candidates.clear();
       for (std::size_t i = 0; i < ids.size(); ++i) {
-        candidates.emplace_back(dists[i], ids[i]);
+        candidates.push_back({dists[i], ids[i], Hint::kUnknown});
       }
       select_neighbors(nds, ng, nv, candidates, scratch);
     }

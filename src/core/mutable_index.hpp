@@ -6,7 +6,7 @@
 // phases (graph/nsw_builder.hpp) across the reader/writer boundary:
 //
 //   stage()    writer   append rows to the dataset, which extends its
-//                       norm table, re-encodes its store and drops ground
+//                       norm table and encoded store and drops ground
 //                       truth while this writer holds exclusive access —
 //                       the insert half of the epoch hand-off. The graph
 //                       does not grow yet, so the serving view stays frozen.

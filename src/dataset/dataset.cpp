@@ -50,7 +50,7 @@ void check_rows(const char* who, std::span<const float> rows, std::size_t dim,
 
 void Dataset::rebuild_caches(std::size_t first) {
   const std::size_t n = num_base();
-  store_.encode(base_.data(), n, dim_, codec_);
+  store_.encode(base_.data(), n, dim_, codec_, first);
   if (metric_ != Metric::kCosine) return;
   base_norms_.resize(n);
   row_norms(encoded_rows(), first, n - first,

@@ -52,9 +52,10 @@ class Dataset {
   /// Append rows, validated like set_base — the dataset half of the
   /// streaming insert epoch hand-off (core::MutableIndex::stage). Ground
   /// truth and attributes are dropped (exact only for the pre-append rows),
-  /// the store re-encodes, and the norm table is extended with the new
-  /// rows' norms (per-row values, so extension is bit-identical to a full
-  /// rebuild), all while the caller still holds exclusive write access.
+  /// and the encoded store and the norm table are extended with the new
+  /// rows' codes and norms (per-row values, so extension is bit-identical
+  /// to a full rebuild), all while the caller still holds exclusive write
+  /// access.
   void append_base(std::span<const float> rows);
 
   /// Drop ground truth (stale after appends or a compaction remap).
@@ -185,8 +186,8 @@ class Dataset {
   std::vector<float> base_norms_ ALGAS_GUARDED_BY_EPOCH(Dataset);
   VectorStore store_ ALGAS_GUARDED_BY_EPOCH(Dataset);
 
-  /// Re-encode the store, then recompute the norm table from row `first`
-  /// on (cosine only); rows before `first` keep their norms.
+  /// Encode the store and recompute the norm table (cosine only) from row
+  /// `first` on; rows before `first` keep their codes, scales and norms.
   void rebuild_caches(std::size_t first);
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "common/half.hpp"
 
@@ -35,31 +36,41 @@ std::size_t storage_elem_bytes(StorageCodec c) {
 }
 
 void VectorStore::encode(const float* base, std::size_t rows, std::size_t dim,
-                         StorageCodec codec) {
+                         StorageCodec codec, std::size_t first) {
+  if (first > 0 &&
+      (codec != codec_ || dim != dim_ || first > rows_ || first > rows)) {
+    throw std::invalid_argument(
+        "VectorStore::encode: row " + std::to_string(first) +
+        " is not a continuation of the " + std::to_string(rows_) +
+        " rows encoded under " + storage_codec_name(codec_));
+  }
   codec_ = codec;
   rows_ = rows;
   dim_ = dim;
-  f16_.clear();
-  i8_.clear();
-  scales_.clear();
   switch (codec) {
     case StorageCodec::kF32:
       // Nothing stored: scoring reads the caller's float rows directly.
+      f16_.clear();
+      i8_.clear();
+      scales_.clear();
       f16_.shrink_to_fit();
       i8_.shrink_to_fit();
       scales_.shrink_to_fit();
       return;
     case StorageCodec::kF16: {
+      i8_.clear();
+      scales_.clear();
       f16_.resize(rows * dim);
-      for (std::size_t k = 0; k < rows * dim; ++k) {
+      for (std::size_t k = first * dim; k < rows * dim; ++k) {
         f16_[k] = float_to_half(base[k]);
       }
       return;
     }
     case StorageCodec::kInt8: {
+      f16_.clear();
       i8_.resize(rows * dim);
       scales_.resize(rows);
-      for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t r = first; r < rows; ++r) {
         const float* row = base + r * dim;
         float max_abs = 0.0f;
         for (std::size_t d = 0; d < dim; ++d) {

@@ -41,10 +41,15 @@ class VectorStore {
  public:
   VectorStore() = default;
 
-  /// Re-encode `rows` rows of `dim` floats from `base` under `codec`.
-  /// f32 releases all storage (the caller keeps scoring its float array).
+  /// Encode rows [first, rows) of the `rows` rows of `dim` floats at
+  /// `base` under `codec`, keeping the codes and scales of the rows before
+  /// `first`. Encoding is per row, so the store is bitwise what encoding
+  /// every row gives. A nonzero `first` must not pass the rows already
+  /// encoded under the same codec and dim (std::invalid_argument
+  /// otherwise). f32 releases all storage (the caller keeps scoring its
+  /// float array).
   void encode(const float* base, std::size_t rows, std::size_t dim,
-              StorageCodec codec);
+              StorageCodec codec, std::size_t first = 0);
 
   StorageCodec codec() const { return codec_; }
   std::size_t rows() const { return rows_; }

@@ -60,12 +60,19 @@ struct BuildConfig {
 struct BuildCost {
   std::size_t batches = 0;
   std::size_t scored_points = 0;   ///< beam-search distance evals, total
+  /// Pair distances the host's link phase scored: the batch rows'
+  /// selections and backlink distances, and every link's row re-scoring
+  /// and re-selection. Host work, not modeled time: the cost model charges
+  /// linking inside each insertion's modeled cost, so link_evals feeds no
+  /// virtual value and not speedup(). The same at any thread count.
+  std::size_t link_evals = 0;
   double virtual_build_ns = 0.0;   ///< wave-scheduled batched construction
   double serial_build_ns = 0.0;    ///< same work on one CTA (the baseline)
 
   BuildCost& operator+=(const BuildCost& o) {
     batches += o.batches;
     scored_points += o.scored_points;
+    link_evals += o.link_evals;
     virtual_build_ns += o.virtual_build_ns;
     serial_build_ns += o.serial_build_ns;
     return *this;

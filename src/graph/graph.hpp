@@ -8,10 +8,21 @@
 // The graph is growable: streaming insertion (core::MutableIndex) appends
 // all-padding rows with grow() and fills them during the link phase.
 // Node ids are stable across growth; only compaction remaps them.
+//
+// Beside each row the graph keeps one derived byte, the row's diverse
+// prefix (graph/neighbor_selection.hpp): how many leading members the
+// diversity test kept when select_neighbors last wrote the row. Only
+// select_neighbors records it; every other writer resets it to unknown —
+// mutable_neighbors(), grow() (new rows), construction and load() — so
+// code that edits rows need not know it exists. It is never saved: .agr
+// files and snapshots hold adjacency only, and a loaded row pays one
+// hint-free re-selection before it has a prefix again.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <iosfwd>
 #include <span>
 #include <string>
@@ -27,7 +38,8 @@ class Graph {
   Graph(std::size_t num_nodes, std::size_t degree)
       : num_nodes_(num_nodes),
         degree_(degree),
-        adj_(num_nodes * degree, kInvalidNode) {}
+        adj_(num_nodes * degree, kInvalidNode),
+        prefix_(num_nodes, kUnknownPrefix) {}
 
   std::size_t num_nodes() const { return num_nodes_; }
   std::size_t degree() const { return degree_; }
@@ -36,9 +48,29 @@ class Graph {
     assert(static_cast<std::size_t>(v) < num_nodes_ && "node id out of range");
     return {adj_.data() + static_cast<std::size_t>(v) * degree_, degree_};
   }
+  /// Writable row v. Resets the row's diverse prefix to unknown: a caller
+  /// that edits the row may break it. Read the prefix first.
   std::span<NodeId> mutable_neighbors(NodeId v) {
     assert(static_cast<std::size_t>(v) < num_nodes_ && "node id out of range");
+    prefix_[v] = kUnknownPrefix;
     return {adj_.data() + static_cast<std::size_t>(v) * degree_, degree_};
+  }
+
+  /// diverse_prefix() of a row no selection has recorded. One byte holds
+  /// prefixes up to 254, so every degree up to 254 keeps its hints; a
+  /// larger row simply stays unknown.
+  static constexpr std::size_t kUnknownPrefix = 0xff;
+
+  /// How many leading members of row v the diversity test kept when
+  /// select_neighbors last wrote it, or kUnknownPrefix.
+  std::size_t diverse_prefix(NodeId v) const {
+    assert(static_cast<std::size_t>(v) < num_nodes_ && "node id out of range");
+    return prefix_[v];
+  }
+  /// Record row v's diverse prefix (select_neighbors only).
+  void set_diverse_prefix(NodeId v, std::size_t len) {
+    assert(static_cast<std::size_t>(v) < num_nodes_ && "node id out of range");
+    prefix_[v] = static_cast<std::uint8_t>(std::min(len, kUnknownPrefix));
   }
 
   /// Append `count` nodes whose rows are all padding. Existing rows are
@@ -47,6 +79,7 @@ class Graph {
   void grow(std::size_t count) {
     num_nodes_ += count;
     adj_.resize(num_nodes_ * degree_, kInvalidNode);
+    prefix_.resize(num_nodes_, kUnknownPrefix);
   }
 
   /// Count of non-padding neighbors of v.
@@ -93,6 +126,9 @@ class Graph {
   std::size_t degree_ = 0;
   NodeId entry_point_ = 0;
   std::vector<NodeId> adj_;
+  /// Per-row diverse prefix, kUnknownPrefix when unknown. Derived from the
+  /// rows, so copies carry it and save() drops it.
+  std::vector<std::uint8_t> prefix_;
 };
 
 }  // namespace algas

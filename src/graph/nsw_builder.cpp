@@ -1,6 +1,7 @@
 #include "graph/nsw_builder.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <span>
 #include <vector>
 
@@ -92,7 +93,7 @@ InsertBatch search_batch(const Dataset& ds, const Graph& g,
 }
 
 BuildCost link_batch(const Dataset& ds, Graph& g, const BuildConfig& cfg,
-                     BuildExecutor& exec, InsertBatch& batch) {
+                     BuildExecutor& exec, const InsertBatch& batch) {
   BuildCost cost;
   if (batch.count == 0) return cost;
   const std::size_t begin = batch.first;
@@ -122,16 +123,24 @@ BuildCost link_batch(const Dataset& ds, Graph& g, const BuildConfig& cfg,
   // batch (in the bootstrap batch, rows below v), so select_neighbors(v)
   // writes row v alone and the rows run in parallel. Row 0 of the
   // bootstrap has an empty beam.
+  //
+  // Both steps count the pair distances they score per chunk; integer sums
+  // do not depend on the chunking, so link_evals is the same at any thread
+  // count.
   const std::size_t degree = g.degree();
   std::vector<NodeId> back(batch.count * degree, kInvalidNode);
   std::vector<float> back_dists(batch.count * degree);
+  std::atomic<std::size_t> link_evals{0};
   exec.parallel_for(batch.count, [&](std::size_t lo, std::size_t hi) {
     LinkScratch scratch;
     for (std::size_t i = lo; i < hi; ++i) {
-      auto& candidates = batch.found[i];
-      if (candidates.empty()) continue;
+      if (batch.found[i].empty()) continue;
       const auto v = static_cast<NodeId>(begin + i);
-      select_neighbors(ds, g, v, candidates, scratch);
+      scratch.candidates.clear();
+      for (const auto& [d, u] : batch.found[i]) {
+        scratch.candidates.push_back({d, u, Hint::kUnknown});
+      }
+      select_neighbors(ds, g, v, scratch.candidates, scratch);
       const std::span<NodeId> ids(back.data() + i * degree, degree);
       std::size_t k = 0;
       for (NodeId u : g.neighbors(v)) {
@@ -140,7 +149,9 @@ BuildCost link_batch(const Dataset& ds, Graph& g, const BuildConfig& cfg,
       ds.distance_batch(ds.base_vector(v), ids.first(k),
                         {back_dists.data() + i * degree, k},
                         ds.base_query_norm(v));
+      scratch.evals += k;
     }
+    link_evals += scratch.evals;
   });
 
   // Step 2b: link(w, v) reads and writes row w alone, and every link into
@@ -161,7 +172,9 @@ BuildCost link_batch(const Dataset& ds, Graph& g, const BuildConfig& cfg,
         }
       }
     }
+    link_evals += scratch.evals;
   });
+  cost.link_evals = link_evals;
   return cost;
 }
 

@@ -48,11 +48,9 @@ InsertBatch search_batch(const Dataset& ds, const Graph& g,
 /// backlinks with the target rows in parallel, each row's links in
 /// insertion-id order, so the graph equals the serial fold's at any thread
 /// count (DESIGN.md, "Deterministic parallel construction"). `g` must
-/// already hold the batch's rows. The batch's beams are consumed
-/// (select_neighbors reorders them in place). Leaves the entry point to the
-/// caller.
+/// already hold the batch's rows. Leaves the entry point to the caller.
 BuildCost link_batch(const Dataset& ds, Graph& g, const BuildConfig& cfg,
-                     BuildExecutor& exec, InsertBatch& batch);
+                     BuildExecutor& exec, const InsertBatch& batch);
 
 /// Offline build: every row, batch by batch, then the medoid entry point.
 BuildReport build_nsw(const Dataset& ds, const BuildConfig& cfg);

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -431,6 +432,56 @@ TEST(DatasetAppend, ReencodesQuantizedStoreEagerly) {
   for (NodeId v = 0; v < 80; ++v) {
     EXPECT_EQ(ds.score(q, v), oneshot.score(q, v)) << "row " << v;
   }
+}
+
+TEST(DatasetAppend, EncodesOnlyNewRowsBitIdentically) {
+  // Appends encode only the new rows; the store must still be bitwise what
+  // one set_base of the same rows gives: codes, scales, norms and scores.
+  for (const StorageCodec codec : {StorageCodec::kF16, StorageCodec::kInt8}) {
+    SCOPED_TRACE(storage_codec_name(codec));
+    std::vector<float> tail;
+    const Dataset full = two_part_ds(Metric::kCosine, 90, 0, &tail);
+    const std::size_t dim = full.dim();
+    Dataset appended(full.name(), dim, full.metric());
+    appended.set_storage(codec);
+    for (const std::size_t first : {0u, 25u, 65u}) {
+      const std::size_t count = first == 25 ? 40 : 25;
+      appended.append_base({full.base().data() + first * dim, count * dim});
+    }
+    Dataset oneshot(full.name(), dim, full.metric());
+    oneshot.set_storage(codec);
+    oneshot.set_base(full.base());
+
+    const VectorStore& a = appended.vector_store();
+    const VectorStore& b = oneshot.vector_store();
+    ASSERT_EQ(a.rows(), 90u);
+    ASSERT_EQ(a.encoded_bytes(), b.encoded_bytes());
+    const std::size_t code_bytes = 90 * dim * a.elem_bytes();
+    EXPECT_EQ(std::memcmp(a.view().data, b.view().data, code_bytes), 0);
+    ASSERT_EQ(a.i8_scales().size(), b.i8_scales().size());
+    for (std::size_t r = 0; r < a.i8_scales().size(); ++r) {
+      EXPECT_EQ(a.i8_scales()[r], b.i8_scales()[r]) << "scale " << r;
+    }
+    ASSERT_EQ(appended.base_norms().size(), 90u);
+    for (std::size_t r = 0; r < 90; ++r) {
+      EXPECT_EQ(appended.base_norms()[r], oneshot.base_norms()[r])
+          << "norm " << r;
+    }
+    const auto q = full.query(1);
+    for (NodeId v = 0; v < 90; ++v) {
+      EXPECT_EQ(appended.score(q, v), oneshot.score(q, v)) << "row " << v;
+    }
+  }
+  // A continuation must extend rows encoded under the same codec.
+  VectorStore store;
+  const std::vector<float> rows(4 * 8, 0.5f);
+  store.encode(rows.data(), 2, 8, StorageCodec::kF16);
+  EXPECT_THROW(store.encode(rows.data(), 4, 8, StorageCodec::kInt8, 2),
+               std::invalid_argument);
+  EXPECT_THROW(store.encode(rows.data(), 4, 8, StorageCodec::kF16, 3),
+               std::invalid_argument);
+  store.encode(rows.data(), 4, 8, StorageCodec::kF16, 2);
+  EXPECT_EQ(store.rows(), 4u);
 }
 
 TEST(DatasetAppend, DropsStaleGroundTruthAndValidatesShape) {

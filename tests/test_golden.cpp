@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <string>
 #include <vector>
@@ -447,50 +448,136 @@ TEST(GraphGolden, OfflineBuildsAtEveryThreadCount) {
 TEST(GraphGolden, StreamedWavesThenRemovesAndCompact) {
   // Waves of 700, 700 and 600 rows against 256-row batches, so batch
   // boundaries fall inside waves; then every fifth row from 3 is removed
-  // and the compaction patches the rows that lost an edge.
+  // and the compaction patches the rows that lost an edge. Each stream runs
+  // twice: straight through, and saved and reloaded through an ALGASMX1
+  // snapshot after wave 1, which must not change a byte. Last, the first
+  // 300 removed rows stream back into the compacted graph as one more
+  // wave, so links land on patched rows and on rows compact copied.
   struct Case {
     Metric metric;
     GraphFingerprint streamed;
     std::uint64_t compacted;
     std::size_t patched;
+    GraphFingerprint rewave;
   };
   const Case cases[] = {
       {Metric::kL2,
        {0x48c0b60d5107981cull, 9, 375086, 0x41094e7b33333333ull,
         0x4171404c93333334ull},
-       0x5c7be14feec2ecbaull, 1564},
+       0x5c7be14feec2ecbaull, 1564,
+       {0x25a8d96350100fc2ull, 2, 57606, 0x40e8d15333333333ull,
+        0x4145133633333335ull}},
       {Metric::kCosine,
        {0xef79a3fc1ef033eeull, 9, 368659, 0x41092b2800000000ull,
         0x41710d5816666667ull},
-       0x11372c3213d8014aull, 1566},
+       0x11372c3213d8014aull, 1566,
+       {0x0cf3886929a5e16full, 2, 57167, 0x40e8091333333333ull,
+        0x4144f6fde6666665ull}},
   };
   for (const Case& c : cases) {
     const Dataset& full = algas::testing::tiny_world(c.metric).ds;
     const std::size_t dim = full.dim();
     for (const std::size_t threads : kBuildThreads) {
-      const std::string name = std::string(metric_name(c.metric)) +
-                               " threads=" + std::to_string(threads);
-      MutableIndex idx(Dataset(full.name(), dim, c.metric),
-                       golden_build(256, threads));
-      InsertReport streamed;
-      std::size_t first = 0;
-      for (const std::size_t wave : {700u, 700u, 600u}) {
-        streamed += idx.insert({full.base().data() + first * dim, wave * dim});
-        first += wave;
+      for (const bool reload : {false, true}) {
+        const std::string name =
+            std::string(metric_name(c.metric)) + " threads=" +
+            std::to_string(threads) + (reload ? " reloaded" : "");
+        const BuildConfig cfg = golden_build(256, threads);
+        MutableIndex idx(Dataset(full.name(), dim, c.metric), cfg);
+        InsertReport streamed;
+        std::size_t first = 0;
+        for (const std::size_t wave : {700u, 700u, 600u}) {
+          streamed +=
+              idx.insert({full.base().data() + first * dim, wave * dim});
+          first += wave;
+          if (reload && first == 700) {
+            const std::string path =
+                (std::filesystem::temp_directory_path() /
+                 ("algas_golden_" + std::string(metric_name(c.metric)) +
+                  "_" + std::to_string(threads) + ".amx"))
+                    .string();
+            idx.save(path);
+            idx = MutableIndex::load(path, idx.dataset(), cfg);
+            std::remove(path.c_str());
+          }
+        }
+        expect_graph(graph_fingerprint(idx.graph(), streamed), c.streamed,
+                     name + " streamed");
+        std::vector<float> removed;
+        for (std::size_t v = 3; v < first; v += 5) {
+          idx.remove(static_cast<NodeId>(v));
+          const auto row = full.base_vector(v);
+          removed.insert(removed.end(), row.begin(), row.end());
+        }
+        const CompactReport rep = idx.compact();
+        EXPECT_EQ(graph_hash(idx.graph()), c.compacted)
+            << name << " compacted got 0x" << std::hex
+            << graph_hash(idx.graph()) << std::dec << " patched "
+            << rep.patched;
+        EXPECT_EQ(rep.patched, c.patched) << name;
+        const InsertReport rewave =
+            idx.insert({removed.data(), 300 * dim});
+        expect_graph(graph_fingerprint(idx.graph(), rewave), c.rewave,
+                     name + " rewave");
       }
-      expect_graph(graph_fingerprint(idx.graph(), streamed), c.streamed,
-                   name + " streamed");
-      for (std::size_t v = 3; v < first; v += 5) {
-        idx.remove(static_cast<NodeId>(v));
-      }
-      const CompactReport rep = idx.compact();
-      EXPECT_EQ(graph_hash(idx.graph()), c.compacted)
-          << name << " compacted got 0x" << std::hex
-          << graph_hash(idx.graph()) << std::dec << " patched "
-          << rep.patched;
-      EXPECT_EQ(rep.patched, c.patched) << name;
     }
   }
+}
+
+TEST(GraphGolden, LinkEvalsAtEveryThreadCount) {
+  // The host link phase's pair distances, pinned so that a change which
+  // silently stops using the rows' diverse prefixes fails here without any
+  // timing (the graphs are pinned above).
+  struct Case {
+    const char* name;
+    Metric metric;
+    std::uint64_t link_evals;
+  };
+  const Case cases[] = {
+      {"l2 uneven tail", Metric::kL2, 1228380},
+      {"cosine uneven tail", Metric::kCosine, 1227289},
+  };
+  for (const Case& c : cases) {
+    Dataset ds = algas::testing::tiny_world(c.metric).ds;
+    ds.set_base({ds.base().begin(),
+                 ds.base().begin() +
+                     static_cast<std::ptrdiff_t>(2000 * ds.dim())});
+    for (const std::size_t threads : kBuildThreads) {
+      const BuildReport rep =
+          build_graph(GraphKind::kNsw, ds, golden_build(384, threads));
+      EXPECT_EQ(rep.link_evals, c.link_evals)
+          << c.name << " threads=" << threads;
+    }
+  }
+}
+
+TEST(GraphGolden, ReloadedIndexRescoresItsRows) {
+  // A snapshot keeps adjacency only, so the rows of a reloaded index have
+  // no diverse prefix: their next re-selections score every pair. The
+  // graph is the same; the link work is larger.
+  const Dataset& full = algas::testing::tiny_world(Metric::kL2).ds;
+  const std::size_t dim = full.dim();
+  const BuildConfig cfg = golden_build(256, 2);
+  std::uint64_t graphs[2] = {};
+  std::size_t link_evals[2] = {};
+  for (const bool reload : {false, true}) {
+    MutableIndex idx(Dataset(full.name(), dim, Metric::kL2), cfg);
+    InsertReport streamed = idx.insert({full.base().data(), 700 * dim});
+    if (reload) {
+      const std::string path = (std::filesystem::temp_directory_path() /
+                                "algas_golden_link_evals.amx")
+                                   .string();
+      idx.save(path);
+      idx = MutableIndex::load(path, idx.dataset(), cfg);
+      std::remove(path.c_str());
+    }
+    streamed +=
+        idx.insert({full.base().data() + 700 * dim, (2000 - 700) * dim});
+    graphs[reload] = graph_hash(idx.graph());
+    link_evals[reload] = streamed.link_evals;
+  }
+  EXPECT_EQ(graphs[1], graphs[0]);
+  EXPECT_GT(link_evals[1], link_evals[0]);
 }
 
 }  // namespace

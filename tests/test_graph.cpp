@@ -6,11 +6,13 @@
 #include <fstream>
 #include <set>
 
+#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "graph/builder.hpp"
+#include "graph/graph.hpp"
+#include "graph/neighbor_selection.hpp"
 #include "metrics/recall.hpp"
 #include "search/multi_cta.hpp"
-#include "graph/graph.hpp"
 #include "test_util.hpp"
 
 namespace algas {
@@ -102,6 +104,36 @@ TEST(Graph, GrowExtendsWithPaddingAndKeepsEntry) {
   }
 }
 
+TEST(Graph, DiversePrefixIsDerivedRowState) {
+  // Only select_neighbors records a prefix; every other writer leaves the
+  // row unknown, and the byte never reaches a file.
+  Graph g(3, 4);
+  for (NodeId v = 0; v < 3; ++v) {
+    EXPECT_EQ(g.diverse_prefix(v), Graph::kUnknownPrefix);
+  }
+  g.set_diverse_prefix(0, 3);
+  g.set_diverse_prefix(1, 2);
+  const Graph copy = g;  // copies carry it: the rows are the same
+  EXPECT_EQ(copy.diverse_prefix(0), 3u);
+  g.mutable_neighbors(1)[0] = 2;
+  EXPECT_EQ(g.diverse_prefix(1), Graph::kUnknownPrefix);
+  EXPECT_EQ(g.diverse_prefix(0), 3u);
+  g.grow(2);
+  EXPECT_EQ(g.diverse_prefix(0), 3u);
+  EXPECT_EQ(g.diverse_prefix(4), Graph::kUnknownPrefix);
+  // One byte: a prefix too long for it stays unknown.
+  g.set_diverse_prefix(2, 300);
+  EXPECT_EQ(g.diverse_prefix(2), Graph::kUnknownPrefix);
+
+  const auto path =
+      (std::filesystem::temp_directory_path() / "algas_prefix.agr").string();
+  g.save(path);
+  const Graph loaded = Graph::load(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(loaded.adjacency(), g.adjacency());
+  EXPECT_EQ(loaded.diverse_prefix(0), Graph::kUnknownPrefix);
+}
+
 TEST(Graph, EntryPointGuardsDegenerateSizes) {
   // A zero-node graph has no valid entry; the accessor reports
   // kInvalidNode instead of handing searches a bogus node 0.
@@ -171,6 +203,148 @@ TEST(Graph, LoadRejectsEveryCorruptionMode) {
     std::fill(bad.begin() + 8, bad.begin() + 16, '\xff');
     write_and_expect_throw(bad, "node count overflow");
   }
+}
+
+// ---------------- incremental re-selection ----------------
+
+/// 160 gaussian rows of dim 8; rows 120.. repeat rows 0.., so equal
+/// distances fall back to the id tie-break.
+Dataset selection_ds(Metric metric) {
+  constexpr std::size_t kRows = 160, kDim = 8, kCopies = 40;
+  Rng rng(4242);
+  std::vector<float> rows;
+  for (std::size_t i = 0; i < (kRows - kCopies) * kDim; ++i) {
+    rows.push_back(rng.next_gaussian());
+  }
+  rows.insert(rows.end(), rows.begin(),
+              rows.begin() + static_cast<std::ptrdiff_t>(kCopies * kDim));
+  Dataset ds("selection", kDim, metric);
+  ds.set_base(std::move(rows));
+  return ds;
+}
+
+/// Select row v from `count` candidates taken from a seeded shuffle.
+void select_row(const Dataset& ds, Graph& g, NodeId v, std::size_t count,
+                LinkScratch& scratch) {
+  std::vector<NodeId> ids;
+  for (NodeId u = 0; u < ds.num_base(); ++u) {
+    if (u != v) ids.push_back(u);
+  }
+  Rng rng(v + 17);
+  for (std::size_t i = ids.size(); i > 1; --i) {
+    std::swap(ids[i - 1], ids[rng.next_below(i)]);
+  }
+  ids.resize(std::min(count, ids.size()));
+  std::vector<float> dists(ids.size());
+  ds.distance_batch(ds.base_vector(v), ids, dists, ds.base_query_norm(v));
+  std::vector<Candidate> candidates;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    candidates.push_back({dists[i], ids[i], Hint::kUnknown});
+  }
+  select_neighbors(ds, g, v, candidates, scratch);
+}
+
+/// 50 seeded backlinks into row v, each scored in the link phase's
+/// direction (from the new node). After every one, row v and its prefix
+/// must equal the same link on a copy whose prefix was reset through
+/// mutable_neighbors, which re-selects with no hints. Returns the pair
+/// distances the hinted and the hint-free links scored.
+struct LinkEvals {
+  std::size_t hinted = 0;
+  std::size_t plain = 0;
+};
+
+void expect_links_match_hint_free(const Dataset& ds, Graph& g, NodeId v,
+                                  const std::string& name,
+                                  LinkEvals* evals = nullptr) {
+  LinkScratch hinted, plain;
+  Rng rng(v * 31 + g.degree());
+  for (int step = 0; step < 50; ++step) {
+    // A new neighbor: linking a member again changes nothing.
+    NodeId u = v;
+    while (u == v || std::find(g.neighbors(v).begin(), g.neighbors(v).end(),
+                               u) != g.neighbors(v).end()) {
+      u = static_cast<NodeId>(rng.next_below(ds.num_base()));
+    }
+    const NodeId vs[1] = {v};
+    float d[1] = {};
+    ds.distance_batch(ds.base_vector(u), vs, d, ds.base_query_norm(u));
+    Graph ref = g;
+    const std::vector<NodeId> before(ref.neighbors(v).begin(),
+                                     ref.neighbors(v).end());
+    std::copy(before.begin(), before.end(),
+              ref.mutable_neighbors(v).begin());
+    link(ds, g, v, u, d[0], hinted);
+    link(ds, ref, v, u, d[0], plain);
+    const auto got = g.neighbors(v), want = ref.neighbors(v);
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << name << " step " << step;
+    ASSERT_EQ(g.diverse_prefix(v), ref.diverse_prefix(v))
+        << name << " step " << step;
+  }
+  if (evals != nullptr) *evals = {hinted.evals, plain.evals};
+}
+
+TEST(IncrementalSelection, LinksMatchHintFreeReselection) {
+  for (const Metric metric :
+       {Metric::kL2, Metric::kInnerProduct, Metric::kCosine}) {
+    const Dataset ds = selection_ds(metric);
+    for (const std::size_t degree : {4u, 16u, 33u}) {
+      const std::string name = std::string(metric_name(metric)) +
+                               " degree=" + std::to_string(degree);
+      Graph g(ds.num_base(), degree);
+      LinkScratch scratch;
+      // A duplicated row and its copy both sit among the candidates.
+      select_row(ds, g, 5, 4 * degree, scratch);
+      ASSERT_NE(g.diverse_prefix(5), Graph::kUnknownPrefix) << name;
+      ASSERT_LE(g.diverse_prefix(5), g.valid_degree(5)) << name;
+      LinkEvals evals;
+      expect_links_match_hint_free(ds, g, 5, name, &evals);
+      EXPECT_LT(evals.hinted, evals.plain) << name;
+    }
+  }
+}
+
+TEST(IncrementalSelection, PartialRowAppendsWithoutAPrefix) {
+  const Dataset ds = selection_ds(Metric::kL2);
+  Graph g(ds.num_base(), 16);
+  LinkScratch scratch;
+  select_row(ds, g, 9, 5, scratch);
+  ASSERT_EQ(g.valid_degree(9), 5u);
+  EXPECT_LT(g.diverse_prefix(9), 5u);  // kept, then backfilled
+  const auto row = g.neighbors(9);
+  NodeId u = 10;
+  while (std::find(row.begin(), row.end(), u) != row.end()) ++u;
+  link(ds, g, 9, u, ds.score(ds.base_vector(u), 9), scratch);
+  EXPECT_EQ(g.valid_degree(9), 6u);
+  EXPECT_EQ(g.diverse_prefix(9), Graph::kUnknownPrefix);
+  // The row fills by appending, then re-selects hint-free once and
+  // records its prefix again.
+  expect_links_match_hint_free(ds, g, 9, "partial");
+  EXPECT_NE(g.diverse_prefix(9), Graph::kUnknownPrefix);
+}
+
+TEST(IncrementalSelection, QuantizedRowsNeverRecordAPrefix) {
+  for (const StorageCodec codec : {StorageCodec::kF16, StorageCodec::kInt8}) {
+    Dataset ds = selection_ds(Metric::kCosine);
+    ds.set_storage(codec);
+    Graph g(ds.num_base(), 8);
+    LinkScratch scratch;
+    select_row(ds, g, 3, 40, scratch);
+    EXPECT_EQ(g.diverse_prefix(3), Graph::kUnknownPrefix);
+    expect_links_match_hint_free(ds, g, 3, storage_codec_name(codec));
+    EXPECT_EQ(g.diverse_prefix(3), Graph::kUnknownPrefix);
+  }
+  // A graph selected over f32 rows keeps its prefixes when a quantized
+  // dataset adopts it; link must not trust them.
+  const Dataset f32 = selection_ds(Metric::kL2);
+  Dataset f16 = selection_ds(Metric::kL2);
+  f16.set_storage(StorageCodec::kF16);
+  Graph g(f32.num_base(), 8);
+  LinkScratch scratch;
+  select_row(f32, g, 3, 40, scratch);
+  ASSERT_NE(g.diverse_prefix(3), Graph::kUnknownPrefix);
+  expect_links_match_hint_free(f16, g, 3, "f32 graph, f16 rows");
 }
 
 // ---------------- builders ----------------

@@ -86,6 +86,7 @@ TEST(MutableInsert, FromEmptyMatchesOfflineBuild) {
     // One ledger: the streamed batches sum to exactly the offline cost,
     // float summation order included.
     EXPECT_EQ(rep.scored_points, offline.scored_points);
+    EXPECT_EQ(rep.link_evals, offline.link_evals);
     EXPECT_EQ(rep.batches, offline.batches);
     EXPECT_EQ(rep.virtual_build_ns, offline.virtual_build_ns);
     EXPECT_EQ(rep.serial_build_ns, offline.serial_build_ns);

@@ -286,10 +286,11 @@ int cmd_build(const Args& args) {
               args.get("out").c_str(), g.num_nodes(), stats.avg_degree,
               100.0 * stats.reachable_fraction);
   std::printf("build: %.2fs wall | virtual %.1fms batched vs %.1fms serial "
-              "(modeled %.0fx) | %zu batches | %zu distance evals\n",
+              "(modeled %.0fx) | %zu batches | %zu distance evals | %zu "
+              "link evals\n",
               report.wall_build_s, report.virtual_build_ns / 1e6,
               report.serial_build_ns / 1e6, report.speedup(), report.batches,
-              report.scored_points);
+              report.scored_points, report.link_evals);
   return 0;
 }
 
@@ -348,11 +349,11 @@ int cmd_insert(const Args& args) {
   }
   const auto report = idx.insert(rows);
   std::printf("inserted %zu rows in %zu batches | %zu distance evals | "
-              "virtual %.1fms batched vs %.1fms serial | now %zu published, "
-              "%zu live\n",
+              "%zu link evals | virtual %.1fms batched vs %.1fms serial | "
+              "now %zu published, %zu live\n",
               report.inserted, report.batches, report.scored_points,
-              report.virtual_build_ns / 1e6, report.serial_build_ns / 1e6,
-              idx.published(), idx.live());
+              report.link_evals, report.virtual_build_ns / 1e6,
+              report.serial_build_ns / 1e6, idx.published(), idx.live());
 
   // The snapshot and the (now longer) dataset only make sense as a pair.
   const std::string out_index =
