@@ -45,10 +45,10 @@ std::size_t nearest_centroid(std::span<const float> point,
 /// are normalized so L2 ranking matches).
 std::vector<std::size_t> assign_all(const Dataset& ds,
                                     const std::vector<float>& centroids,
-                                    std::size_t nlist) {
+                                    std::size_t nlist, BuildExecutor& exec) {
   const std::size_t n = ds.num_base();
   std::vector<std::size_t> assign(n, 0);
-  global_pool().parallel_for(n, [&](std::size_t begin, std::size_t end) {
+  exec.parallel_for(n, [&](std::size_t begin, std::size_t end) {
     std::vector<float> dists(nlist);
     for (std::size_t i = begin; i < end; ++i) {
       assign[i] = nearest_centroid(ds.base_vector(i), centroids, ds.dim(),
@@ -88,7 +88,10 @@ IvfIndex IvfIndex::build(const Dataset& ds, const IvfBuildConfig& cfg) {
     std::copy(v.begin(), v.end(), index.centroids_.begin() + c * dim);
   }
 
-  // Lloyd iterations on a subsample (FAISS-style training set cap).
+  // Lloyd iterations on a subsample (FAISS-style training set cap). Each
+  // point's assignment is independent of the others, so the chunking (and
+  // the thread count) never changes the centroids.
+  BuildExecutor exec;
   const std::size_t train_n = std::min(n, std::max(kTrainLimit, nlist));
   const std::size_t stride = std::max<std::size_t>(1, n / train_n);
   std::vector<NodeId> train_ids;
@@ -98,7 +101,7 @@ IvfIndex IvfIndex::build(const Dataset& ds, const IvfBuildConfig& cfg) {
   }
   for (std::size_t it = 0; it < kKmeansIters; ++it) {
     std::vector<std::size_t> assign(train_ids.size(), 0);
-    global_pool().parallel_for(
+    exec.parallel_for(
         train_ids.size(), [&](std::size_t begin, std::size_t end) {
           std::vector<float> dists(nlist);
           for (std::size_t i = begin; i < end; ++i) {
@@ -128,7 +131,7 @@ IvfIndex IvfIndex::build(const Dataset& ds, const IvfBuildConfig& cfg) {
     }
   }
 
-  const auto assign = assign_all(ds, index.centroids_, nlist);
+  const auto assign = assign_all(ds, index.centroids_, nlist, exec);
   index.lists_.assign(nlist, {});
   for (std::size_t i = 0; i < n; ++i) {
     index.lists_[assign[i]].push_back(static_cast<NodeId>(i));

@@ -13,6 +13,14 @@ namespace {
 /// the nesting guard. thread_local so worker threads and the calling
 /// thread are covered uniformly.
 thread_local bool tl_in_parallel_for = false;
+
+/// Process-wide pool for offline work (lazily constructed; sized by
+/// ALGAS_BUILD_THREADS — see common/env.hpp — falling back to hardware
+/// concurrency).
+ThreadPool& global_pool() {
+  static ThreadPool pool(build_threads());
+  return pool;
+}
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
@@ -43,19 +51,9 @@ void ThreadPool::submit(std::function<void()> task) {
   cv_task_.notify_one();
 }
 
-void ThreadPool::record_error(std::exception_ptr e) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!pending_error_) pending_error_ = std::move(e);
-}
-
 void ThreadPool::wait_idle() {
-  std::exception_ptr error;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_idle_.wait(lock, [this] { return in_flight_ == 0; });
-    error = std::exchange(pending_error_, nullptr);
-  }
-  if (error) std::rethrow_exception(error);
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_idle_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 void ThreadPool::parallel_for(
@@ -111,23 +109,12 @@ void ThreadPool::worker_loop() {
       task = std::move(tasks_.front());
       tasks_.pop();
     }
-    // parallel_for chunks carry their own try/catch; this guard covers
-    // plain submit() tasks so a throw never terminates the worker.
-    try {
-      task();
-    } catch (...) {
-      record_error(std::current_exception());
-    }
+    task();
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (--in_flight_ == 0) cv_idle_.notify_all();
     }
   }
-}
-
-ThreadPool& global_pool() {
-  static ThreadPool pool(build_threads());
-  return pool;
 }
 
 BuildExecutor::BuildExecutor(std::size_t threads) {

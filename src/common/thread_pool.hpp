@@ -3,11 +3,10 @@
 // and brute-force ground truth. The simulated GPU itself is a single-threaded
 // discrete-event simulation (see simgpu/simulation.hpp) for determinism.
 //
-// Error handling: the first exception thrown inside a submitted task or a
-// parallel_for chunk is captured and rethrown to the caller (from
-// wait_idle() / parallel_for() respectively) instead of terminating the
-// worker thread. Nested parallel_for — calling parallel_for from inside a
-// chunk already running under any pool's parallel_for — is rejected with
+// Error handling: the first exception thrown inside a parallel_for chunk is
+// captured and rethrown to the caller instead of terminating the worker
+// thread. Nested parallel_for — calling parallel_for from inside a chunk
+// already running under any pool's parallel_for — is rejected with
 // std::logic_error: the inner call would deadlock a fully busy pool and its
 // chunking would depend on scheduling.
 #pragma once
@@ -34,15 +33,6 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
-  /// Enqueue a task; returns immediately. A task that throws has its
-  /// exception captured (first one wins) and rethrown from the next
-  /// wait_idle().
-  void submit(std::function<void()> task);
-
-  /// Block until all submitted tasks have completed, then rethrow the
-  /// first exception any of them raised (if any).
-  void wait_idle();
-
   /// Split [0, n) into chunks and run `fn(begin, end)` across the pool,
   /// including the calling thread. Blocks until complete; rethrows the
   /// first exception thrown by any chunk. Throws std::logic_error when
@@ -51,8 +41,12 @@ class ThreadPool {
                     const std::function<void(std::size_t, std::size_t)>& fn);
 
  private:
+  /// Enqueue a chunk; returns immediately. Chunks never throw: parallel_for
+  /// wraps each in its own catch.
+  void submit(std::function<void()> task);
+  /// Block until every submitted chunk has completed.
+  void wait_idle();
   void worker_loop();
-  void record_error(std::exception_ptr e);
 
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> tasks_;
@@ -61,23 +55,15 @@ class ThreadPool {
   std::condition_variable cv_idle_;
   std::size_t in_flight_ = 0;
   bool stopping_ = false;
-  /// First exception raised by a plain submit() task; armed until the next
-  /// wait_idle() rethrows it. parallel_for chunks use per-call state
-  /// instead so concurrent loops cannot steal each other's errors.
-  std::exception_ptr pending_error_;
 };
-
-/// Process-wide pool for offline work (lazily constructed; sized by
-/// ALGAS_BUILD_THREADS — see common/env.hpp — falling back to hardware
-/// concurrency).
-ThreadPool& global_pool();
 
 /// Routes a `threads` knob (BuildConfig::threads, CLI --threads) to an
 /// executor for one build:
 ///
 ///   knob 0  → ALGAS_BUILD_THREADS, which itself defaults to hardware
 ///   resolved 1  → run chunks inline on the caller, no pool involved
-///   resolved == global pool size → share the global pool
+///   resolved == global pool size → share the process-wide pool (sized
+///                                  by ALGAS_BUILD_THREADS, then hardware)
 ///   otherwise → a private pool owned by this executor
 ///
 /// parallel_for must produce results independent of the thread count; the

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 
 namespace algas {
 
@@ -22,8 +23,13 @@ using Dist = float;
 
 inline constexpr Dist kInfDist = std::numeric_limits<Dist>::infinity();
 
-/// Round `v` up to the next power of two (v >= 1).
+/// Round `v` up to the next power of two (v >= 1). Above 2^63 there is
+/// none in size_t: std::overflow_error.
 constexpr std::size_t next_pow2(std::size_t v) {
+  if (v > (std::size_t{1} << 63)) {
+    throw std::overflow_error(
+        "next_pow2: no power of two in size_t is that large");
+  }
   std::size_t p = 1;
   while (p < v) p <<= 1;
   return p;

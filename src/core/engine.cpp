@@ -882,7 +882,6 @@ struct EngineRun::Impl {
       }
       run->channel.set_tracer(tracer, tl.pid, tl.link_tid);
       run->sync.set_tracer(tracer, tl.pid, tl.slot_tid0);
-      run->sim.set_tracer(tracer);
     }
 
     if (cfg.admission.bounded()) {

@@ -106,7 +106,7 @@ struct EngineCounters {
   /// read an idle state and changed nothing (DESIGN.md, "Idle CTAs park").
   std::uint64_t elided_polls = 0;
   /// Queue entries the simulation popped and discarded because the actor
-  /// was re-scheduled/cancelled after they were pushed (token mismatch).
+  /// was re-scheduled after they were pushed (token mismatch).
   std::uint64_t sim_stale_events = 0;
   /// Invariant evaluations performed by SimCheck (0 = run was unchecked).
   std::uint64_t simcheck_checks = 0;

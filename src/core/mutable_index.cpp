@@ -1,11 +1,10 @@
 #include "core/mutable_index.hpp"
 
 #include <algorithm>
-#include <cstring>
-#include <fstream>
 #include <mutex>
 #include <stdexcept>
 
+#include "common/binary_io.hpp"
 #include "common/thread_pool.hpp"
 #include "graph/neighbor_selection.hpp"
 
@@ -49,6 +48,9 @@ MutableIndex::MutableIndex(Dataset ds, Graph g, BuildConfig cfg)
         "MutableIndex: graph covers " + std::to_string(graph_.num_nodes()) +
         " nodes but the dataset has " + std::to_string(ds_.num_base()) +
         " rows");
+  }
+  if (graph_.degree() == 0) {
+    throw std::invalid_argument("MutableIndex: degree must be at least 1");
   }
   cfg_.degree = graph_.degree();
   published_ = graph_.num_nodes();
@@ -265,60 +267,27 @@ void MutableIndex::save(const std::string& path) const {
     throw std::logic_error(
         "MutableIndex::save: apply staged batches before snapshotting");
   }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw std::runtime_error("cannot open " + path + " for write");
-  out.write(kMxMagic, sizeof(kMxMagic));
-  const std::uint64_t epoch = epoch_;
-  out.write(reinterpret_cast<const char*>(&epoch), sizeof(epoch));
-  graph_.save(out, path);
-  const std::vector<NodeId> ids = tombstones_.ids();
-  const std::uint64_t count = ids.size();
-  out.write(reinterpret_cast<const char*>(&count), sizeof(count));
-  out.write(reinterpret_cast<const char*>(ids.data()),
-            static_cast<std::streamsize>(ids.size() * sizeof(NodeId)));
-  if (!out) throw std::runtime_error("short write to " + path);
+  BinaryWriter w("snapshot", path);
+  w.bytes(kMxMagic, sizeof(kMxMagic));
+  w.pod(epoch_);
+  graph_.write(w);
+  w.vec(tombstones_.ids());
+  w.finish();
 }
 
 MutableIndex MutableIndex::load(const std::string& path, Dataset ds,
                                 BuildConfig cfg) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  char magic[8];
-  if (!in.read(magic, sizeof(magic)) ||
-      std::memcmp(magic, kMxMagic, sizeof(kMxMagic)) != 0) {
-    throw std::runtime_error("not an ALGAS mutable-index snapshot: " + path);
-  }
-  std::uint64_t epoch = 0;
-  if (!in.read(reinterpret_cast<char*>(&epoch), sizeof(epoch))) {
-    throw std::runtime_error("truncated snapshot header in " + path);
-  }
-  Graph g = Graph::load(in, path);
-  std::uint64_t count = 0;
-  if (!in.read(reinterpret_cast<char*>(&count), sizeof(count))) {
-    throw std::runtime_error("truncated tombstone section in " + path);
-  }
-  if (count > g.num_nodes()) {
-    throw std::runtime_error("corrupt tombstone section in " + path + ": " +
-                             std::to_string(count) + " tombstones for " +
-                             std::to_string(g.num_nodes()) + " nodes");
-  }
-  std::vector<NodeId> ids(static_cast<std::size_t>(count));
-  if (count > 0 &&
-      !in.read(reinterpret_cast<char*>(ids.data()),
-               static_cast<std::streamsize>(ids.size() * sizeof(NodeId)))) {
-    throw std::runtime_error("truncated tombstone section in " + path);
-  }
+  BinaryReader r("snapshot", path);
+  r.magic(kMxMagic, "not an ALGAS mutable-index snapshot");
+  const auto epoch = r.pod<std::uint64_t>("snapshot header");
+  Graph g = Graph::read(r);
+  const auto ids = r.vec<NodeId>("tombstones");
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    const bool ordered = i == 0 || ids[i - 1] < ids[i];
-    if (!ordered || static_cast<std::size_t>(ids[i]) >= g.num_nodes()) {
-      throw std::runtime_error("corrupt tombstone section in " + path +
-                               ": ids must be ascending node ids");
+    if ((i > 0 && ids[i - 1] >= ids[i]) || ids[i] >= g.num_nodes()) {
+      r.fail("tombstone ids must be ascending node ids");
     }
   }
-  if (in.peek() != std::ifstream::traits_type::eof()) {
-    throw std::runtime_error("trailing bytes after snapshot payload in " +
-                             path);
-  }
+  r.finish();
   if (ds.num_base() != g.num_nodes()) {
     throw std::invalid_argument(
         "MutableIndex::load: snapshot covers " +

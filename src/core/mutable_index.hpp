@@ -131,8 +131,9 @@ struct CompactReport {
 class MutableIndex {
  public:
   /// Adopt an existing dataset + graph (e.g. from build_graph). The graph
-  /// must cover exactly the dataset's rows; its degree overrides
-  /// cfg.degree so streamed batches extend the same structure.
+  /// must cover exactly the dataset's rows and have degree >= 1 (else
+  /// std::invalid_argument); its degree overrides cfg.degree so streamed
+  /// batches extend the same structure.
   MutableIndex(Dataset ds, Graph g, BuildConfig cfg);
   /// Start empty: a dataset with no base rows yet (queries are fine) and a
   /// zero-node graph of cfg.degree. The first insert() bootstraps exactly
@@ -191,9 +192,12 @@ class MutableIndex {
   /// an empty report while nothing is published.
   EngineReport serve(AlgasConfig cfg, std::size_t num_queries) const;
 
-  /// Snapshot: graph + tombstones + epoch ("ALGASMX1"). The dataset
-  /// serializes separately (it already has a format); load() re-pairs
-  /// them and validates the sizes agree. Requires no pending rows.
+  /// Snapshot: graph + tombstones + epoch ("ALGASMX1", DESIGN.md "On-disk
+  /// formats"), published atomically. The dataset serializes separately
+  /// (it already has a format); load() re-pairs them. Requires no pending
+  /// rows. A malformed file throws std::runtime_error "snapshot file
+  /// <path>: <defect>"; a dataset whose row count differs from the
+  /// snapshot's nodes throws std::invalid_argument.
   void save(const std::string& path) const;
   static MutableIndex load(const std::string& path, Dataset ds,
                            BuildConfig cfg);

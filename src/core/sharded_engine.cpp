@@ -326,7 +326,6 @@ ShardedReport ShardedEngine::run(const std::vector<PendingQuery>& arrivals) {
   if (tracer != nullptr) bus.set_tracer(tracer, trace_pid, bus_tid);
 
   sim::Simulation host_sim;
-  if (tracer != nullptr) host_sim.set_tracer(tracer);
   metrics::Collector merged_collector;
   MergeActor merger(cfg_.base.cost, cfg_.base.search.topk, gathers,
                     merged_collector);

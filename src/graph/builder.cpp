@@ -38,6 +38,9 @@ std::string graph_kind_name(GraphKind k) {
 
 BuildReport build_graph(GraphKind kind, const Dataset& ds,
                         const BuildConfig& cfg) {
+  if (cfg.degree == 0) {
+    throw std::invalid_argument("build_graph: degree must be at least 1");
+  }
   const auto t0 = std::chrono::steady_clock::now();
   BuildReport report;
   switch (kind) {

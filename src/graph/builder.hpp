@@ -91,7 +91,8 @@ struct BuildReport : BuildCost {
   bool cache_hit = false;          ///< load_or_build_graph found an artifact
 };
 
-/// Build the requested index over `ds`.
+/// Build the requested index over `ds`. Degree 0 throws
+/// std::invalid_argument: no graph without neighbour slots is navigable.
 BuildReport build_graph(GraphKind kind, const Dataset& ds,
                         const BuildConfig& cfg);
 

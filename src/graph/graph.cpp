@@ -1,11 +1,9 @@
 #include "graph/graph.hpp"
 
-#include <cstring>
 #include <deque>
-#include <fstream>
 #include <limits>
-#include <stdexcept>
 
+#include "common/binary_io.hpp"
 #include "common/node_set.hpp"
 
 namespace algas {
@@ -54,79 +52,54 @@ namespace {
 constexpr char kMagic[8] = {'A', 'L', 'G', 'A', 'S', 'G', 'R', '1'};
 }
 
-void Graph::save(std::ostream& out, const std::string& context) const {
-  out.write(kMagic, sizeof(kMagic));
-  const std::uint64_t n = num_nodes_, d = degree_;
-  const std::uint32_t ep = entry_point_;
-  out.write(reinterpret_cast<const char*>(&n), sizeof(n));
-  out.write(reinterpret_cast<const char*>(&d), sizeof(d));
-  out.write(reinterpret_cast<const char*>(&ep), sizeof(ep));
-  out.write(reinterpret_cast<const char*>(adj_.data()),
-            static_cast<std::streamsize>(adj_.size() * sizeof(NodeId)));
-  if (!out) throw std::runtime_error("short write to " + context);
+void Graph::write(BinaryWriter& w) const {
+  w.bytes(kMagic, sizeof(kMagic));
+  w.pod(static_cast<std::uint64_t>(num_nodes_));
+  w.pod(static_cast<std::uint64_t>(degree_));
+  w.pod(entry_point_);
+  w.bytes(adj_.data(), adj_.size() * sizeof(NodeId));
 }
 
 void Graph::save(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw std::runtime_error("cannot open " + path + " for write");
-  save(out, path);
+  BinaryWriter w("graph", path);
+  write(w);
+  w.finish();
 }
 
-Graph Graph::load(std::istream& in, const std::string& context) {
-  char magic[8];
-  if (!in.read(magic, sizeof(magic)) ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    throw std::runtime_error("not an ALGAS graph file: " + context);
+Graph Graph::read(BinaryReader& r) {
+  r.magic(kMagic, "not an ALGAS graph");
+  const auto n = r.pod<std::uint64_t>("graph header");
+  const auto d = r.pod<std::uint64_t>("graph header");
+  const auto ep = r.pod<NodeId>("graph header");
+  // Node ids are u32, the entry must be a node, and a node with no
+  // neighbour slots is unreachable (no builder writes one).
+  if (n > std::numeric_limits<NodeId>::max() ||
+      (n > 0 && (d == 0 || ep >= n))) {
+    r.fail("header declares " + std::to_string(n) + " nodes of degree " +
+           std::to_string(d) + ", entry " + std::to_string(ep));
   }
-  std::uint64_t n = 0, d = 0;
-  std::uint32_t ep = 0;
-  if (!in.read(reinterpret_cast<char*>(&n), sizeof(n)) ||
-      !in.read(reinterpret_cast<char*>(&d), sizeof(d)) ||
-      !in.read(reinterpret_cast<char*>(&ep), sizeof(ep))) {
-    throw std::runtime_error("truncated graph header in " + context);
-  }
-  // Node ids are u32, so a header claiming more nodes than NodeId can index
-  // (or an n*d payload that overflows size_t) is corrupt, not merely big.
-  if (n > std::numeric_limits<NodeId>::max()) {
-    throw std::runtime_error("corrupt graph header in " + context +
-                             ": node count overflows NodeId");
-  }
-  if (d != 0 && n > std::numeric_limits<std::size_t>::max() /
-                        (d * sizeof(NodeId))) {
-    throw std::runtime_error("corrupt graph header in " + context +
-                             ": adjacency size overflows");
-  }
-  if (n > 0 && ep >= n) {
-    throw std::runtime_error("corrupt graph header in " + context +
-                             ": entry point " + std::to_string(ep) +
-                             " out of range for " + std::to_string(n) +
-                             " nodes");
+  // Divide rather than multiply: n x d may overflow.
+  if (n > 0 && d > r.left() / sizeof(NodeId) / n) {
+    r.fail("adjacency declares " + std::to_string(n) + " x " +
+           std::to_string(d) + " entries but " + std::to_string(r.left()) +
+           " bytes remain");
   }
   Graph g(static_cast<std::size_t>(n), static_cast<std::size_t>(d));
   if (n > 0) g.set_entry_point(ep);
-  if (!g.adj_.empty() &&
-      !in.read(reinterpret_cast<char*>(g.adj_.data()),
-               static_cast<std::streamsize>(g.adj_.size() * sizeof(NodeId)))) {
-    throw std::runtime_error("truncated graph payload in " + context);
-  }
+  r.bytes(g.adj_.data(), g.adj_.size() * sizeof(NodeId), "adjacency");
   for (const NodeId id : g.adj_) {
-    if (id != kInvalidNode && static_cast<std::uint64_t>(id) >= n) {
-      throw std::runtime_error("corrupt graph payload in " + context +
-                               ": neighbor id " + std::to_string(id) +
-                               " out of range for " + std::to_string(n) +
-                               " nodes");
+    if (id != kInvalidNode && id >= n) {
+      r.fail("neighbor id " + std::to_string(id) + " out of range for " +
+             std::to_string(n) + " nodes");
     }
   }
   return g;
 }
 
 Graph Graph::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  Graph g = load(in, path);
-  if (in.peek() != std::ifstream::traits_type::eof()) {
-    throw std::runtime_error("trailing bytes after graph payload in " + path);
-  }
+  BinaryReader r("graph", path);
+  Graph g = read(r);
+  r.finish();
   return g;
 }
 

@@ -23,7 +23,6 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <string>
 #include <vector>
@@ -31,6 +30,9 @@
 #include "common/types.hpp"
 
 namespace algas {
+
+class BinaryReader;
+class BinaryWriter;
 
 class Graph {
  public:
@@ -107,17 +109,22 @@ class Graph {
   };
   Stats stats() const;
 
+  /// An `.agr` file: the graph section alone (DESIGN.md, "On-disk
+  /// formats"), published atomically.
   void save(const std::string& path) const;
-  /// Stream variant so snapshot formats (core::MutableIndex) can embed a
-  /// graph section; `context` names the destination in error messages.
-  void save(std::ostream& out, const std::string& context) const;
 
   /// Loading validates the file end to end — bad magic, truncated header or
-  /// payload, trailing bytes, an out-of-range entry point, or adjacency
-  /// entries that are neither padding nor valid node ids all throw
-  /// std::runtime_error with a message naming the file and the defect.
+  /// payload, a declared size larger than the file, nodes of degree 0,
+  /// trailing bytes, an out-of-range entry point, or adjacency entries that
+  /// are neither padding nor valid node ids all throw std::runtime_error
+  /// "graph file <path>: <defect>".
   static Graph load(const std::string& path);
-  static Graph load(std::istream& in, const std::string& context);
+
+  /// The graph section on its own, so snapshot formats (core::MutableIndex)
+  /// can embed one; read() applies load()'s checks but the trailing-bytes
+  /// one.
+  void write(BinaryWriter& w) const;
+  static Graph read(BinaryReader& r);
 
   const std::vector<NodeId>& adjacency() const { return adj_; }
 

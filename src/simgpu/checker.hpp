@@ -105,7 +105,7 @@ class SimCheck {
   /// regression and traces the step into the actor's ring.
   void on_event(const Actor* a, const char* name, SimTime now,
                 SimTime event_time);
-  /// Called when the event queue drains naturally (not via stop()).
+  /// Called when the event queue drains.
   /// Invokes the registered drain hook, if any.
   void on_drain(SimTime now);
   void set_drain_hook(std::function<void(SimTime)> hook) {

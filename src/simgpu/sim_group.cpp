@@ -6,15 +6,6 @@
 
 namespace algas::sim {
 
-SimTime SimulationGroup::next_event_time() const {
-  SimTime best = std::numeric_limits<SimTime>::infinity();
-  for (Simulation* s : members_) {
-    const SimTime t = s->next_event_time();
-    if (t < best) best = t;
-  }
-  return best;
-}
-
 void SimulationGroup::run() {
   for (;;) {
     Simulation* next = nullptr;

@@ -16,10 +16,7 @@
 // per-member timestamps stay causally consistent.
 #pragma once
 
-#include <cstddef>
 #include <vector>
-
-#include "common/types.hpp"
 
 namespace algas::sim {
 
@@ -30,11 +27,6 @@ class SimulationGroup {
   /// Register a member (not owned). Insertion order is the deterministic
   /// tie-break for events at equal virtual time.
   void add(Simulation* sim) { members_.push_back(sim); }
-
-  std::size_t size() const { return members_.size(); }
-
-  /// Earliest live event time across all members (+inf when drained).
-  SimTime next_event_time() const;
 
   /// Run members' events in global time order until every queue drains,
   /// then signal each member's checker drain hook in insertion order

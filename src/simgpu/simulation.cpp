@@ -18,11 +18,6 @@ void Simulation::schedule(Actor* a, SimTime when) {
   queue_.push(Event{when, seq_++, a, a->token_});
 }
 
-void Simulation::cancel(Actor* a) {
-  ++a->token_;  // any queued entry becomes stale
-  a->pending_time_ = -1.0;
-}
-
 bool Simulation::pop_next(Event& ev) {
   while (!queue_.empty()) {
     ev = queue_.top();
@@ -59,30 +54,9 @@ void Simulation::notify_drain() {
 }
 
 void Simulation::run() {
-  stopped_ = false;
-  while (!stopped_ && step_one()) {
+  while (step_one()) {
   }
-  if (!stopped_) notify_drain();
-}
-
-void Simulation::run_until(SimTime t) {
-  stopped_ = false;
-  Event ev;
-  while (!stopped_ && pop_next(ev)) {
-    if (ev.time > t) {
-      // Put it back; it is still this actor's live event.
-      queue_.push(ev);
-      now_ = t;
-      return;
-    }
-    if (check_) check_->on_event(ev.actor, ev.actor->name(), now_, ev.time);
-    now_ = ev.time;
-    ev.actor->pending_time_ = -1.0;
-    ++events_processed_;
-    ev.actor->step(*this);
-  }
-  now_ = std::max(now_, t);
-  if (check_ && !stopped_) check_->on_drain(now_);
+  notify_drain();
 }
 
 }  // namespace algas::sim

@@ -24,7 +24,6 @@ namespace algas::sim {
 
 class SimCheck;
 class Simulation;
-class Tracer;
 
 /// Base class for everything that consumes virtual time.
 class Actor {
@@ -40,7 +39,7 @@ class Actor {
  private:
   friend class Simulation;
   /// Queue bookkeeping lives in the actor but belongs to the scheduler:
-  /// only Simulation (schedule/cancel/pop) may touch these.
+  /// only Simulation (schedule/pop) may touch these.
   std::uint64_t token_ ALGAS_OWNED_BY(Simulation) = 0;
   SimTime pending_time_ ALGAS_OWNED_BY(Simulation) = -1.0;  // < 0 = none
 };
@@ -53,16 +52,10 @@ class Simulation {
   /// addressable.
   void schedule(Actor* a, SimTime when);
 
-  /// Remove the actor's pending event, if any.
-  void cancel(Actor* a);
-
   SimTime now() const { return now_; }
 
-  /// Run until the event queue drains or stop() is called.
+  /// Run until the event queue drains.
   void run();
-
-  /// Run until virtual time exceeds `t` (events at exactly t still run).
-  void run_until(SimTime t);
 
   /// Timestamp of the next live event, or +infinity when the queue is
   /// drained. Stale entries encountered at the head are discarded (and
@@ -82,28 +75,17 @@ class Simulation {
   /// drain; a no-op without a checker.
   void notify_drain();
 
-  void stop() { stopped_ = true; }
-
   std::uint64_t events_processed() const { return events_processed_; }
-  /// Queue entries discarded because their actor was re-scheduled or
-  /// cancelled after they were pushed (token mismatch on pop). A high
-  /// stale:processed ratio means actors churn their wake-ups.
+  /// Queue entries discarded because their actor was re-scheduled after
+  /// they were pushed (token mismatch on pop). A high stale:processed
+  /// ratio means actors churn their wake-ups.
   std::uint64_t stale_events() const { return stale_events_; }
-  bool idle() const { return queue_.empty(); }
 
   /// Attach a SimCheck verification layer (not owned; null disables — the
   /// unchecked path costs one branch per schedule/step). The checker
   /// observes scheduling hygiene and natural queue drains; it never
   /// advances or charges virtual time.
   void set_checker(SimCheck* check) { check_ = check; }
-  SimCheck* checker() const { return check_; }
-
-  /// Attach a SimTrace event sink (not owned; null disables). Like the
-  /// checker, the tracer is a pure observer reachable from actors during
-  /// step() — it records timeline events but never advances or charges
-  /// virtual time, so traced and untraced runs are bit-identical.
-  void set_tracer(Tracer* t) { trace_ = t; }
-  Tracer* tracer() const { return trace_; }
 
  private:
   struct Event {
@@ -124,9 +106,7 @@ class Simulation {
   std::uint64_t seq_ = 0;
   std::uint64_t events_processed_ = 0;
   std::uint64_t stale_events_ = 0;
-  bool stopped_ = false;
   SimCheck* check_ = nullptr;
-  Tracer* trace_ = nullptr;
 };
 
 }  // namespace algas::sim

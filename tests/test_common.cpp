@@ -4,11 +4,17 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <limits>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/binary_io.hpp"
 #include "common/env.hpp"
 #include "common/node_set.hpp"
 #include "common/rng.hpp"
@@ -28,6 +34,12 @@ TEST(Types, NextPow2) {
   EXPECT_EQ(next_pow2(64), 64u);
   EXPECT_EQ(next_pow2(65), 128u);
   EXPECT_EQ(next_pow2(1000), 1024u);
+  const std::size_t top = std::size_t{1} << 63;
+  EXPECT_EQ(next_pow2(top), top);
+  // Above 2^63 no power of two fits: a throw, not an endless loop.
+  EXPECT_THROW(next_pow2(top + 1), std::overflow_error);
+  EXPECT_THROW(next_pow2(std::numeric_limits<std::size_t>::max()),
+               std::overflow_error);
 }
 
 TEST(Types, IsPow2) {
@@ -280,16 +292,6 @@ TEST(ThreadPool, ParallelForEmpty) {
   EXPECT_FALSE(ran);
 }
 
-TEST(ThreadPool, SubmitAndWait) {
-  ThreadPool pool(3);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 50; ++i) {
-    pool.submit([&count] { count.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 50);
-}
-
 TEST(ThreadPool, SingleThreadPoolStillWorks) {
   ThreadPool pool(1);
   std::atomic<int> count{0};
@@ -334,15 +336,6 @@ TEST(ThreadPool, PoolIsReusableAfterException) {
     count.fetch_add(static_cast<int>(e - b));
   });
   EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, SubmitExceptionSurfacesAtWaitIdle) {
-  ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("task failed"); });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  // The error is consumed: the next wait is clean.
-  pool.submit([] {});
-  EXPECT_NO_THROW(pool.wait_idle());
 }
 
 TEST(ThreadPool, NestedParallelForRejected) {
@@ -398,6 +391,44 @@ TEST(BuildExecutorTest, ZeroResolvesFromEnvironment) {
   ::unsetenv("ALGAS_BUILD_THREADS");
   BuildExecutor hw(0);
   EXPECT_GE(hw.threads(), 1u);
+}
+
+// ---------------- binary_io.hpp ----------------
+
+TEST(BinaryWriter, AbandonedWriterLeavesDestinationByteIdentical) {
+  const auto dir =
+      std::filesystem::temp_directory_path() / "algas_binary_writer_test";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string dest = (dir / "graph.agr").string();
+  const auto contents = [&] {
+    std::ifstream in(dest, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  };
+  const auto entries = [&] {
+    std::vector<std::string> names;
+    for (const auto& e : std::filesystem::directory_iterator(dir)) {
+      names.push_back(e.path().filename().string());
+    }
+    return names;
+  };
+  const std::vector<std::string> only_dest{"graph.agr"};
+  std::ofstream(dest, std::ios::binary) << "old bytes";
+  {
+    BinaryWriter w("graph", dest);
+    w.bytes("new", 3);
+    EXPECT_EQ(contents(), "old bytes");  // nothing published yet
+  }  // destroyed before finish(), as by an exception mid-save
+  EXPECT_EQ(contents(), "old bytes");
+  EXPECT_EQ(entries(), only_dest);
+
+  BinaryWriter w("graph", dest);
+  w.bytes("new", 3);
+  w.finish();
+  EXPECT_EQ(contents(), "new");
+  EXPECT_EQ(entries(), only_dest);
+  std::filesystem::remove_all(dir);
 }
 
 // ---------------- env.hpp ----------------

@@ -453,6 +453,18 @@ TEST(Builders, EmptyDatasetBuildsEmptyGraph) {
   }
 }
 
+TEST(Builders, DegreeZeroIsRejected) {
+  // A graph without neighbour slots is unreachable past its entry point,
+  // and the loaders refuse one, so no builder may write it.
+  Dataset ds("few", 2, Metric::kL2);
+  ds.set_base({0.0f, 0.0f, 1.0f, 0.0f, 0.0f, 1.0f});
+  BuildConfig cfg;
+  cfg.degree = 0;
+  for (GraphKind kind : {GraphKind::kNsw, GraphKind::kCagra}) {
+    EXPECT_THROW(build_graph(kind, ds, cfg), std::invalid_argument);
+  }
+}
+
 TEST(Builders, BeamSearchFindsExactNearest) {
   const auto& world = testing::tiny_world();
   // Search for base vectors themselves: with a reasonable beam the point

@@ -158,6 +158,10 @@ TEST(MutableInsert, AdoptedGraphExtends) {
 
 TEST(MutableInsert, RejectsBadRowsAndStaleBatches) {
   const Dataset full = small_ds();
+  BuildConfig no_slots = small_cfg();
+  no_slots.degree = 0;  // rows with no neighbour slots are unreachable
+  EXPECT_THROW(MutableIndex(empty_like(full), no_slots),
+               std::invalid_argument);
   MutableIndex idx(empty_like(full), small_cfg());
   EXPECT_THROW(idx.stage({full.base().data(), 3}), std::invalid_argument);
 

@@ -52,6 +52,8 @@
 // Flag precedence follows the repo-wide rule (common/env.hpp): an explicit
 // CLI flag wins, then the ALGAS_* environment variable, then the compiled
 // default. Every command prints a short human-readable report to stdout.
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -96,21 +98,32 @@ class Args {
     return it == values_.end() ? dflt : it->second;
   }
 
+  /// A whole non-negative integer; anything else throws naming the flag.
   std::size_t get_size(const std::string& key, std::size_t dflt) const {
-    auto it = values_.find(key);
-    return it == values_.end()
-               ? dflt
-               : static_cast<std::size_t>(std::strtoull(
-                     it->second.c_str(), nullptr, 10));
+    return get_number(key, dflt, "a whole non-negative number");
   }
 
+  /// A finite number; anything else throws naming the flag.
   double get_double(const std::string& key, double dflt) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? dflt
-                               : std::strtod(it->second.c_str(), nullptr);
+    return get_number(key, dflt, "a finite number");
   }
 
  private:
+  template <typename T>
+  T get_number(const std::string& key, T dflt, const char* want) const {
+    auto it = values_.find(key);
+    if (it == values_.end()) return dflt;
+    const std::string& s = it->second;
+    T v{};
+    const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+    if (ec != std::errc{} || end != s.data() + s.size() ||
+        !std::isfinite(static_cast<double>(v))) {
+      throw std::invalid_argument("--" + key + " wants " + want + ", got '" +
+                                  s + "'");
+    }
+    return v;
+  }
+
   std::map<std::string, std::string> values_;
 };
 
