@@ -6,13 +6,15 @@
 //
 //   scalar    per-call Dataset::score() loop — control; the per-eval cost
 //             of a batch of one.
+//   gather6   Dataset::distance_batch over seeded random gathers of 6 rows,
+//             the mean batch a search round scores (ungated).
 //   bulk      brute_force_topk() scans — the batched gather/score path.
 //   search    greedy graph searches — gather-then-score + visited table.
 //   candidate_merge  CandidateList::merge_sorted of a sorted 64-entry
 //             expand list into an L = 128 list (the per-round upkeep).
 //   topk_merge  host merge_sorted_runs of 4 sorted runs of 128 into a
 //             TopK of 16 (the slot's host merge).
-//             These five run kTrials trials; each trial repeats its whole
+//             These six run kTrials trials; each trial repeats its whole
 //             pass until at least kMinTrialSeconds have elapsed, and the
 //             section reports the trial with the median rate: one pass
 //             lasts ~10 ms at CI scale, too short to hold a floor against
@@ -28,13 +30,18 @@
 //
 // Prints a TSV block (like every bench) and writes a JSON summary to
 // ALGAS_BENCH_OUT (default "BENCH_walltime.json"), which
-// scripts/check_bench.py gates against bench/walltime_baseline.json.
+// scripts/check_bench.py gates against bench/walltime_baseline.json. The
+// summary names the f32 distance kernel the host ran (distance_kernel), so
+// a run on a host without AVX2 explains its own numbers.
 #include <algorithm>
 #include <array>
 #include <chrono>
 #include <iostream>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "common/env.hpp"
@@ -43,6 +50,7 @@
 #include "dataset/ground_truth.hpp"
 #include "dataset/registry.hpp"
 #include "distance/distance.hpp"
+#include "distance/kernels.hpp"
 #include "metrics/table.hpp"
 #include "search/candidate_list.hpp"
 #include "search/greedy.hpp"
@@ -143,6 +151,36 @@ int main() {
       return nq * n;
     });
     Section s{"scalar"};
+    s.wall_s = t.wall_s;
+    s.evals_per_s = t.rate();
+    sections.push_back(s);
+    if (sink == 42.0f) std::cerr << "";  // keep the loop observable
+  }
+
+  // --- gathers of 6 rows: one search round's batch ----------------------
+  {
+    constexpr std::size_t kRows = 6, kGathers = 4096;
+    Rng rng(kRows);
+    std::vector<NodeId> ids(kGathers * kRows);
+    for (auto& id : ids) id = static_cast<NodeId>(rng.next_below(n));
+    // A search computes its query's norm once, not once per round.
+    const std::size_t nq = std::max<std::size_t>(1, ds.num_queries());
+    std::vector<std::optional<float>> query_norms(nq);
+    for (std::size_t q = 0; q < nq; ++q) {
+      query_norms[q] = ds.query_norm(ds.query(q));
+    }
+    std::vector<float> out(kRows);
+    float sink = 0.0f;
+    const Trial t = median_trial([&] {
+      for (std::size_t i = 0; i < kGathers; ++i) {
+        ds.distance_batch(ds.query(i % nq),
+                          std::span(ids).subspan(i * kRows, kRows), out,
+                          query_norms[i % nq]);
+        sink += out[0];
+      }
+      return kGathers * kRows;
+    });
+    Section s{"gather6"};
     s.wall_s = t.wall_s;
     s.evals_per_s = t.rate();
     sections.push_back(s);
@@ -303,6 +341,7 @@ int main() {
       .integer("n_base", n)
       .integer("dim", ds.dim())
       .text("storage", storage_codec_name(ds.storage()))
+      .text("distance_kernel", distance_kernel_name())
       .number("scale", dataset_scale(), kDecimals)
       .number("engine_recall", engine_recall, kDecimals)
       .number("sim_events_per_s", sim_events_per_s, kDecimals)

@@ -23,6 +23,7 @@
 #include "dataset/registry.hpp"         // named bench datasets
 #include "dataset/synthetic.hpp"        // Table III stand-in generators
 #include "dataset/vector_store.hpp"     // f32/f16/int8 storage codecs
+#include "distance/kernels.hpp"         // batch kernels + the kernel tier
 #include "graph/builder.hpp"            // NSW + CAGRA-style index builders
 #include "metrics/recall.hpp"
 #include "search/greedy.hpp"            // instrumented reference search

@@ -7,14 +7,25 @@
 // over that codec's row accessor; nothing branches on the codec per row or
 // per element.
 //
-// f32 results are BITWISE-IDENTICAL to calling distance() once per point:
-// each point keeps its own accumulator walking dimensions in the scalar
-// order (no reassociation, no fast-math). The speedup comes from everything
-// *around* the float chain — one metric dispatch per batch instead of per
-// point, hoisting the query norm out of the cosine loop, software prefetch
-// of upcoming base rows, and instruction-level parallelism across points
-// (each point's chain is serial, but 4 independent chains keep the FP
-// pipeline full — the CPU analogue of the warp's lanes working 4 neighbors).
+// Every result is BITWISE-IDENTICAL to calling distance() once per point:
+// each row keeps its own accumulator walking dimensions in the scalar
+// order (no reassociation, no fast-math, no FMA contraction). Two kernels
+// keep that promise, chosen once per process by what the host supports
+// (distance_kernel_name()); neither is a setting.
+//
+//   avx2x8    f32 batches of two or more rows on x86-64 hosts with AVX2.
+//             One row per lane of an 8-float register: each block of 8
+//             dimensions is loaded row by row, transposed in registers and
+//             added in dimension order, so lane j runs row j's serial chain
+//             and the vector width buys eight rows per add. A short last
+//             group repeats a row into its spare lanes and drops them.
+//   portable  Everything else — single rows, f16/int8 rows, other hosts:
+//             four rows per group with four independent scalar chains, and
+//             one chain per leftover row.
+//
+// DESIGN.md "Row-parallel kernels" gives the exactness argument. Around
+// the float chain, both kernels dispatch the metric once per batch, hoist
+// the query norm out of the cosine loop and prefetch upcoming base rows.
 //
 // f16/int8 rows dequantize each element in-register (half widening /
 // scale * q) before it enters the same accumulator chain, so a quantized
@@ -79,6 +90,12 @@ void distance_batch_range(Metric m, std::span<const float> query,
                           const EncodedRows& rows, std::size_t first,
                           std::size_t count, std::span<float> out,
                           std::span<const float> norms = {});
+
+/// The f32 batch kernel this process runs: "avx2x8" (8 rows per AVX2
+/// register, on x86-64 hosts with AVX2) or "portable" (4-row chains).
+/// Read-only: the host decides it once, and every kernel writes the same
+/// bits, so it explains wall-clock numbers and nothing else.
+const char* distance_kernel_name();
 
 /// out[k] = norm of decoded row first + k: bitwise norm() of the row as
 /// the kernels score it. This is how a cosine norm table is built.

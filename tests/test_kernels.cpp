@@ -3,18 +3,24 @@
 //
 // The batched kernels promise BITWISE-identical results to per-point
 // distance() calls, so every comparison here is on the float's bit pattern
-// (EXPECT_EQ via bit_cast), never EXPECT_NEAR.
+// (EXPECT_EQ via bit_cast), never EXPECT_NEAR. DistanceBatchTier runs each
+// kernel tier the host supports, so an AVX2 host checks the portable chains
+// too.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/node_set.hpp"
 #include "common/rng.hpp"
 #include "dataset/dataset.hpp"
 #include "distance/distance.hpp"
+#include "distance/kernel_tier.hpp"
 #include "distance/kernels.hpp"
 
 namespace algas {
@@ -135,6 +141,96 @@ TEST(DistanceBatch, RangeVariantBitwiseMatchesScalar) {
       }
     }
   }
+}
+
+using detail::KernelTier;
+
+/// Runs each kernel tier on f32 rows. A tier the host cannot run is
+/// skipped by name; the portable tier runs everywhere.
+class DistanceBatchTier : public ::testing::TestWithParam<KernelTier> {
+ protected:
+  void SetUp() override {
+    const KernelTier tier = GetParam();
+    if (tier != KernelTier::kPortable && tier != detail::host_kernel_tier()) {
+      GTEST_SKIP() << "tier " << detail::kernel_tier_name(tier)
+                   << " skipped: this host runs the " << distance_kernel_name()
+                   << " kernel";
+    }
+  }
+};
+
+TEST_P(DistanceBatchTier, BitwiseMatchesScalarAcrossDimsMetricsAndBatches) {
+  const KernelTier tier = GetParam();
+  constexpr std::size_t kRows = 129;
+  for (std::size_t dim : kDims) {
+    // Exactly sized: the last row and the query end where their
+    // allocations end, so a load past a row's tail dims would read outside
+    // the allocation (and fail under ASan).
+    const auto base = make_base(kRows, dim, /*seed=*/dim + 3);
+    const auto norms = norm_table(base, dim);
+    const auto query = make_query(dim, /*seed=*/dim * 31 + 7);
+    for (Metric m : kMetrics) {
+      for (std::size_t count : kBatchSizes) {
+        Rng rng(dim * 977 + count);
+        std::vector<NodeId> ids(count);
+        for (auto& id : ids) {
+          id = static_cast<NodeId>(rng.next_below(kRows));
+        }
+        if (count >= 2) {
+          // The first row of the last group of 8 pads that group when the
+          // batch is not a multiple of 8: make it the zero row (the cosine
+          // guard), and score the row at the end of the allocation too.
+          const std::size_t last_group = (count - 1) / 8 * 8;
+          ids[last_group] = 0;
+          ids[last_group == count - 1 ? count - 2 : count - 1] = kRows - 1;
+        }
+        std::vector<float> out(count, -1.0f);
+        detail::distance_batch_on(tier, m, query, f32_rows(base, dim), ids,
+                                  out, norms, std::nullopt);
+        for (std::size_t k = 0; k < count; ++k) {
+          const std::span<const float> row{base.data() + ids[k] * dim, dim};
+          EXPECT_EQ(bits(out[k]), bits(distance(m, query, row)))
+              << detail::kernel_tier_name(tier)
+              << " metric=" << metric_name(m) << " dim=" << dim
+              << " count=" << count << " k=" << k << " id=" << ids[k];
+        }
+      }
+      // Ranges: the first rows, a short range ending at the allocation's
+      // end, and the whole matrix.
+      const std::size_t ranges[][2] = {{0, 2}, {kRows - 3, 3}, {0, kRows}};
+      for (const auto& [first, count] : ranges) {
+        std::vector<float> out(count, -1.0f);
+        detail::distance_batch_range_on(tier, m, query, f32_rows(base, dim),
+                                        first, count, out, norms);
+        for (std::size_t k = 0; k < count; ++k) {
+          const std::span<const float> row{base.data() + (first + k) * dim,
+                                           dim};
+          EXPECT_EQ(bits(out[k]), bits(distance(m, query, row)))
+              << detail::kernel_tier_name(tier)
+              << " range metric=" << metric_name(m) << " dim=" << dim
+              << " first=" << first << " count=" << count << " k=" << k;
+        }
+      }
+    }
+  }
+}
+
+std::string tier_name(const ::testing::TestParamInfo<KernelTier>& tier) {
+  return detail::kernel_tier_name(tier.param);
+}
+
+INSTANTIATE_TEST_SUITE_P(Tiers, DistanceBatchTier,
+                         ::testing::Values(KernelTier::kPortable,
+                                           KernelTier::kAvx2x8),
+                         tier_name);
+
+TEST(DistanceBatch, KernelNameIsTheHostTier) {
+  const std::string name = distance_kernel_name();
+  EXPECT_EQ(name, detail::kernel_tier_name(detail::host_kernel_tier()));
+  EXPECT_TRUE(name == "avx2x8" || name == "portable") << name;
+#if !defined(__x86_64__)
+  EXPECT_EQ(name, "portable");
+#endif
 }
 
 TEST(DistanceBatch, EmptySpansAreNoOps) {

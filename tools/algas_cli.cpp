@@ -55,12 +55,12 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "algas.hpp"
@@ -68,6 +68,25 @@
 using namespace algas;
 
 namespace {
+
+constexpr const char* kWholeNumber = "a whole non-negative number";
+
+/// The one rule for every number the CLI reads: std::from_chars must take
+/// the whole token and the value must be finite. Anything else throws,
+/// naming `what` (the flag) and the token.
+template <typename T>
+T parse_number(const std::string& what, std::string_view token,
+               const char* want) {
+  T v{};
+  const char* const end_of_token = token.data() + token.size();
+  const auto [end, ec] = std::from_chars(token.data(), end_of_token, v);
+  if (ec != std::errc{} || end != end_of_token ||
+      !std::isfinite(static_cast<double>(v))) {
+    throw std::invalid_argument(what + " wants " + want + ", got '" +
+                                std::string(token) + "'");
+  }
+  return v;
+}
 
 /// Tiny --key value parser; flags are required unless a default is given.
 class Args {
@@ -100,7 +119,7 @@ class Args {
 
   /// A whole non-negative integer; anything else throws naming the flag.
   std::size_t get_size(const std::string& key, std::size_t dflt) const {
-    return get_number(key, dflt, "a whole non-negative number");
+    return get_number(key, dflt, kWholeNumber);
   }
 
   /// A finite number; anything else throws naming the flag.
@@ -108,20 +127,27 @@ class Args {
     return get_number(key, dflt, "a finite number");
   }
 
+  /// A required comma-separated list of row ids, each a whole number
+  /// under parse_number's rule; an empty or bad item throws naming it.
+  std::vector<NodeId> get_ids(const std::string& key) const {
+    const std::string list = get(key);
+    std::vector<NodeId> ids;
+    for (std::size_t pos = 0; pos <= list.size();) {
+      const std::size_t comma = std::min(list.find(',', pos), list.size());
+      ids.push_back(parse_number<NodeId>(
+          "--" + key, std::string_view(list).substr(pos, comma - pos),
+          kWholeNumber));
+      pos = comma + 1;
+    }
+    return ids;
+  }
+
  private:
   template <typename T>
   T get_number(const std::string& key, T dflt, const char* want) const {
     auto it = values_.find(key);
     if (it == values_.end()) return dflt;
-    const std::string& s = it->second;
-    T v{};
-    const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-    if (ec != std::errc{} || end != s.data() + s.size() ||
-        !std::isfinite(static_cast<double>(v))) {
-      throw std::invalid_argument("--" + key + " wants " + want + ", got '" +
-                                  s + "'");
-    }
-    return v;
+    return parse_number<T>("--" + key, it->second, want);
   }
 
   std::map<std::string, std::string> values_;
@@ -184,15 +210,15 @@ std::unique_ptr<NodeBitset> parse_filter(const Dataset& ds,
   }
   auto bits = std::make_unique<NodeBitset>(ds.num_base());
   if (spec.rfind("cat=", 0) == 0) {
-    const auto want = static_cast<std::uint32_t>(
-        std::strtoul(spec.c_str() + 4, nullptr, 10));
+    const auto want = parse_number<std::uint32_t>(
+        "--filter cat=K", std::string_view(spec).substr(4), kWholeNumber);
     const auto& cats = ds.categories();
     for (std::size_t i = 0; i < cats.size(); ++i) {
       if (cats[i] == want) bits->set(static_cast<NodeId>(i));
     }
   } else if (spec.rfind("ts<", 0) == 0) {
-    const auto limit = static_cast<std::uint32_t>(
-        std::strtoul(spec.c_str() + 3, nullptr, 10));
+    const auto limit = parse_number<std::uint32_t>(
+        "--filter ts<T", std::string_view(spec).substr(3), kWholeNumber);
     const auto& ts = ds.timestamps();
     for (std::size_t i = 0; i < ts.size(); ++i) {
       if (ts[i] < limit) bits->set(static_cast<NodeId>(i));
@@ -298,12 +324,13 @@ int cmd_build(const Args& args) {
   std::printf("wrote %s: %zu nodes, avg degree %.1f, %.1f%% reachable\n",
               args.get("out").c_str(), g.num_nodes(), stats.avg_degree,
               100.0 * stats.reachable_fraction);
-  std::printf("build: %.2fs wall | virtual %.1fms batched vs %.1fms serial "
-              "(modeled %.0fx) | %zu batches | %zu distance evals | %zu "
-              "link evals\n",
-              report.wall_build_s, report.virtual_build_ns / 1e6,
-              report.serial_build_ns / 1e6, report.speedup(), report.batches,
-              report.scored_points, report.link_evals);
+  std::printf("build: %.2fs wall (f32 kernel %s) | virtual %.1fms batched "
+              "vs %.1fms serial (modeled %.0fx) | %zu batches | %zu distance "
+              "evals | %zu link evals\n",
+              report.wall_build_s, distance_kernel_name(),
+              report.virtual_build_ns / 1e6, report.serial_build_ns / 1e6,
+              report.speedup(), report.batches, report.scored_points,
+              report.link_evals);
   return 0;
 }
 
@@ -324,12 +351,13 @@ int cmd_stats(const Args& args) {
 }
 
 void print_report(const char* engine_name, const core::EngineReport& rep) {
-  std::printf("%s: %zu queries | storage %s | recall %.4f | latency mean "
-              "%.1fus p99 %.1fus | throughput %.0f qps | pcie txns %llu\n",
+  std::printf("%s: %zu queries | storage %s (f32 kernel %s) | recall %.4f | "
+              "latency mean %.1fus p99 %.1fus | throughput %.0f qps | pcie "
+              "txns %llu\n",
               engine_name, rep.summary.queries,
-              storage_codec_name(rep.storage), rep.recall,
-              rep.summary.mean_service_us, rep.summary.p99_service_us,
-              rep.summary.throughput_qps,
+              storage_codec_name(rep.storage), distance_kernel_name(),
+              rep.recall, rep.summary.mean_service_us,
+              rep.summary.p99_service_us, rep.summary.throughput_qps,
               static_cast<unsigned long long>(rep.pcie_transactions));
 }
 
@@ -381,17 +409,11 @@ int cmd_insert(const Args& args) {
 
 int cmd_delete(const Args& args) {
   const std::string ds_path = args.get("dataset");
+  const std::vector<NodeId> ids = args.get_ids("ids");
   core::MutableIndex idx = open_index(load_dataset(ds_path), args);
 
   std::size_t removed = 0, already = 0;
-  const std::string ids = args.get("ids");
-  for (std::size_t pos = 0; pos < ids.size();) {
-    const std::size_t comma = std::min(ids.find(',', pos), ids.size());
-    const NodeId v = static_cast<NodeId>(
-        std::strtoull(ids.substr(pos, comma - pos).c_str(), nullptr, 10));
-    (idx.remove(v) ? removed : already)++;
-    pos = comma + 1;
-  }
+  for (const NodeId v : ids) (idx.remove(v) ? removed : already)++;
   std::printf("tombstoned %zu ids (%zu were already dead) | %zu live of "
               "%zu published\n",
               removed, already, idx.live(), idx.published());
