@@ -15,12 +15,13 @@
 //               At low selectivity the fetch cap starves it — the effect
 //               the paper's graph-side filtering avoids.
 //
-// The JSON also carries an FNV-1a checksum over the attribute arrays and
-// over the null-predicate variant's full result lists. scripts/check_bench.py
-// runs the bench at ALGAS_BENCH_HOSTS=1 and =4 and requires both checksums
-// and every variant's recall to match across the two runs (latencies may
-// differ): filtered search must not depend on host thread count, and a null
-// predicate must reproduce the unfiltered engine bit for bit. The bench
+// The JSON also carries an FNV-1a checksum over the attribute arrays, over
+// the null-predicate variant's full result lists and over each graph
+// tier's. scripts/check_bench.py runs the bench at ALGAS_BENCH_HOSTS=1 and
+// =4 and requires every checksum and every variant's recall to match
+// across the two runs (latencies may differ): filtered search must not
+// depend on host thread count, and a null predicate must reproduce the
+// unfiltered engine bit for bit. The bench
 // exits nonzero unless graph >= postfilter recall at one tier or more.
 //
 // Knobs (environment, same semantics as the other benches):
@@ -103,6 +104,7 @@ struct TierResult {
   double graph_recall = 0.0;
   double graph_latency_us = 0.0;
   std::size_t widened_len = 0;
+  std::uint64_t results_checksum = 0;  ///< the graph variant's result lists
   double postfilter_recall = 0.0;
   std::size_t postfilter_fetch = 0;
   double postfilter_scanned = 0.0;  ///< mean rows exhaustively scored
@@ -162,6 +164,7 @@ int main() {
     const auto rep = engine.run_closed_loop(nq);
     r.graph_recall = metrics::served_recall(gt, rep.collector, kTopk);
     r.graph_latency_us = rep.summary.mean_service_us;
+    r.results_checksum = results_checksum(rep.collector);
 
     // IVF post-filter: oversized unfiltered fetch, filter, keep 10. The
     // fetch budget is k/selectivity capped — past the cap the expected
@@ -225,6 +228,7 @@ int main() {
         .integer("accepted", r.accepted)
         .integer("candidate_len", r.widened_len)
         .number("mean_latency_us", r.graph_latency_us)
+        .text("results_checksum", bench::hex64(r.results_checksum))
         .close()
         .object(std::string("postfilter_") + kTierNames[t])
         .number("recall_at_10", r.postfilter_recall)

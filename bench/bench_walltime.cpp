@@ -7,7 +7,8 @@
 //   scalar    per-call Dataset::score() loop — control; the per-eval cost
 //             of a batch of one.
 //   gather6   Dataset::distance_batch over seeded random gathers of 6 rows,
-//             the mean batch a search round scores (ungated).
+//             the mean batch a search round scores (ungated); gather6_f16
+//             and gather6_int8 score the same gathers from quantized rows.
 //   bulk      brute_force_topk() scans — the batched gather/score path.
 //   search    greedy graph searches — gather-then-score + visited table.
 //   candidate_merge  CandidateList::merge_sorted of a sorted 64-entry
@@ -31,8 +32,8 @@
 // Prints a TSV block (like every bench) and writes a JSON summary to
 // ALGAS_BENCH_OUT (default "BENCH_walltime.json"), which
 // scripts/check_bench.py gates against bench/walltime_baseline.json. The
-// summary names the f32 distance kernel the host ran (distance_kernel), so
-// a run on a host without AVX2 explains its own numbers.
+// summary names the distance kernel the host ran (distance_kernel), so a
+// run on a host without AVX2 explains its own numbers.
 #include <algorithm>
 #include <array>
 #include <chrono>
@@ -157,34 +158,40 @@ int main() {
     if (sink == 42.0f) std::cerr << "";  // keep the loop observable
   }
 
-  // --- gathers of 6 rows: one search round's batch ----------------------
-  {
+  // --- gathers of 6 rows: one search round's batch, per codec -----------
+  const auto gather6 = [&](const std::string& name, const Dataset& d) {
     constexpr std::size_t kRows = 6, kGathers = 4096;
     Rng rng(kRows);
     std::vector<NodeId> ids(kGathers * kRows);
     for (auto& id : ids) id = static_cast<NodeId>(rng.next_below(n));
     // A search computes its query's norm once, not once per round.
-    const std::size_t nq = std::max<std::size_t>(1, ds.num_queries());
+    const std::size_t nq = std::max<std::size_t>(1, d.num_queries());
     std::vector<std::optional<float>> query_norms(nq);
     for (std::size_t q = 0; q < nq; ++q) {
-      query_norms[q] = ds.query_norm(ds.query(q));
+      query_norms[q] = d.query_norm(d.query(q));
     }
     std::vector<float> out(kRows);
     float sink = 0.0f;
     const Trial t = median_trial([&] {
       for (std::size_t i = 0; i < kGathers; ++i) {
-        ds.distance_batch(ds.query(i % nq),
-                          std::span(ids).subspan(i * kRows, kRows), out,
-                          query_norms[i % nq]);
+        d.distance_batch(d.query(i % nq),
+                         std::span(ids).subspan(i * kRows, kRows), out,
+                         query_norms[i % nq]);
         sink += out[0];
       }
       return kGathers * kRows;
     });
-    Section s{"gather6"};
+    Section s{name};
     s.wall_s = t.wall_s;
     s.evals_per_s = t.rate();
     sections.push_back(s);
     if (sink == 42.0f) std::cerr << "";  // keep the loop observable
+  };
+  gather6("gather6", ds);
+  for (const StorageCodec codec : {StorageCodec::kF16, StorageCodec::kInt8}) {
+    Dataset quantized = ds;
+    quantized.set_storage(codec);
+    gather6(std::string("gather6_") + storage_codec_name(codec), quantized);
   }
 
   // --- bulk scans: brute-force TopK over the whole base -----------------

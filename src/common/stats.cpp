@@ -20,10 +20,6 @@ void SampleStats::add(double v) {
   sorted_valid_ = false;
 }
 
-void SampleStats::add_all(const std::vector<double>& vs) {
-  for (double v : vs) add(v);
-}
-
 void SampleStats::clear() {
   samples_.clear();
   sorted_.clear();

@@ -13,7 +13,6 @@ namespace algas {
 class SampleStats {
  public:
   void add(double v);
-  void add_all(const std::vector<double>& vs);
   void clear();
 
   std::size_t count() const { return samples_.size(); }

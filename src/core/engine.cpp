@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -51,8 +52,8 @@ std::string query_span_name(std::size_t query_index) {
 /// An idle CTA waiting for its slot's Work or Quit write.
 struct ParkedCta {
   CtaActor* cta = nullptr;
-  SimTime at = 0.0;    ///< instant of the idle read that parked it
-  SimTime from = 0.0;  ///< instant of the step that scheduled that read
+  std::size_t index = 0;  ///< the CTA's index within its slot
+  SimTime at = 0.0;       ///< instant of the idle read that parked it
 };
 
 /// Per-slot runtime shared between the slot's CTAs and its host worker —
@@ -88,9 +89,9 @@ struct SlotRuntime {
   bool complete ALGAS_GUARDED_BY_EPOCH(CtaActor, HostWorker) = false;
   SimTime gpu_done_ns ALGAS_GUARDED_BY_EPOCH(CtaActor, HostWorker) = 0.0;
   std::uint64_t flow_id ALGAS_OWNED_BY(HostWorker) = 0;  // trace flow arrow
-  /// Idle CTAs of this slot in the order they parked. CTAs join while the
-  /// host owns the states; the host's Work/Quit write
-  /// (RunState::write_slot) re-arms and empties the list.
+  /// Idle CTAs of this slot. CTAs join while the host owns the states;
+  /// the host's Work/Quit write (RunState::write_slot) wakes them and
+  /// empties the list.
   std::vector<ParkedCta> parked ALGAS_GUARDED_BY_EPOCH(CtaActor, RunState);
 };
 
@@ -135,7 +136,6 @@ class CtaActor final : public sim::Actor {
   search::IntraCtaSearch search_;
   bool active_ = false;
   double busy_ns_ = 0.0;
-  SimTime scheduled_from_ns_ = 0.0;  ///< step that scheduled the next one
 };
 
 /// The idle loop's recurrence: a CTA whose poll runs at `t` polls next at
@@ -143,49 +143,6 @@ class CtaActor final : public sim::Actor {
 /// as CtaActor::step charges it.
 SimTime next_idle_poll(const sim::CostModel& cm, SimTime t) {
   return t + cm.poll_local_ns + cm.cta_poll_interval_ns;
-}
-
-/// `n` steps of the idle recurrence after `t`, one at a time: a closed form
-/// would round differently.
-SimTime idle_poll_after(const sim::CostModel& cm, SimTime t, std::uint64_t n) {
-  for (; n > 0; --n) t = next_idle_poll(cm, t);
-  return t;
-}
-
-/// Where a parked CTA re-enters the queue after a Work or Quit write.
-struct Wake {
-  ParkedCta parked;
-  SimTime at = 0.0;         ///< first poll instant at or after the write
-  std::uint64_t polls = 0;  ///< idle-loop steps from the parking read to `at`
-  std::size_t rank = 0;     ///< position in the slot's park order
-};
-
-/// Whether `a` would have polled before `b` at their common instant in a
-/// loop that ran every idle poll. That queue ran two polls of one instant
-/// in the order of the steps that scheduled them, so along two poll
-/// sequences that rounding has merged, the one that was earlier at the
-/// merge point stays first. The recurrence is monotone, so the sequence
-/// that is earlier at any depth both reach back to was earlier there too,
-/// which lets the comparison jump to the shorter sequence's parking read.
-bool polls_before(const sim::CostModel& cm, const Wake& a, const Wake& b) {
-  const bool a_short = a.polls <= b.polls;
-  const Wake& s = a_short ? a : b;
-  const Wake& l = a_short ? b : a;
-  const std::uint64_t lag = l.polls - s.polls;
-  // l at the depth of s's parking read, and what scheduled l there.
-  SimTime l_at = l.parked.at;
-  SimTime l_from = l.parked.from;
-  if (lag > 0) {
-    l_from = idle_poll_after(cm, l_at, lag - 1);
-    l_at = next_idle_poll(cm, l_from);
-  }
-  const SimTime s_at = s.parked.at;
-  if (s_at != l_at) return (s_at < l_at) == a_short;
-  if (lag == 0) return a.rank < b.rank;  // parked together: park order
-  // s parked where l polled: the one scheduled first ran first.
-  const SimTime s_from = s.parked.from;
-  if (s_from != l_from) return (s_from < l_from) == a_short;
-  return a_short;  // scheduled at one instant too: undecidable, see DESIGN.md
 }
 
 /// One engine run's trace wiring: lane ids under one process group.
@@ -276,7 +233,6 @@ struct RunState {
   std::size_t in_flight ALGAS_OWNED_BY(HostWorker) = 0;  // dispatched, undelivered
   /// Idle CTA polls skipped by parking (EngineReport::elided_polls).
   std::uint64_t elided_polls ALGAS_OWNED_BY(RunState) = 0;
-  std::vector<Wake> wakes ALGAS_OWNED_BY(RunState);  // write_slot scratch
   /// Non-null iff the run has a bounded admission queue: arrivals then flow
   /// through the actor at their arrival instants instead of being
   /// pre-loaded, so workload exhaustion must also wait for it.
@@ -284,7 +240,7 @@ struct RunState {
 
   /// The one host write path for slot states: moves all n_parallel words of
   /// `slot` to `next` at the current host step, and on Work or Quit — the
-  /// states an idle CTA acts on — re-arms the slot's parked CTAs.
+  /// states an idle CTA acts on — wakes the slot's parked CTAs together.
   void write_slot(std::size_t slot, SlotState next, double* elapsed);
 
   /// The one way a query's record leaves the run, whatever its outcome
@@ -445,7 +401,6 @@ void CtaActor::step(sim::Simulation& sim) {
             std::move(args), "cta");
       }
       sim.schedule(this, sim.now() + elapsed);
-      scheduled_from_ns_ = sim.now();
       return;
     }
     case SlotState::kQuit:
@@ -459,10 +414,10 @@ void CtaActor::step(sim::Simulation& sim) {
       // Done: the CTA waits for the host to recycle or retire the slot.
       // The modeled CTA polls again at next_idle_poll(now), but every such
       // poll reads an idle state until the host writes Work or Quit. So the
-      // CTA parks instead, and write_slot re-arms it at the first instant
-      // of this poll sequence at or after that write.
+      // CTA parks instead, and write_slot wakes the slot's parked CTAs
+      // together after that write.
       assert(elapsed == cm.poll_local_ns);
-      run_.slots[slot_].parked.push_back({this, sim.now(), scheduled_from_ns_});
+      run_.slots[slot_].parked.push_back({this, cta_, sim.now()});
       return;
   }
 }
@@ -473,33 +428,31 @@ void RunState::write_slot(std::size_t slot, SlotState next,
     sync.host_write(sim.now(), slot, c, next, elapsed);
   }
   if (next != SlotState::kWork && next != SlotState::kQuit) return;
-  // Each parked CTA's first poll at or after this step. A poll tying with
-  // the step ran after it and read the write: the host scheduled its step
-  // before the CTA scheduled that poll (DESIGN.md, "Idle CTAs park").
+  // The parked CTAs wake at one instant, the earliest of their own next
+  // polls at or after this step, and run in CTA-index order. The order of
+  // their first rounds decides which CTA claims a node in the shared
+  // visited set, so it must not carry the slot's history (DESIGN.md, "Idle
+  // CTAs park"). A poll tying with the step ran after it and read the
+  // write: the host scheduled its step before the CTA scheduled that poll.
   SlotRuntime& rt = slots[slot];
-  wakes.clear();
-  for (std::size_t i = 0; i < rt.parked.size(); ++i) {
-    Wake w{rt.parked[i], rt.parked[i].at, 0, i};
-    do {
-      w.at = next_idle_poll(cfg.cost, w.at);
-      ++w.polls;
-    } while (w.at < sim.now());
-    elided_polls += w.polls - 1;
-    wakes.push_back(w);
-  }
-  rt.parked.clear();
-  // Wakes of one instant enter the queue in the order the per-poll loop ran
-  // them. Insertion sort: a handful of siblings, and it needs no strict
-  // weak order from polls_before's undecidable case.
-  const auto earlier = [&](const Wake& a, const Wake& b) {
-    return a.at < b.at || (a.at == b.at && polls_before(cfg.cost, a, b));
-  };
-  for (std::size_t i = 1; i < wakes.size(); ++i) {
-    for (std::size_t j = i; j > 0 && earlier(wakes[j], wakes[j - 1]); --j) {
-      std::swap(wakes[j], wakes[j - 1]);
+  if (rt.parked.empty()) return;
+  SimTime wake = std::numeric_limits<SimTime>::infinity();
+  for (const ParkedCta& p : rt.parked) {
+    // Each poll before the CTA's first one at or after this step was
+    // skipped; walk the recurrence one poll at a time, as the CTA sums it.
+    SimTime at = next_idle_poll(cfg.cost, p.at);
+    while (at < sim.now()) {
+      ++elided_polls;
+      at = next_idle_poll(cfg.cost, at);
     }
+    wake = std::min(wake, at);
   }
-  for (const Wake& w : wakes) sim.schedule(w.parked.cta, w.at);
+  std::sort(rt.parked.begin(), rt.parked.end(),
+            [](const ParkedCta& a, const ParkedCta& b) {
+              return a.index < b.index;
+            });
+  for (const ParkedCta& p : rt.parked) sim.schedule(p.cta, wake);
+  rt.parked.clear();
 }
 
 bool HostWorker::dispatch(sim::Simulation& sim, std::size_t slot,

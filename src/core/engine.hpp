@@ -100,10 +100,11 @@ struct EngineCounters {
   std::size_t cta_count = 0;
   /// Events the simulation queue ran. Idle CTA polls are not among them:
   /// a parked CTA skips them (elided_polls), so sim_events + elided_polls
-  /// is what a loop stepping every poll would run.
+  /// is what a loop stepping every poll until the slot's wake would run.
   std::uint64_t sim_events = 0;
-  /// Idle persistent-kernel CTA polls skipped by parking. Each would have
-  /// read an idle state and changed nothing (DESIGN.md, "Idle CTAs park").
+  /// Idle persistent-kernel CTA polls skipped by parking, up to the
+  /// instant the slot's CTAs wake together. Each would have read an idle
+  /// state and changed nothing (DESIGN.md, "Idle CTAs park").
   std::uint64_t elided_polls = 0;
   /// Queue entries the simulation popped and discarded because the actor
   /// was re-scheduled after they were pushed (token mismatch).

@@ -47,7 +47,6 @@ void QueryManager::push(PendingQuery q) {
   q.priority = static_cast<std::uint8_t>(clamp_class(q.priority));
   classes_[q.priority].push_back(q);
   ++size_;
-  ++total_;
 }
 
 std::optional<PendingQuery> QueryManager::admit(PendingQuery q,

@@ -93,7 +93,6 @@ class QueryManager {
 
   bool empty() const { return size_ == 0; }
   std::size_t pending() const { return size_; }
-  std::size_t total_pushed() const { return total_; }
 
  private:
   sim::SimCheck* check_;
@@ -105,7 +104,6 @@ class QueryManager {
   std::array<std::deque<PendingQuery>, kPriorityClasses> classes_
       ALGAS_OWNED_BY(QueryManager, AdmissionActor);
   std::size_t size_ ALGAS_OWNED_BY(QueryManager, AdmissionActor) = 0;
-  std::size_t total_ ALGAS_OWNED_BY(QueryManager, AdmissionActor) = 0;
   SimTime last_arrival_ ALGAS_OWNED_BY(QueryManager, AdmissionActor) = 0.0;
 };
 

@@ -41,7 +41,7 @@ std::string cache_path(const std::string& name, std::size_t num_base,
   const std::string dir = cache_dir();
   if (dir.empty()) return {};
   std::ostringstream out;
-  out << dir << "/" << name << "_v3_n" << num_base << "_q" << num_queries
+  out << dir << "/" << name << "_v4_n" << num_base << "_q" << num_queries
       << "_k" << gt_k << ".abin";
   return out.str();
 }

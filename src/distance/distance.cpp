@@ -3,6 +3,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "distance/kernel_tier.hpp"
+
 namespace algas {
 
 std::string metric_name(Metric m) {
@@ -16,19 +18,16 @@ std::string metric_name(Metric m) {
 
 float l2_sq(std::span<const float> a, std::span<const float> b) {
   assert(a.size() == b.size());
-  float acc = 0.0f;
-  for (std::size_t i = 0; i < a.size(); ++i) {
+  return detail::lane_sum(a.size(), [&](std::size_t i) {
     const float d = a[i] - b[i];
-    acc += d * d;
-  }
-  return acc;
+    return d * d;
+  });
 }
 
 float dot(std::span<const float> a, std::span<const float> b) {
   assert(a.size() == b.size());
-  float acc = 0.0f;
-  for (std::size_t i = 0; i < a.size(); ++i) acc += a[i] * b[i];
-  return acc;
+  return detail::lane_sum(a.size(),
+                          [&](std::size_t i) { return a[i] * b[i]; });
 }
 
 float norm(std::span<const float> a) { return std::sqrt(dot(a, a)); }
@@ -52,68 +51,6 @@ float distance(Metric m, std::span<const float> a, std::span<const float> b) {
     case Metric::kL2: return l2_sq(a, b);
     case Metric::kInnerProduct: return 1.0f - dot(a, b);
     case Metric::kCosine: return 1.0f - cosine_similarity(a, b);
-  }
-  return kInfDist;
-}
-
-namespace {
-
-/// Widest lane count distance_lanes supports — one GPU warp. Keeping the
-/// scratch on the stack avoids three heap allocations per call.
-constexpr std::size_t kMaxLanes = 32;
-
-/// Pairwise tree reduction of lane partials — the order a warp shuffle
-/// reduction (offset 16, 8, 4, 2, 1) produces.
-float shuffle_reduce(float* lanes, std::size_t n) {
-  for (std::size_t offset = n / 2; offset > 0; offset /= 2) {
-    for (std::size_t i = 0; i < offset; ++i) lanes[i] += lanes[i + offset];
-  }
-  return lanes[0];
-}
-
-}  // namespace
-
-float distance_lanes(Metric m, std::span<const float> a,
-                     std::span<const float> b, std::size_t lanes) {
-  assert(a.size() == b.size());
-  assert(is_pow2(lanes));
-  assert(lanes <= kMaxLanes);
-  float acc[kMaxLanes] = {};
-  float acc2[kMaxLanes] = {};  // for cosine norms
-  float acc3[kMaxLanes] = {};
-
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    for (std::size_t i = lane; i < a.size(); i += lanes) {
-      switch (m) {
-        case Metric::kL2: {
-          const float d = a[i] - b[i];
-          acc[lane] += d * d;
-          break;
-        }
-        case Metric::kInnerProduct:
-          acc[lane] += a[i] * b[i];
-          break;
-        case Metric::kCosine:
-          acc[lane] += a[i] * b[i];
-          acc2[lane] += a[i] * a[i];
-          acc3[lane] += b[i] * b[i];
-          break;
-      }
-    }
-  }
-
-  switch (m) {
-    case Metric::kL2:
-      return shuffle_reduce(acc, lanes);
-    case Metric::kInnerProduct:
-      return 1.0f - shuffle_reduce(acc, lanes);
-    case Metric::kCosine: {
-      const float d = shuffle_reduce(acc, lanes);
-      const float na = std::sqrt(shuffle_reduce(acc2, lanes));
-      const float nb = std::sqrt(shuffle_reduce(acc3, lanes));
-      if (na <= 0.0f || nb <= 0.0f) return 1.0f;
-      return 1.0f - d / (na * nb);
-    }
   }
   return kInfDist;
 }

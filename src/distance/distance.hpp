@@ -1,11 +1,12 @@
 // Distance kernels. All metrics map to "smaller is closer" so search code
 // never branches on metric direction.
 //
-// distance_lanes() mirrors the GPU's intra-CTA scheme (Algorithm 1 lines
-// 10-13): each of `lanes` warp lanes accumulates a strided slice of the
-// dimensions and the partials are shuffle-reduced. It is algebraically
-// identical to the scalar kernels up to float reassociation; tests pin the
-// tolerance.
+// l2_sq and dot sum the way one warp scores a neighbour (Algorithm 1, lines
+// 10-13): each of 32 lanes adds a strided slice of the dimensions, lane l
+// taking l, l + 32, l + 64, ..., and the partials reduce pairwise at offsets
+// 16, 8, 4, 2, 1 like a shuffle reduction. norm, cosine_similarity and
+// distance are built on them. This is the one scoring order: every batch
+// kernel (distance/kernels.hpp) matches it bit for bit.
 #pragma once
 
 #include <cstddef>
@@ -30,13 +31,6 @@ float cosine_similarity(std::span<const float> a, std::span<const float> b);
 
 /// Metric dispatch; smaller result = closer pair.
 float distance(Metric m, std::span<const float> a, std::span<const float> b);
-
-/// Lane-partitioned evaluation: lane i accumulates dimensions i, i+lanes,
-/// i+2*lanes, ... then partials reduce pairwise (shuffle-style). Functional
-/// mirror of the warp kernel; used by tests to validate the parallel
-/// decomposition.
-float distance_lanes(Metric m, std::span<const float> a,
-                     std::span<const float> b, std::size_t lanes);
 
 /// L2 norm of `a`.
 float norm(std::span<const float> a);

@@ -8,27 +8,25 @@
 // per element.
 //
 // Every result is BITWISE-IDENTICAL to calling distance() once per point:
-// each row keeps its own accumulator walking dimensions in the scalar
-// order (no reassociation, no fast-math, no FMA contraction). Two kernels
-// keep that promise, chosen once per process by what the host supports
-// (distance_kernel_name()); neither is a setting.
+// each row is scored alone, in distance()'s warp lane order (32 lanes, lane
+// l summing dimensions l, l + 32, ..., then the pairwise shuffle tree; no
+// fast-math, no FMA contraction). Two tiers keep that promise, chosen once
+// per process by what the host supports (distance_kernel_name()); neither
+// is a setting.
 //
-//   avx2x8    f32 batches of two or more rows on x86-64 hosts with AVX2.
-//             One row per lane of an 8-float register: each block of 8
-//             dimensions is loaded row by row, transposed in registers and
-//             added in dimension order, so lane j runs row j's serial chain
-//             and the vector width buys eight rows per add. A short last
-//             group repeats a row into its spare lanes and drops them.
-//   portable  Everything else — single rows, f16/int8 rows, other hosts:
-//             four rows per group with four independent scalar chains, and
-//             one chain per leftover row.
+//   avx2      x86-64 hosts with AVX2 and F16C: four 8-float registers hold
+//             the 32 lanes, and one 8-element loader per codec widens the
+//             row (loadu for f32, vcvtph2ps for f16, int-to-float times the
+//             row scale for int8). Every codec and batch size runs it.
+//   portable  Everything else: the lane loop over the codec's row accessor.
+//             row_norms runs it on every host.
 //
-// DESIGN.md "Row-parallel kernels" gives the exactness argument. Around
-// the float chain, both kernels dispatch the metric once per batch, hoist
-// the query norm out of the cosine loop and prefetch upcoming base rows.
+// DESIGN.md "Warp lane order" gives the exactness argument. Around the
+// sum, both tiers dispatch the codec once per batch, hoist the query norm
+// out of the cosine loop and prefetch upcoming base rows.
 //
 // f16/int8 rows dequantize each element in-register (half widening /
-// scale * q) before it enters the same accumulator chain, so a quantized
+// scale * q) before it enters the same lane partial, so a quantized
 // batch result is bitwise-equal to decoding the row into floats and running
 // the f32 kernel on it — the property the VectorStore tests pin. Quantized
 // results are NOT bitwise-equal to f32 scoring of the original rows; that
@@ -91,10 +89,10 @@ void distance_batch_range(Metric m, std::span<const float> query,
                           std::size_t count, std::span<float> out,
                           std::span<const float> norms = {});
 
-/// The f32 batch kernel this process runs: "avx2x8" (8 rows per AVX2
-/// register, on x86-64 hosts with AVX2) or "portable" (4-row chains).
-/// Read-only: the host decides it once, and every kernel writes the same
-/// bits, so it explains wall-clock numbers and nothing else.
+/// The batch kernel this process runs: "avx2" (the 32 lanes in four AVX2
+/// registers, on x86-64 hosts with AVX2 and F16C) or "portable" (the lane
+/// loop). Read-only: the host decides it once, and every kernel writes the
+/// same bits, so it explains wall-clock numbers and nothing else.
 const char* distance_kernel_name();
 
 /// out[k] = norm of decoded row first + k: bitwise norm() of the row as

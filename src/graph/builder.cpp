@@ -58,7 +58,7 @@ BuildReport load_or_build_graph(GraphKind kind, const Dataset& ds,
   std::string path;
   if (!dir.empty()) {
     std::ostringstream out;
-    out << dir << "/graph_v3_" << graph_kind_name(kind) << "_" << ds.name()
+    out << dir << "/graph_v4_" << graph_kind_name(kind) << "_" << ds.name()
         << "_n" << ds.num_base() << "_d" << cfg.degree << "_ef"
         << cfg.ef_construction;
     // Quantized builds score different floats and link different edges, so

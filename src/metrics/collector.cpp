@@ -119,15 +119,6 @@ std::vector<double> Collector::sorted_service_us() const {
   return out;
 }
 
-std::vector<double> Collector::step_counts() const {
-  std::vector<double> out;
-  out.reserve(records_.size());
-  for (const auto& r : records_) {
-    out.push_back(static_cast<double>(r.steps));
-  }
-  return out;
-}
-
 void Collector::clear() {
   records_.clear();
   batch_idle_ns_ = 0.0;

@@ -127,9 +127,6 @@ class Collector {
   /// microseconds (Fig 13's series).
   std::vector<double> sorted_service_us() const;
 
-  /// Per-query step counts (Figs 1, 2).
-  std::vector<double> step_counts() const;
-
   void clear();
 
  private:

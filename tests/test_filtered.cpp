@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -14,7 +15,9 @@
 #include "core/sharded_engine.hpp"
 #include "dataset/ground_truth.hpp"
 #include "dataset/io.hpp"
+#include "dataset/registry.hpp"
 #include "dataset/synthetic.hpp"
+#include "graph/builder.hpp"
 #include "metrics/recall.hpp"
 #include "search/accept.hpp"
 #include "search/search_params.hpp"
@@ -250,6 +253,18 @@ TEST(FilteredSearch, SelectiveFilterFindsAcceptedNeighbors) {
   EXPECT_GT(metrics::served_recall(gt, rep.collector, 10), 0.8);
 }
 
+void expect_same_results(const std::vector<std::vector<KV>>& a,
+                         const std::vector<std::vector<KV>>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t q = 0; q < a.size(); ++q) {
+    ASSERT_EQ(a[q].size(), b[q].size()) << "query " << q;
+    for (std::size_t i = 0; i < a[q].size(); ++i) {
+      EXPECT_EQ(a[q][i].id(), b[q][i].id()) << "query " << q << " rank " << i;
+      EXPECT_EQ(a[q][i].dist, b[q][i].dist) << "query " << q << " rank " << i;
+    }
+  }
+}
+
 TEST(FilteredSearch, DeterministicAcrossHostThreadCounts) {
   const auto& world = algas::testing::tiny_world();
   const std::size_t nq = 24;
@@ -263,15 +278,47 @@ TEST(FilteredSearch, DeterministicAcrossHostThreadCounts) {
     return results_by_query(
         core::AlgasEngine(world.ds, world.nsw, cfg).run_closed_loop(nq), nq);
   };
-  const auto one = run(1);
-  const auto four = run(4);
-  for (std::size_t q = 0; q < nq; ++q) {
-    ASSERT_EQ(one[q].size(), four[q].size()) << "query " << q;
-    for (std::size_t i = 0; i < one[q].size(); ++i) {
-      EXPECT_EQ(one[q][i].id(), four[q][i].id()) << "query " << q;
-      EXPECT_EQ(one[q][i].dist, four[q][i].dist) << "query " << q;
-    }
+  expect_same_results(run(1), run(4));
+}
+
+TEST(FilteredSearch, WidenedGateTierDeterministicAcrossHostThreadCounts) {
+  // The filtered gate's 0.1% tier (bench_filtered at scale 0.05): SIFT-like
+  // 4,000 rows and 40 queries, the 4 rows with the smallest timestamps
+  // accepted, so the list widens to 1,024 over 4 CTAs. The slot's CTAs
+  // share one visited set, so the order they start a query in decides which
+  // CTA claims a node. That order must not depend on how many host workers
+  // dispatch the queries.
+  Dataset ds = load_bench_dataset_sized("sift", 4000, 40, 10, false);
+  attach_synthetic_attributes(ds);
+  BuildConfig build;
+  build.degree = 32;
+  build.ef_construction = 64;
+  const Graph g = build_graph(GraphKind::kNsw, ds, build).graph;
+  std::vector<std::pair<std::uint32_t, NodeId>> order;
+  for (std::size_t i = 0; i < ds.num_base(); ++i) {
+    order.emplace_back(ds.timestamps()[i], static_cast<NodeId>(i));
   }
+  std::sort(order.begin(), order.end());
+  NodeBitset bits(ds.num_base());
+  for (std::size_t i = 0; i < 4; ++i) bits.set(order[i].second);
+
+  auto run = [&](std::size_t hosts) {
+    core::AlgasConfig cfg;
+    cfg.search.topk = 10;
+    cfg.search.candidate_len = 128;
+    cfg.search.beam_width = 4;
+    cfg.search.offset_beam = 24;
+    cfg.search.accept = AcceptPredicate(&bits);
+    cfg.slots = 16;
+    cfg.n_parallel = 4;
+    cfg.host_threads = hosts;
+    cfg.host_sync = core::HostSync::kPollMirrored;
+    core::AlgasEngine engine(ds, g, cfg);
+    EXPECT_EQ(engine.config().search.candidate_len, 1024u);
+    return results_by_query(engine.run_closed_loop(ds.num_queries()),
+                            ds.num_queries());
+  };
+  expect_same_results(run(1), run(4));
 }
 
 // ---------------- sharded fanout fallback ----------------

@@ -1,21 +1,20 @@
 // Golden virtual-time fingerprints of the engine on the tiny world.
 //
 // Idle persistent-kernel CTAs park between queries instead of running one
-// queue event per poll, and are re-armed on their own poll sequence when
-// the host writes Work or Quit (DESIGN.md, "Idle CTAs park"). That must be
-// invisible to every modeled figure. Each case pins an FNV-1a over every
-// field of every record (slot, timestamps, deadline, priority, disposition,
-// device work and results), and the poll-every-period event count
-// (sim_events + elided_polls), host poll count and PCIe counters that a loop
-// running every idle poll as an event produced.
+// queue event per poll, and a slot's parked CTAs wake together when the
+// host writes Work or Quit (DESIGN.md, "Idle CTAs park"). Each case pins an
+// FNV-1a over every field of every record (slot, timestamps, deadline,
+// priority, disposition, device work and results), and the event count
+// with every skipped idle poll added back (sim_events + elided_polls), the
+// host poll count and the PCIe counters.
 //
 // The cases cover every HostSync mode in a closed loop and in a bounded-
 // admission open loop whose deadlines both shed and evict, each unsharded
 // and over K=4 shards; one run with more slots than queries, where sibling
 // CTAs idle in lockstep from launch until late arrivals; one where
-// rounding merges the poll sequences of siblings that parked apart; and
-// accept-predicate runs whose filter bitset and tombstone set reject
-// results while the rejected nodes keep routing.
+// siblings that parked apart must start every query at one instant, in
+// CTA order; and accept-predicate runs whose filter bitset and tombstone
+// set reject results while the rejected nodes keep routing.
 //
 // The GraphGolden cases pin the construction path the same way: an FNV-1a
 // over each built graph (shape, entry point, every adjacency row) and its
@@ -32,13 +31,17 @@
 #include <cstring>
 #include <filesystem>
 #include <limits>
+#include <map>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/node_set.hpp"
 #include "core/engine.hpp"
 #include "core/mutable_index.hpp"
 #include "core/sharded_engine.hpp"
+#include "simgpu/trace.hpp"
 #include "test_util.hpp"
 
 namespace algas::core {
@@ -202,12 +205,12 @@ constexpr HostSync kModes[] = {HostSync::kPollNaive, HostSync::kPollMirrored,
 TEST(VirtualTimeGolden, ClosedLoopEveryModeAndShardCount) {
   // Index: mode * 2 + (K == 4).
   const Fingerprint want[] = {
-      {0x927dea8dea56f560ull, 26913, 379, 1131, 170604, 379, 672},
-      {0xd1652cedcc0de41cull, 126931, 1391, 4399, 190396, 1391, 2688},
-      {0x5c115c1f0348738eull, 18696, 1270, 1072, 170368, 0, 992},
-      {0xb692754202e7c9d2ull, 65545, 1717, 4288, 189952, 0, 3968},
-      {0x33ecd6cd498b3cbfull, 24544, 0, 752, 169088, 0, 672},
-      {0x4fcf91765ca22b18ull, 74735, 0, 3008, 184832, 0, 2688},
+      {0x1a67e7c55d451261ull, 26989, 379, 1131, 170604, 379, 672},
+      {0xab9942b247a6690dull, 127421, 1391, 4399, 190396, 1391, 2688},
+      {0x33966f26d507b591ull, 19103, 1295, 1072, 170368, 0, 992},
+      {0x7a7f286238448e96ull, 66060, 1717, 4288, 189952, 0, 3968},
+      {0x580536ac7824171bull, 24707, 0, 752, 169088, 0, 672},
+      {0x324d8cf08f811c72ull, 75294, 0, 3008, 184832, 0, 2688},
   };
   for (std::size_t m = 0; m < 3; ++m) {
     const AlgasConfig cfg = golden_config(kModes[m]);
@@ -222,12 +225,12 @@ TEST(VirtualTimeGolden, ClosedLoopEveryModeAndShardCount) {
 
 TEST(VirtualTimeGolden, OpenLoopShedAndEvictEveryModeAndShardCount) {
   const Fingerprint want[] = {
-      {0xb319b2621fcd434aull, 30142, 429, 903, 74676, 429, 432},
-      {0xd0f1de8ed7b36b01ull, 128461, 1158, 3378, 108312, 1158, 2016},
-      {0xa40d46bad82aec54ull, 28641, 1310, 778, 90784, 0, 728},
-      {0xc9de76e06e7ce9f7ull, 125677, 1871, 3235, 129280, 0, 3008},
-      {0xb2d6e1551a3f7907ull, 29338, 0, 528, 85632, 0, 480},
-      {0x1c31a724d7ce1c2aull, 127642, 0, 2256, 105984, 0, 2048},
+      {0x0eea849465cc39efull, 29632, 433, 888, 66372, 433, 416},
+      {0x188b36556063a7a0ull, 128866, 1146, 3366, 108264, 1146, 2016},
+      {0xb008f44a508926c8ull, 28855, 1430, 778, 90784, 0, 728},
+      {0xab84a3d64dc6d867ull, 126032, 1775, 3236, 130304, 0, 3008},
+      {0xb36eabc608261844ull, 28871, 0, 528, 85632, 0, 480},
+      {0x803a82c16ee06e0full, 127783, 0, 2256, 105984, 0, 2048},
   };
   const auto arrivals = open_arrivals();
   for (std::size_t m = 0; m < 3; ++m) {
@@ -261,21 +264,21 @@ TEST(VirtualTimeGolden, MoreSlotsThanQueriesIdleInLockstep) {
   const auto rep = run_single(cfg, &arrivals, 0);
   EXPECT_GT(rep.elided_polls, rep.sim_events);
   expect_fingerprint(
-      rep, {0xc662aad76eede04bull, 15647, 201, 148, 13216, 0, 136},
+      rep, {0x7c25ee5d011cea86ull, 15647, 201, 148, 13216, 0, 136},
       "lockstep");
 }
 
-TEST(VirtualTimeGolden, SiblingsOnMergedPollSequences) {
-  // Twenty-four slots of eight greedy CTAs on one host worker: idle
-  // siblings that parked at different instants end up on the very same
-  // poll instants once rounding merges their sequences, and must wake in
-  // the order the per-poll loop ran them there, which is not park order.
+TEST(VirtualTimeGolden, SiblingsWakeTogetherInCtaOrder) {
+  // Twenty-four slots of eight greedy CTAs on one host worker. Idle
+  // siblings park at different instants, yet every query's CTAs must start
+  // it at one instant and in CTA-index order, whatever history parked them.
   const Fingerprint want[] = {
-      {0x314a6a3a436c973dull, 190703, 240, 972, 67008, 240, 672},
-      {0xa3d75f17b095366aull, 111092, 0, 732, 66048, 0, 672},
+      {0x31c6452f3e81f75bull, 190725, 240, 972, 67008, 240, 672},
+      {0xe8c7920f1302efe9ull, 113450, 0, 732, 66048, 0, 672},
   };
   const HostSync modes[] = {HostSync::kPollNaive, HostSync::kBlocking};
   for (std::size_t m = 0; m < 2; ++m) {
+    const std::string mode = host_sync_name(modes[m]);
     AlgasConfig cfg = golden_config(modes[m]);
     cfg.search.candidate_len = 32;
     cfg.search.beam_width = 1;
@@ -283,8 +286,28 @@ TEST(VirtualTimeGolden, SiblingsOnMergedPollSequences) {
     cfg.slots = 24;
     cfg.host_threads = 1;
     cfg.seed = 5;
-    expect_fingerprint(run_single(cfg, nullptr, 30), want[m],
-                       std::string("merged ") + host_sync_name(modes[m]));
+    sim::Tracer tracer;
+    cfg.tracer = &tracer;
+    const auto rep = run_single(cfg, nullptr, 30);
+    expect_fingerprint(rep, want[m], "siblings " + mode);
+
+    // Each query's first span on every CTA lane, in trace order.
+    std::map<std::string, std::vector<const sim::TraceEventRec*>> firsts;
+    std::set<std::pair<std::string, int>> seen;
+    for (const sim::TraceEventRec& e : tracer.events()) {
+      if (e.cat == "cta" && seen.insert({e.name, e.tid}).second) {
+        firsts[e.name].push_back(&e);
+      }
+    }
+    ASSERT_EQ(firsts.size(), 30u) << mode;
+    for (const auto& [query, spans] : firsts) {
+      EXPECT_EQ(spans.size(), rep.plan.n_parallel) << mode << " " << query;
+      for (std::size_t c = 1; c < spans.size(); ++c) {
+        EXPECT_EQ(spans[c]->ts_ns, spans[0]->ts_ns) << mode << " " << query;
+        EXPECT_EQ(spans[c]->tid, spans[0]->tid + static_cast<int>(c))
+            << mode << " " << query;
+      }
+    }
   }
 }
 
@@ -320,9 +343,9 @@ TEST(VirtualTimeGolden, AcceptPredicateFilterAndTombstones) {
     }
     EXPECT_GT(returned, 0u) << name;
     const Fingerprint want =
-        sharded ? Fingerprint{0xb07f86ed3797b303ull, 68416, 1810, 4288,
+        sharded ? Fingerprint{0xf1974e246f22ea5cull, 69107, 1814, 4288,
                               435712, 0, 3968}
-                : Fingerprint{0x61841fb8ebde5a42ull, 53416, 5968, 1072,
+                : Fingerprint{0x159dc2876242ce36ull, 53388, 5931, 1072,
                               661888, 0, 992};
     expect_fingerprint(rep, want, name);
   }
@@ -409,11 +432,11 @@ TEST(GraphGolden, OfflineBuildsAtEveryThreadCount) {
        {0x3a354e433e144539ull, 6, 396935, 0x4104ef54cccccccdull,
         0x4171e62a3ccccccfull}},
       {"cosine uneven tail", Metric::kCosine, StorageCodec::kF32, 2000, 384,
-       {0xa017b589d42c2066ull, 6, 390321, 0x4104ae8800000000ull,
-        0x4171b1ca43333334ull}},
+       {0x9405336cf623a9e8ull, 6, 390319, 0x4104a94ccccccccdull,
+        0x4171b1be56666668ull}},
       {"cosine f16 uneven tail", Metric::kCosine, StorageCodec::kF16, 2000,
        384,
-       {0x9f2acaa6e24d7af3ull, 6, 390272, 0x4104a94cccccccccull,
+       {0x1b2e25daf1d90ebaull, 6, 390272, 0x4104a94cccccccccull,
         0x4171b14c9999999aull}},
       {"l2 bootstrap only", Metric::kL2, StorageCodec::kF32, 2000, 4096,
        {0x47dd91d259254e7full, 1, 1999000, 0x410eb27666666666ull,
@@ -426,7 +449,7 @@ TEST(GraphGolden, OfflineBuildsAtEveryThreadCount) {
        {0xdbff6fd4e822c6ffull, 500, 73967, 0x415fe34226666663ull,
         0x415fe34226666663ull}},
       {"cosine insert_batch 1", Metric::kCosine, StorageCodec::kF32, 500, 1,
-       {0x690bb4c1ec7a3883ull, 500, 72339, 0x415fb08e5999999aull,
+       {0xb1ea22703a5979c3ull, 500, 72339, 0x415fb08e5999999aull,
         0x415fb08e5999999aull}},
   };
   for (const Case& c : cases) {
@@ -468,11 +491,11 @@ TEST(GraphGolden, StreamedWavesThenRemovesAndCompact) {
        {0x25a8d96350100fc2ull, 2, 57606, 0x40e8d15333333333ull,
         0x4145133633333335ull}},
       {Metric::kCosine,
-       {0xef79a3fc1ef033eeull, 9, 368659, 0x41092b2800000000ull,
+       {0xd2223c853719f8deull, 9, 368659, 0x41092b2800000000ull,
         0x41710d5816666667ull},
-       0x11372c3213d8014aull, 1566,
-       {0x0cf3886929a5e16full, 2, 57167, 0x40e8091333333333ull,
-        0x4144f6fde6666665ull}},
+       0x6c50c6976d47b6d7ull, 1566,
+       {0xc681ffddd98dad13ull, 2, 57168, 0x40e8091333333333ull,
+        0x4144f70999999998ull}},
   };
   for (const Case& c : cases) {
     const Dataset& full = algas::testing::tiny_world(c.metric).ds;

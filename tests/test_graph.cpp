@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <string>
 
+#include "common/env.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "graph/builder.hpp"
@@ -463,6 +466,32 @@ TEST(Builders, DegreeZeroIsRejected) {
   for (GraphKind kind : {GraphKind::kNsw, GraphKind::kCagra}) {
     EXPECT_THROW(build_graph(kind, ds, cfg), std::invalid_argument);
   }
+}
+
+TEST(Builders, CacheKeyMovesWithTheScoringOrder) {
+  // Graphs cached before distance() summed in the warp lane order hold
+  // other edges, so their v3 names must not be read: a truncated file
+  // planted under the v3 name must neither be loaded nor throw.
+  const auto dir = std::filesystem::temp_directory_path() / "algas_cache_key";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string before = cache_dir();
+  ::setenv("ALGAS_CACHE_DIR", dir.c_str(), 1);
+
+  const auto& world = testing::tiny_world();
+  BuildConfig cfg;
+  cfg.degree = 8;
+  cfg.ef_construction = 16;
+  const std::string stem = "_NSW_" + world.ds.name() + "_n" +
+                           std::to_string(world.ds.num_base()) + "_d8_ef16";
+  std::ofstream(dir / ("graph_v3" + stem + ".agr")) << "ALG";  // truncated
+  const BuildReport fresh = load_or_build_graph(GraphKind::kNsw, world.ds, cfg);
+  EXPECT_FALSE(fresh.cache_hit);
+  EXPECT_TRUE(std::filesystem::exists(dir / ("graph_v4" + stem + ".agr")));
+  EXPECT_TRUE(load_or_build_graph(GraphKind::kNsw, world.ds, cfg).cache_hit);
+
+  ::setenv("ALGAS_CACHE_DIR", before.c_str(), 1);  // same cache_dir() as before
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Builders, BeamSearchFindsExactNearest) {

@@ -4,8 +4,8 @@
 // The batched kernels promise BITWISE-identical results to per-point
 // distance() calls, so every comparison here is on the float's bit pattern
 // (EXPECT_EQ via bit_cast), never EXPECT_NEAR. DistanceBatchTier runs each
-// kernel tier the host supports, so an AVX2 host checks the portable chains
-// too.
+// kernel tier the host supports over every storage codec, so an AVX2 host
+// checks the portable lane loop too.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -19,6 +19,7 @@
 #include "common/node_set.hpp"
 #include "common/rng.hpp"
 #include "dataset/dataset.hpp"
+#include "dataset/vector_store.hpp"
 #include "distance/distance.hpp"
 #include "distance/kernel_tier.hpp"
 #include "distance/kernels.hpp"
@@ -66,7 +67,8 @@ constexpr Metric kMetrics[] = {Metric::kL2, Metric::kInnerProduct,
                                Metric::kCosine};
 
 // Sweep dims around every tail-handling boundary (odd sizes, powers of two,
-// one off either side) and batch sizes across the 4-wide ILP groups.
+// one off either side of the 8-float registers and the 32 lanes) and batch
+// sizes small and large.
 constexpr std::size_t kDims[] = {1,  2,  3,  4,   5,   7,   8,   9,
                                  15, 16, 17, 31,  32,  33,  63,  64,
                                  65, 96, 127, 128, 129, 255, 256, 257};
@@ -145,7 +147,7 @@ TEST(DistanceBatch, RangeVariantBitwiseMatchesScalar) {
 
 using detail::KernelTier;
 
-/// Runs each kernel tier on f32 rows. A tier the host cannot run is
+/// Runs each kernel tier over every codec. A tier the host cannot run is
 /// skipped by name; the portable tier runs everywhere.
 class DistanceBatchTier : public ::testing::TestWithParam<KernelTier> {
  protected:
@@ -159,56 +161,85 @@ class DistanceBatchTier : public ::testing::TestWithParam<KernelTier> {
   }
 };
 
+/// `base` under `codec`, and the floats the kernels must score: the rows
+/// decoded, or `base` itself for f32.
+struct CodecRows {
+  VectorStore store;
+  EncodedRows rows;
+  std::vector<float> decoded;
+
+  CodecRows(const std::vector<float>& base, std::size_t dim,
+            StorageCodec codec) {
+    const std::size_t n = base.size() / dim;
+    store.encode(base.data(), n, dim, codec);
+    if (codec == StorageCodec::kF32) {
+      rows = f32_rows(base, dim);
+      decoded = base;
+      return;
+    }
+    rows = store.view();
+    decoded.resize(base.size());
+    for (std::size_t i = 0; i < n; ++i) {
+      store.decode_row(i, {decoded.data() + i * dim, dim});
+    }
+  }
+};
+
 TEST_P(DistanceBatchTier, BitwiseMatchesScalarAcrossDimsMetricsAndBatches) {
   const KernelTier tier = GetParam();
   constexpr std::size_t kRows = 129;
   for (std::size_t dim : kDims) {
     // Exactly sized: the last row and the query end where their
     // allocations end, so a load past a row's tail dims would read outside
-    // the allocation (and fail under ASan).
-    const auto base = make_base(kRows, dim, /*seed=*/dim + 3);
-    const auto norms = norm_table(base, dim);
+    // the allocation (and fail under ASan). Every seventh element is tiny,
+    // so f16 rows hold subnormal halves.
+    auto base = make_base(kRows, dim, /*seed=*/dim + 3);
+    for (std::size_t i = 3; i < base.size(); i += 7) base[i] *= 1e-5f;
     const auto query = make_query(dim, /*seed=*/dim * 31 + 7);
-    for (Metric m : kMetrics) {
-      for (std::size_t count : kBatchSizes) {
-        Rng rng(dim * 977 + count);
-        std::vector<NodeId> ids(count);
-        for (auto& id : ids) {
-          id = static_cast<NodeId>(rng.next_below(kRows));
+    for (StorageCodec codec : {StorageCodec::kF32, StorageCodec::kF16,
+                               StorageCodec::kInt8}) {
+      const CodecRows enc(base, dim, codec);
+      const auto norms = norm_table(enc.decoded, dim);
+      const auto row = [&](std::size_t id) {
+        return std::span<const float>{enc.decoded.data() + id * dim, dim};
+      };
+      const std::string where = std::string(detail::kernel_tier_name(tier)) +
+                                " " + storage_codec_name(codec);
+      for (Metric m : kMetrics) {
+        for (std::size_t count : kBatchSizes) {
+          Rng rng(dim * 977 + count);
+          std::vector<NodeId> ids(count);
+          for (auto& id : ids) {
+            id = static_cast<NodeId>(rng.next_below(kRows));
+          }
+          if (count >= 2) {
+            // The zero row (the cosine guard) and the row at the end of
+            // the allocation.
+            ids[0] = 0;
+            ids[count - 1] = kRows - 1;
+          }
+          std::vector<float> out(count, -1.0f);
+          detail::distance_batch_on(tier, m, query, enc.rows, ids, out, norms,
+                                    std::nullopt);
+          for (std::size_t k = 0; k < count; ++k) {
+            EXPECT_EQ(bits(out[k]), bits(distance(m, query, row(ids[k]))))
+                << where << " metric=" << metric_name(m) << " dim=" << dim
+                << " count=" << count << " k=" << k << " id=" << ids[k];
+          }
         }
-        if (count >= 2) {
-          // The first row of the last group of 8 pads that group when the
-          // batch is not a multiple of 8: make it the zero row (the cosine
-          // guard), and score the row at the end of the allocation too.
-          const std::size_t last_group = (count - 1) / 8 * 8;
-          ids[last_group] = 0;
-          ids[last_group == count - 1 ? count - 2 : count - 1] = kRows - 1;
-        }
-        std::vector<float> out(count, -1.0f);
-        detail::distance_batch_on(tier, m, query, f32_rows(base, dim), ids,
-                                  out, norms, std::nullopt);
-        for (std::size_t k = 0; k < count; ++k) {
-          const std::span<const float> row{base.data() + ids[k] * dim, dim};
-          EXPECT_EQ(bits(out[k]), bits(distance(m, query, row)))
-              << detail::kernel_tier_name(tier)
-              << " metric=" << metric_name(m) << " dim=" << dim
-              << " count=" << count << " k=" << k << " id=" << ids[k];
-        }
-      }
-      // Ranges: the first rows, a short range ending at the allocation's
-      // end, and the whole matrix.
-      const std::size_t ranges[][2] = {{0, 2}, {kRows - 3, 3}, {0, kRows}};
-      for (const auto& [first, count] : ranges) {
-        std::vector<float> out(count, -1.0f);
-        detail::distance_batch_range_on(tier, m, query, f32_rows(base, dim),
-                                        first, count, out, norms);
-        for (std::size_t k = 0; k < count; ++k) {
-          const std::span<const float> row{base.data() + (first + k) * dim,
-                                           dim};
-          EXPECT_EQ(bits(out[k]), bits(distance(m, query, row)))
-              << detail::kernel_tier_name(tier)
-              << " range metric=" << metric_name(m) << " dim=" << dim
-              << " first=" << first << " count=" << count << " k=" << k;
+        // Ranges: the first rows, a short range ending at the allocation's
+        // end, and the whole matrix.
+        const std::size_t ranges[][2] = {{0, 2}, {kRows - 3, 3}, {0, kRows}};
+        for (const auto& [first, count] : ranges) {
+          std::vector<float> out(count, -1.0f);
+          detail::distance_batch_range_on(tier, m, query, enc.rows, first,
+                                          count, out, norms);
+          for (std::size_t k = 0; k < count; ++k) {
+            EXPECT_EQ(bits(out[k]), bits(distance(m, query, row(first + k))))
+                << where << " range metric=" << metric_name(m)
+                << " dim=" << dim << " first=" << first
+                << " count=" << count << " k=" << k;
+          }
         }
       }
     }
@@ -221,13 +252,13 @@ std::string tier_name(const ::testing::TestParamInfo<KernelTier>& tier) {
 
 INSTANTIATE_TEST_SUITE_P(Tiers, DistanceBatchTier,
                          ::testing::Values(KernelTier::kPortable,
-                                           KernelTier::kAvx2x8),
+                                           KernelTier::kAvx2),
                          tier_name);
 
 TEST(DistanceBatch, KernelNameIsTheHostTier) {
   const std::string name = distance_kernel_name();
   EXPECT_EQ(name, detail::kernel_tier_name(detail::host_kernel_tier()));
-  EXPECT_TRUE(name == "avx2x8" || name == "portable") << name;
+  EXPECT_TRUE(name == "avx2" || name == "portable") << name;
 #if !defined(__x86_64__)
   EXPECT_EQ(name, "portable");
 #endif

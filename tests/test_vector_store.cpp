@@ -4,7 +4,7 @@
 //
 // Two different contracts are checked with two different comparisons:
 //   * parity — a quantized batch distance must BITWISE equal decoding the
-//     row to floats and running the plain f32 chain (dequantize-in-register
+//     row to floats and running the plain f32 kernel (dequantize-in-register
 //     changes nothing), so those tests use bit_cast equality;
 //   * accuracy — quantized vs the ORIGINAL floats is lossy by design, so
 //     round-trip tests assert analytic error bounds (half-ulp for f16,
@@ -264,7 +264,7 @@ TEST(QuantizedKernels, BatchBitwiseEqualsF32OnDecodedRows) {
               << storage_codec_name(codec) << " " << metric_name(m)
               << " dim=" << dim << " k=" << k;
         }
-        // Per-id scalar chain on the decoded row agrees too.
+        // Per-id distance() on the decoded row agrees too.
         for (std::size_t k = 0; k < ids.size(); ++k) {
           const std::span<const float> row{decoded.data() + ids[k] * dim, dim};
           EXPECT_EQ(bits(got[k]), bits(distance(m, query, row)))

@@ -324,7 +324,7 @@ int cmd_build(const Args& args) {
   std::printf("wrote %s: %zu nodes, avg degree %.1f, %.1f%% reachable\n",
               args.get("out").c_str(), g.num_nodes(), stats.avg_degree,
               100.0 * stats.reachable_fraction);
-  std::printf("build: %.2fs wall (f32 kernel %s) | virtual %.1fms batched "
+  std::printf("build: %.2fs wall (kernel %s) | virtual %.1fms batched "
               "vs %.1fms serial (modeled %.0fx) | %zu batches | %zu distance "
               "evals | %zu link evals\n",
               report.wall_build_s, distance_kernel_name(),
@@ -351,7 +351,7 @@ int cmd_stats(const Args& args) {
 }
 
 void print_report(const char* engine_name, const core::EngineReport& rep) {
-  std::printf("%s: %zu queries | storage %s (f32 kernel %s) | recall %.4f | "
+  std::printf("%s: %zu queries | storage %s (kernel %s) | recall %.4f | "
               "latency mean %.1fus p99 %.1fus | throughput %.0f qps | pcie "
               "txns %llu\n",
               engine_name, rep.summary.queries,
