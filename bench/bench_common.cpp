@@ -1,6 +1,7 @@
 #include "bench_common.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -142,6 +143,38 @@ std::string hex64(std::uint64_t v) {
   std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(v));
   return buf;
+}
+
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  const auto dt = std::chrono::steady_clock::now() - t0;
+  return std::chrono::duration<double>(dt).count();
+}
+
+namespace {
+
+constexpr double kMinTrialSeconds = 0.2;
+constexpr std::size_t kTrials = 5;
+
+Trial repeat_pass(const std::function<std::size_t()>& pass) {
+  const auto t0 = std::chrono::steady_clock::now();
+  Trial t;
+  do {
+    t.work += static_cast<double>(pass());
+    ++t.passes;
+    t.wall_s = seconds_since(t0);
+  } while (t.wall_s < kMinTrialSeconds);
+  return t;
+}
+
+}  // namespace
+
+Trial median_trial(const std::function<std::size_t()>& pass) {
+  std::array<Trial, kTrials> trials;
+  for (auto& t : trials) t = repeat_pass(pass);
+  std::sort(trials.begin(), trials.end(), [](const Trial& a, const Trial& b) {
+    return a.rate() < b.rate();
+  });
+  return trials[kTrials / 2];
 }
 
 std::vector<const metrics::QueryRecord*> by_query_index(

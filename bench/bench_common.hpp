@@ -9,8 +9,10 @@
 // gate block of their bench/*_baseline.json.
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -71,6 +73,24 @@ struct Fnv {
 
 /// `v` as 16 lowercase hex digits (how checksums appear in the JSON).
 std::string hex64(std::uint64_t v);
+
+/// Wall seconds elapsed since `t0` on the steady clock.
+double seconds_since(std::chrono::steady_clock::time_point t0);
+
+/// One timed trial: `passes` whole passes doing `work` units in `wall_s`.
+struct Trial {
+  std::size_t passes = 0;
+  double work = 0.0;
+  double wall_s = 0.0;
+  double rate() const { return work / wall_s; }
+};
+
+/// The repeated-trial timer behind the wall-clock floors: 5 trials, each
+/// repeating `pass` (one whole pass of a section, returning the work units
+/// it did) until at least 0.2 s have elapsed, at least once; returns the
+/// trial with the median rate. One pass lasts milliseconds at CI scale,
+/// too short to hold a floor against timer and scheduler noise.
+Trial median_trial(const std::function<std::size_t()>& pass);
 
 /// The collector's records sorted by query index. Completion order varies
 /// with host thread count; a query's results must not, so result checksums

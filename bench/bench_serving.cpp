@@ -25,7 +25,9 @@
 //   * graceful flag: goodput(2x) > 0 and >= 0.3 x peak goodput, at both
 //     host counts.
 //   * floors: serving_goodput_qps (virtual, 1x point) and
-//     serving_distance_evals_per_s (wall clock), at hosts=1.
+//     serving_distance_evals_per_s (wall clock: bench::median_trial over
+//     repeated runs of the 1x point, each checked against its results
+//     checksum), at hosts=1.
 //
 // Knobs (environment, same semantics as the other benches):
 //   ALGAS_SCALE          dataset size multiplier (CI gate uses 0.05)
@@ -36,10 +38,10 @@
 //   ALGAS_BENCH_OUT      output JSON path (default "BENCH_serving.json")
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -124,11 +126,6 @@ struct Row {
   core::ServingReport rep;
 };
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  const auto dt = std::chrono::steady_clock::now() - t0;
-  return std::chrono::duration<double>(dt).count();
-}
-
 sim::ArrivalConfig arrival_config(const Variant& v, double sat_qps) {
   sim::ArrivalConfig a;
   a.kind = v.kind;
@@ -196,9 +193,7 @@ int main() {
     const auto& sweep = is_gate ? gate_sweep : scenario_sweep;
     for (const Variant& v : sweep) {
       const sim::ArrivalConfig a = arrival_config(v, sat_qps);
-      const auto t0 = std::chrono::steady_clock::now();
       Row row{name, v, a.rate_qps, serving.run(a, deadline_us)};
-      const double wall_s = seconds_since(t0);
       if (is_gate) {
         mix_arrivals(arrival_hash, row.rep.arrivals);
         if (v.name == "x025") {
@@ -214,12 +209,23 @@ int main() {
         }
         if (v.name == "x100") {
           gate_goodput_1x = row.rep.sharded.merged.summary.goodput_qps;
-          double scored = 0.0;
-          for (const auto& rec :
-               row.rep.sharded.merged.collector.records()) {
-            scored += static_cast<double>(rec.scored_points);
-          }
-          gate_evals_per_s = scored / wall_s;
+          // The wall-clock floor times repeated runs of this variant; each
+          // must serve exactly the row's results.
+          const std::uint64_t checksum =
+              results_checksum(row.rep.sharded.merged.collector);
+          const auto timed_run = [&] {
+            const auto rep = serving.run(a, deadline_us);
+            if (results_checksum(rep.sharded.merged.collector) != checksum) {
+              throw std::runtime_error(
+                  "bench_serving: a timed x100 run changed its results");
+            }
+            std::size_t scored = 0;
+            for (const auto& rec : rep.sharded.merged.collector.records()) {
+              scored += rec.scored_points;
+            }
+            return scored;
+          };
+          gate_evals_per_s = bench::median_trial(timed_run).rate();
         }
       }
       rows.push_back(std::move(row));

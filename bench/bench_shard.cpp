@@ -18,7 +18,9 @@
 //     results, sorted by query index) must be byte-identical — host
 //     thread count must never leak into merged results.
 //   * wall clock: sharded_distance_evals_per_s has a floor (the sharded
-//     serving path is a real host hot loop).
+//     serving path is a real host hot loop), taken by bench::median_trial
+//     over repeated runs of the full-fanout K=4 point, each checked
+//     against its results checksum.
 //
 // Knobs (environment, same semantics as the other benches):
 //   ALGAS_SCALE        dataset size multiplier (CI gate uses 0.2)
@@ -27,7 +29,6 @@
 //   ALGAS_BENCH_HOSTS  host worker threads per shard engine (default 1)
 //   ALGAS_BENCH_OUT    output JSON path (default "BENCH_shard.json")
 #include <bit>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
@@ -85,13 +86,7 @@ struct Row {
   std::string dataset;
   std::size_t shards, slots, fanout;
   core::ShardedReport rep;
-  double wall_s = 0.0;
 };
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  const auto dt = std::chrono::steady_clock::now() - t0;
-  return std::chrono::duration<double>(dt).count();
-}
 
 }  // namespace
 
@@ -115,17 +110,43 @@ int main() {
       {1, 16, 0}, {2, 16, 0}, {4, 16, 0}, {4, 8, 0}, {4, 16, 2},
   };
 
+  // Gate dataset (first name): the full-fanout K=4 point doubles as the
+  // recall/determinism variant and the wall-clock measurement; the
+  // selective point is the eps-gated variant.
+  const auto is_full = [](const Row& r) {
+    return r.shards == 4 && r.slots == 16 && r.fanout == 0;
+  };
+  const auto is_selective = [](const Row& r) {
+    return r.shards == 4 && r.slots == 16 && r.fanout == 2;
+  };
   std::vector<Row> rows;
+  double evals_per_s = 0.0;
   for (const auto& name : names) {
     const Dataset& ds = bench::dataset(name);
     const std::size_t nq = bench::query_budget(ds, 100);
     for (const auto& c : sweep) {
       core::ShardedEngine engine(
           ds, sharded_config(c.shards, c.slots, c.fanout, host_threads));
-      const auto t0 = std::chrono::steady_clock::now();
-      Row row{name, c.shards, c.slots, c.fanout,
-              engine.run_closed_loop(nq), 0.0};
-      row.wall_s = seconds_since(t0);
+      Row row{name, c.shards, c.slots, c.fanout, engine.run_closed_loop(nq)};
+      if (name == names.front() && is_full(row)) {
+        // The wall-clock floor times repeated runs of this point; each
+        // must merge exactly the row's results.
+        const std::uint64_t checksum =
+            results_checksum(row.rep.merged.collector);
+        const auto timed_run = [&] {
+          const auto rep = engine.run_closed_loop(nq);
+          if (results_checksum(rep.merged.collector) != checksum) {
+            throw std::runtime_error(
+                "bench_shard: a timed run changed its merged results");
+          }
+          std::size_t scored = 0;
+          for (const auto& rec : rep.merged.collector.records()) {
+            scored += rec.scored_points;
+          }
+          return scored;
+        };
+        evals_per_s = bench::median_trial(timed_run).rate();
+      }
       rows.push_back(std::move(row));
     }
   }
@@ -176,24 +197,16 @@ int main() {
     scaling.push_back(std::move(s));
   }
 
-  // Gate dataset (first name): the full-fanout K=4 point doubles as the
-  // recall/determinism variant and the wall-clock measurement; the
-  // selective point is the eps-gated variant.
   const Row* full = nullptr;
   const Row* selective = nullptr;
   for (const auto& r : rows) {
-    if (r.dataset != names.front() || r.slots != 16) continue;
-    if (r.shards == 4 && r.fanout == 0) full = &r;
-    if (r.shards == 4 && r.fanout == 2) selective = &r;
+    if (r.dataset != names.front()) continue;
+    if (is_full(r)) full = &r;
+    if (is_selective(r)) selective = &r;
   }
   if (full == nullptr || selective == nullptr) {
     throw std::logic_error("gate configurations missing from sweep");
   }
-  double full_scored = 0.0;
-  for (const auto& rec : full->rep.merged.collector.records()) {
-    full_scored += static_cast<double>(rec.scored_points);
-  }
-  const double evals_per_s = full_scored / full->wall_s;
 
   const Dataset& gate_ds = bench::dataset(names.front());
   const std::size_t nq = bench::query_budget(gate_ds, 100);

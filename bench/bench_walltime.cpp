@@ -15,8 +15,8 @@
 //             expand list into an L = 128 list (the per-round upkeep).
 //   topk_merge  host merge_sorted_runs of 4 sorted runs of 128 into a
 //             TopK of 16 (the slot's host merge).
-//             These six run kTrials trials; each trial repeats its whole
-//             pass until at least kMinTrialSeconds have elapsed, and the
+//             These six run bench::median_trial: 5 trials, each repeating
+//             its whole pass until at least 0.2 s have elapsed, and the
 //             section reports the trial with the median rate: one pass
 //             lasts ~10 ms at CI scale, too short to hold a floor against
 //             timer and scheduler noise.
@@ -61,48 +61,12 @@ using namespace algas;
 
 namespace {
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  const auto dt = std::chrono::steady_clock::now() - t0;
-  return std::chrono::duration<double>(dt).count();
-}
-
-constexpr double kMinTrialSeconds = 0.2;
-constexpr std::size_t kTrials = 5;
 /// Serial construction builds; the section reports the median wall.
 constexpr std::size_t kBuilds = 3;
 
-/// One trial: `passes` whole passes doing `work` units in `wall_s`.
-struct Trial {
-  std::size_t passes = 0;
-  double work = 0.0;
-  double wall_s = 0.0;
-  double rate() const { return work / wall_s; }
-};
-
-/// Runs `pass` (one whole pass of a section, returning the work units it
-/// did) until kMinTrialSeconds have elapsed, at least once.
-template <typename Pass>
-Trial repeat_pass(Pass& pass) {
-  const auto t0 = std::chrono::steady_clock::now();
-  Trial t;
-  do {
-    t.work += static_cast<double>(pass());
-    ++t.passes;
-    t.wall_s = seconds_since(t0);
-  } while (t.wall_s < kMinTrialSeconds);
-  return t;
-}
-
-/// kTrials trials of repeat_pass(pass); the one with the median rate.
-template <typename Pass>
-Trial median_trial(Pass&& pass) {
-  std::array<Trial, kTrials> trials;
-  for (auto& t : trials) t = repeat_pass(pass);
-  std::sort(trials.begin(), trials.end(), [](const Trial& a, const Trial& b) {
-    return a.rate() < b.rate();
-  });
-  return trials[kTrials / 2];
-}
+using bench::median_trial;
+using bench::seconds_since;
+using bench::Trial;
 
 struct Section {
   std::string name;

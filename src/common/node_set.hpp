@@ -1,19 +1,19 @@
 // The two node-set representations every layer shares.
 //
 // StampedSet: a generation-stamped set with an O(1) clear(). It is the
-// per-query visited table all CTAs of a slot share (§IV-B step ①) and the
-// streaming index's tombstones. A node is a member when its 16-bit stamp
-// equals the current generation, so clear() retires every member by bumping
-// the generation instead of an O(n) memset: once per query for the visited
-// table, once per compaction epoch for the tombstones. This changes HOST
-// time only: the engines still charge the GPU's bitmap memset as modeled
-// time via core::visited_clear_words x bitmap_clear_per_word_ns (DESIGN.md
-// "Modeled time vs. host wall-clock").
+// per-query visited table all CTAs of a slot share (§IV-B step ①), the
+// builders' per-thread visited table, and the streaming index's tombstones.
+// A node is a member when its 16-bit stamp equals the current generation, so
+// clear() retires every member by bumping the generation instead of an O(n)
+// memset: once per search for a visited table, once per compaction epoch for
+// the tombstones. This changes HOST time only: the engines still charge the
+// GPU's bitmap memset as modeled time via core::visited_clear_words x
+// bitmap_clear_per_word_ns (DESIGN.md "Modeled time vs. host wall-clock").
 //
 // NodeBitset: a dense bit per node, for sets that are built once and then
 // probed: attribute filters (search::AcceptPredicate), and the reachability
-// and visited marks of graph construction and Graph::stats. A 1M-node set
-// costs 128 KiB and a probe is one word load plus a shift.
+// marks of CAGRA's stitch passes and Graph::stats. A 1M-node set costs
+// 128 KiB and a probe is one word load plus a shift.
 #pragma once
 
 #include <algorithm>

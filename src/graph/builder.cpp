@@ -4,7 +4,6 @@
 #include <chrono>
 #include <filesystem>
 #include <mutex>
-#include <queue>
 #include <sstream>
 #include <stdexcept>
 
@@ -14,6 +13,7 @@
 #include "dataset/io.hpp"
 #include "graph/cagra_builder.hpp"
 #include "graph/nsw_builder.hpp"
+#include "search/candidate_list.hpp"
 
 namespace algas {
 
@@ -93,64 +93,44 @@ BuildReport load_or_build_graph(GraphKind kind, const Dataset& ds,
   return report;
 }
 
-std::vector<std::pair<float, NodeId>> build_beam_search(
-    const Dataset& ds, const Graph& g, std::span<const float> query,
-    std::size_t ef, NodeId entry, std::size_t limit,
-    std::size_t* scored_out) {
-  using Entry = std::pair<float, NodeId>;
-  // Degenerate frozen prefixes (nothing published yet, or an entry outside
-  // the searchable range) have no reachable candidates.
-  if (limit == 0 || entry == kInvalidNode ||
-      static_cast<std::size_t>(entry) >= limit) {
-    if (scored_out != nullptr) *scored_out = 0;
-    return {};
-  }
-  // Min-heap of frontier candidates, max-heap of current best ef results.
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> frontier;
-  std::priority_queue<Entry> best;
-  NodeBitset visited(limit);
+std::vector<KV> build_beam_search(const Dataset& ds, const Graph& g,
+                                  std::span<const float> query,
+                                  std::size_t ef, NodeId entry,
+                                  StampedSet& visited,
+                                  std::size_t* scored_out) {
+  if (scored_out != nullptr) *scored_out = 0;
+  // An empty graph, or an invalid entry, has no reachable candidates.
+  if (entry >= g.num_nodes()) return {};
+  visited.clear();
+  visited.insert(entry);
+  search::CandidateList list(ef);
+  list.seed(KV::make(ds.score(query, entry), entry));
   std::size_t scored = 1;
-  std::vector<NodeId> fresh;        // this expansion's unvisited neighbors
-  std::vector<float> fresh_dists;   // their batched distances
-  fresh.reserve(g.degree());
-  fresh_dists.reserve(g.degree());
-
-  const float d0 = ds.score(query, entry);
   const auto query_norm = ds.query_norm(query);  // one norm for every batch
-  frontier.emplace(d0, entry);
-  best.emplace(d0, entry);
-  visited.set(entry);
-
-  while (!frontier.empty()) {
-    const auto [dist_v, v] = frontier.top();
-    frontier.pop();
-    if (best.size() >= ef && dist_v > best.top().first) break;
+  std::vector<NodeId> fresh;  // this expansion's unvisited neighbours
+  std::vector<float> dists;   // their batched distances
+  std::vector<KV> expand;     // both, sorted and cut to ef
+  for (std::size_t at = 0; list.take_unchecked(1, {&at, 1}) == 1;) {
     fresh.clear();
-    for (NodeId n : g.neighbors(v)) {
-      if (n == kInvalidNode || n >= limit || visited.test(n)) continue;
-      visited.set(n);
-      fresh.push_back(n);
+    for (NodeId n : g.neighbors(list.at(at).id())) {
+      if (n != kInvalidNode && visited.insert(n)) fresh.push_back(n);
     }
-    fresh_dists.resize(fresh.size());
-    ds.distance_batch(query, fresh, fresh_dists, query_norm);
+    if (fresh.empty()) continue;
+    dists.resize(fresh.size());
+    ds.distance_batch(query, fresh, dists, query_norm);
+    scored += fresh.size();
+    expand.clear();
     for (std::size_t i = 0; i < fresh.size(); ++i) {
-      const NodeId n = fresh[i];
-      const float d = fresh_dists[i];
-      ++scored;
-      if (best.size() < ef || d < best.top().first) {
-        frontier.emplace(d, n);
-        best.emplace(d, n);
-        if (best.size() > ef) best.pop();
-      }
+      expand.push_back(KV::make(dists[i], fresh[i]));
     }
+    std::sort(expand.begin(), expand.end());
+    expand.resize(std::min(expand.size(), ef));
+    list.merge_sorted(expand);
   }
   if (scored_out != nullptr) *scored_out = scored;
-
-  std::vector<Entry> out(best.size());
-  for (std::size_t i = best.size(); i-- > 0;) {
-    out[i] = best.top();
-    best.pop();
-  }
+  // Plain (distance, id) results, as search::merge_sorted_runs returns.
+  std::vector<KV> out = list.topk(ef);
+  for (KV& e : out) e = KV::make(e.dist, e.id());
   return out;
 }
 

@@ -1,5 +1,5 @@
 // Graph builder front-end: the two index types the paper evaluates
-// (NSW-GANNS and CAGRA), a shared build-time beam search, disk caching,
+// (NSW-GANNS and CAGRA), their shared build-time beam search, disk caching,
 // and the unified BuildReport every builder returns.
 //
 // Construction is deterministic and thread-count invariant: a graph built
@@ -12,17 +12,18 @@
 #include <cstdint>
 #include <limits>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "dataset/dataset.hpp"
 #include "graph/graph.hpp"
+#include "search/kv.hpp"
 #include "simgpu/cost_model.hpp"
 #include "simgpu/device_props.hpp"
 
 namespace algas {
 
 class BuildExecutor;  // common/thread_pool.hpp
+class StampedSet;     // common/node_set.hpp
 
 enum class GraphKind : std::uint8_t {
   kNsw = 0,    ///< GANNS-style navigable small world (batch-inserted)
@@ -103,17 +104,19 @@ BuildReport build_graph(GraphKind kind, const Dataset& ds,
 BuildReport load_or_build_graph(GraphKind kind, const Dataset& ds,
                                 const BuildConfig& cfg);
 
-/// Sequential best-first beam search over a (partial) graph — the build-time
-/// workhorse shared by both builders. Returns up to `ef` (distance, id)
-/// pairs ascending by distance. `limit` restricts the search to node ids
-/// < limit (used during incremental NSW construction). When `scored_out` is
-/// non-null it receives the number of distance evaluations performed (used
-/// by the GPU-construction cost model). Pure on the graph: safe to run
-/// concurrently against a frozen prefix.
-std::vector<std::pair<float, NodeId>> build_beam_search(
-    const Dataset& ds, const Graph& g, std::span<const float> query,
-    std::size_t ef, NodeId entry, std::size_t limit,
-    std::size_t* scored_out = nullptr);
+/// Best-first search of both builders on the query path's structures: a
+/// search::CandidateList of `ef` entries (KV order: ties break by id) and
+/// the caller's visited set, which must cover g.num_nodes() and is cleared
+/// here in O(1). Each step expands the best unchecked entry, scoring its
+/// unvisited neighbours in one distance_batch. Returns the list, checked
+/// flags clear. Every edge is followed: a frozen prefix holds none past
+/// itself (build_nsw's later rows are padding; a MutableIndex graph holds
+/// only published rows). `scored_out` gets the cost model's eval count.
+std::vector<KV> build_beam_search(const Dataset& ds, const Graph& g,
+                                  std::span<const float> query,
+                                  std::size_t ef, NodeId entry,
+                                  StampedSet& visited,
+                                  std::size_t* scored_out = nullptr);
 
 /// Node of the prefix [0, limit) whose vector is closest to that prefix's
 /// centroid — the search entry point of both builders. The default limit

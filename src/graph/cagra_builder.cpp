@@ -35,18 +35,20 @@ BuildReport build_cagra(const Dataset& ds, const BuildConfig& cfg) {
   out += scaffold_report;
 
   const std::size_t k = std::min(2 * cfg.degree, n - 1);
-  std::vector<std::vector<std::pair<float, NodeId>>> knn(n);
+  std::vector<std::vector<KV>> knn(n);
   std::vector<std::size_t> scored(n, 0);
   exec.parallel_for(n, [&](std::size_t begin, std::size_t end) {
+    StampedSet visited(n);
     for (std::size_t v = begin; v < end; ++v) {
       auto found = build_beam_search(ds, scaffold, ds.base_vector(v),
                                      std::max(cfg.ef_construction, k + 1),
-                                     scaffold.entry_point(), n, &scored[v]);
+                                     scaffold.entry_point(), visited,
+                                     &scored[v]);
       auto& list = knn[v];
       list.reserve(k);
-      for (const auto& [d, u] : found) {
-        if (u == static_cast<NodeId>(v)) continue;
-        list.emplace_back(d, u);
+      for (const KV& e : found) {
+        if (e.id() == static_cast<NodeId>(v)) continue;
+        list.push_back(e);
         if (list.size() == k) break;
       }
     }
@@ -71,12 +73,12 @@ BuildReport build_cagra(const Dataset& ds, const BuildConfig& cfg) {
       closer_ids.clear();
       closer_dists.resize(list.size());
       for (std::size_t i = 0; i < list.size(); ++i) {
-        const auto [d_vu, u] = list[i];
+        const NodeId u = list[i].id();
         // Batch-score u against every closer neighbor of v in one round.
         ds.distance_batch(ds.base_vector(u), closer_ids, closer_dists);
         std::uint32_t detours = 0;
         for (std::size_t j = 0; j < i; ++j) {
-          if (closer_dists[j] < d_vu) ++detours;
+          if (closer_dists[j] < list[i].dist) ++detours;
         }
         order.emplace_back(detours, i);
         closer_ids.push_back(u);
@@ -86,9 +88,9 @@ BuildReport build_cagra(const Dataset& ds, const BuildConfig& cfg) {
       auto& drop = dropped[v];
       for (const auto& [count, rank] : order) {
         if (keep.size() < cfg.degree) {
-          keep.push_back(list[rank].second);
+          keep.push_back(list[rank].id());
         } else {
-          drop.push_back(list[rank].second);
+          drop.push_back(list[rank].id());
         }
       }
     }
@@ -152,6 +154,7 @@ BuildReport build_cagra(const Dataset& ds, const BuildConfig& cfg) {
   // Rerouting an edge can in principle disconnect something else, so run
   // stitch passes to a fixpoint (converges in a couple of passes because
   // the sacrificed edge always points at a well-covered target).
+  StampedSet visited(n);  // every stitch search's visited set
   for (int pass = 0; pass < 16; ++pass) {
     reachable.clear();
     frontier.clear();
@@ -165,13 +168,13 @@ BuildReport build_cagra(const Dataset& ds, const BuildConfig& cfg) {
       std::size_t stitch_scored = 0;
       auto found = build_beam_search(
           ds, g, ds.base_vector(v),
-          std::max<std::size_t>(cfg.ef_construction, 8), g.entry_point(), n,
-          &stitch_scored);
+          std::max<std::size_t>(cfg.ef_construction, 8), g.entry_point(),
+          visited, &stitch_scored);
       out.scored_points += stitch_scored;
       NodeId bridge = g.entry_point();
-      for (const auto& [d, u] : found) {
-        if (reachable.test(u)) {
-          bridge = u;
+      for (const KV& e : found) {
+        if (reachable.test(e.id())) {
+          bridge = e.id();
           break;
         }
       }

@@ -5,6 +5,7 @@
 #include <span>
 #include <vector>
 
+#include "common/node_set.hpp"
 #include "common/thread_pool.hpp"
 #include "graph/neighbor_selection.hpp"
 #include "simgpu/wave_schedule.hpp"
@@ -67,7 +68,7 @@ InsertBatch search_batch(const Dataset& ds, const Graph& g,
         ds.distance_batch_range(ds.base_vector(v), 0, v, tile);
         list.reserve(v);
         for (std::size_t u = 0; u < v; ++u) {
-          list.emplace_back(tile[u], static_cast<NodeId>(u));
+          list.push_back(KV::make(tile[u], static_cast<NodeId>(u)));
         }
         std::sort(list.begin(), list.end());
         if (list.size() > cfg.ef_construction) {
@@ -84,9 +85,10 @@ InsertBatch search_batch(const Dataset& ds, const Graph& g,
   const std::size_t m = std::min(cfg.degree, ds.num_base() - 1);
   const std::size_t ef = std::max(cfg.ef_construction, m);
   exec.parallel_for(count, [&](std::size_t lo, std::size_t hi) {
+    StampedSet visited(g.num_nodes());
     for (std::size_t i = lo; i < hi; ++i) {
       b.found[i] = build_beam_search(ds, g, ds.base_vector(first + i), ef, 0,
-                                     first, &b.scored[i]);
+                                     visited, &b.scored[i]);
     }
   });
   return b;
@@ -137,8 +139,8 @@ BuildCost link_batch(const Dataset& ds, Graph& g, const BuildConfig& cfg,
       if (batch.found[i].empty()) continue;
       const auto v = static_cast<NodeId>(begin + i);
       scratch.candidates.clear();
-      for (const auto& [d, u] : batch.found[i]) {
-        scratch.candidates.push_back({d, u, Hint::kUnknown});
+      for (const KV& e : batch.found[i]) {
+        scratch.candidates.push_back({e.dist, e.id(), Hint::kUnknown});
       }
       select_neighbors(ds, g, v, scratch.candidates, scratch);
       const std::span<NodeId> ids(back.data() + i * degree, degree);

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 #include "graph/builder.hpp"
@@ -28,8 +27,8 @@ namespace algas {
 struct InsertBatch {
   std::size_t first = 0;
   std::size_t count = 0;
-  /// Per row: (distance, id) candidates in the frozen prefix, ascending.
-  std::vector<std::vector<std::pair<float, NodeId>>> found;
+  /// Per row: (distance, id) candidates in the frozen prefix, KV-ascending.
+  std::vector<std::vector<KV>> found;
   /// Per row: distance evaluations its search scored.
   std::vector<std::size_t> scored;
 };

@@ -4,14 +4,12 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "common/types.hpp"
-
 namespace algas::search {
 
-CandidateList::CandidateList(std::size_t capacity_pow2)
-    : entries_(capacity_pow2), scratch_(2 * capacity_pow2) {
-  if (!is_pow2(capacity_pow2)) {
-    throw std::invalid_argument("candidate list capacity must be 2^k");
+CandidateList::CandidateList(std::size_t capacity)
+    : entries_(capacity), scratch_(capacity) {
+  if (capacity == 0) {
+    throw std::invalid_argument("candidate list capacity must be at least 1");
   }
 }
 
@@ -62,8 +60,8 @@ std::size_t CandidateList::merge_sorted(std::span<const KV> expand) {
   // guarantees each id is scored at most once per query, so every non-empty
   // key in the two halves is distinct under KV ordering and a bounded linear
   // merge produces the bitwise-identical lower half in O(L) host time
-  // instead of O(L log 2L). The modeled cost still charges the full 2L
-  // network via the returned network size.
+  // instead of O(L log 2L), into scratch_, which then becomes the list. The
+  // modeled cost still charges the full 2L network via the returned size.
   std::size_t i = 0;
   std::size_t j = 0;
   for (std::size_t out = 0; out < cap; ++out) {
@@ -73,9 +71,7 @@ std::size_t CandidateList::merge_sorted(std::span<const KV> expand) {
       scratch_[out] = entries_[i++];
     }
   }
-  std::copy(scratch_.begin(),
-            scratch_.begin() + static_cast<std::ptrdiff_t>(cap),
-            entries_.begin());
+  entries_.swap(scratch_);
   return 2 * cap;
 }
 

@@ -1,6 +1,8 @@
 // Fixed-capacity sorted candidate list — the kernel's central shared-memory
-// structure. Capacity L is a power of two; entries stay ascending by
-// distance. Maintenance (merging a sorted expand list, keeping the top L)
+// structure and the builders' beam (build_beam_search). Any capacity L >= 1
+// works: the query path's L is a power of two for the kernel's bitonic
+// network (search::normalize_config), a builder's is ef. Entries stay in KV
+// order. Maintenance (merging a sorted expand list, keeping the top L)
 // models the kernel's reversed-concatenate + 2L bitonic merge: the modeled
 // cost charges that network, while the host executes a bounded linear merge
 // that produces the identical array (see DESIGN.md, "Modeled time vs. host
@@ -17,7 +19,7 @@ namespace algas::search {
 
 class CandidateList {
  public:
-  explicit CandidateList(std::size_t capacity_pow2);
+  explicit CandidateList(std::size_t capacity);  // throws on 0
 
   std::size_t capacity() const { return entries_.size(); }
 
@@ -41,7 +43,8 @@ class CandidateList {
 
   /// Merge an ascending-sorted expand list into the candidate list, keeping
   /// the best L entries. expand.size() must be <= capacity(). Returns the
-  /// network size the merge ran at (for cost accounting).
+  /// network size the merge ran at (for cost accounting). The list moves to
+  /// the other buffer: earlier at()/entries() views are stale.
   std::size_t merge_sorted(std::span<const KV> expand);
 
   std::span<const KV> entries() const { return entries_; }
@@ -51,7 +54,7 @@ class CandidateList {
 
  private:
   std::vector<KV> entries_;
-  std::vector<KV> scratch_;  // 2L merge buffer
+  std::vector<KV> scratch_;  // L-entry merge target, swapped with entries_
 };
 
 }  // namespace algas::search

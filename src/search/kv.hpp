@@ -3,6 +3,7 @@
 // (8 bytes/entry, see simgpu::kListEntryBytes).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 
 #include "common/types.hpp"
@@ -28,10 +29,14 @@ struct KV {
   bool checked() const { return (key & kCheckedBit) != 0; }
   void mark_checked() { key |= kCheckedBit; }
 
-  /// Strict weak ordering: ascending distance, ties by id, empties last.
+  /// The one order of queries and builders: ascending distance (±0 equal),
+  /// ties by id, NaN after every number, empties last; the checked flag
+  /// never counts. Distinct distances decide in the first two comparisons.
   friend bool operator<(const KV& a, const KV& b) {
     if (a.is_empty() != b.is_empty()) return b.is_empty();
-    if (a.dist != b.dist) return a.dist < b.dist;
+    if (a.dist < b.dist) return true;
+    if (b.dist < a.dist) return false;
+    if (std::isnan(a.dist) != std::isnan(b.dist)) return std::isnan(b.dist);
     return a.id() < b.id();
   }
 };

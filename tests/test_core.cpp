@@ -11,6 +11,7 @@
 #include "core/slot.hpp"
 #include "core/state_sync.hpp"
 #include "core/tuner.hpp"
+#include "search/greedy.hpp"
 #include "simgpu/checker.hpp"
 #include "test_util.hpp"
 
@@ -592,6 +593,39 @@ TEST(AlgasEngine, EveryQueryAnsweredExactlyOnce) {
     EXPECT_FALSE(r.results.empty());
   }
   EXPECT_EQ(seen.size(), 60u);
+}
+
+TEST(AlgasEngine, OneGreedyCtaIsTheReferenceSearch) {
+  // At n_parallel = 1 and beam_width = 1 a slot's one CTA starts at the
+  // graph's entry point with a cleared visited set, so the DES engine and
+  // greedy_search are one computation: query for query the same ids and
+  // distance bits, from the same scored and expanded points.
+  for (const Metric metric : {Metric::kL2, Metric::kCosine}) {
+    const auto& world = algas::testing::tiny_world(metric);
+    for (const Graph* g : {&world.nsw, &world.cagra}) {
+      auto cfg = tiny_engine_config();
+      cfg.n_parallel = 1;
+      cfg.search.beam_width = 1;
+      AlgasEngine engine(world.ds, *g, cfg);
+      const auto rep = engine.run_closed_loop(60);
+      ASSERT_EQ(rep.collector.records().size(), 60u);
+      for (const auto& rec : rep.collector.records()) {
+        ASSERT_TRUE(rec.served());
+        const auto ref = search::greedy_search(
+            world.ds, *g, cfg.cost, cfg.search,
+            world.ds.query(rec.query_index));
+        ASSERT_EQ(rec.results.size(), ref.topk.size());
+        for (std::size_t i = 0; i < ref.topk.size(); ++i) {
+          EXPECT_EQ(rec.results[i].id(), ref.topk[i].id())
+              << "query " << rec.query_index << " position " << i;
+          EXPECT_EQ(rec.results[i].dist, ref.topk[i].dist)
+              << "query " << rec.query_index << " position " << i;
+        }
+        EXPECT_EQ(rec.scored_points, ref.stats.scored_points);
+        EXPECT_EQ(rec.steps, ref.stats.expanded_points);
+      }
+    }
+  }
 }
 
 TEST(AlgasEngine, DeterministicAcrossRuns) {

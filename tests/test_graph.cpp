@@ -9,12 +9,14 @@
 #include <string>
 
 #include "common/env.hpp"
+#include "common/node_set.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "graph/builder.hpp"
 #include "graph/graph.hpp"
 #include "graph/neighbor_selection.hpp"
 #include "metrics/recall.hpp"
+#include "search/greedy.hpp"
 #include "search/multi_cta.hpp"
 #include "test_util.hpp"
 
@@ -499,17 +501,140 @@ TEST(Builders, BeamSearchFindsExactNearest) {
   // Search for base vectors themselves: with a reasonable beam the point
   // itself must come back first in nearly every case.
   std::size_t exact = 0;
+  StampedSet visited(world.nsw.num_nodes());
   for (NodeId v = 100; v < 120; ++v) {
     const auto found =
         build_beam_search(world.ds, world.nsw, world.ds.base_vector(v), 48,
-                          world.nsw.entry_point(), world.nsw.num_nodes());
+                          world.nsw.entry_point(), visited);
     ASSERT_FALSE(found.empty());
-    if (found.front().second == v) {
-      EXPECT_FLOAT_EQ(found.front().first, 0.0f);
+    if (found.front().id() == v) {
+      EXPECT_FLOAT_EQ(found.front().dist, 0.0f);
       ++exact;
     }
   }
   EXPECT_GE(exact, 18u);
+}
+
+TEST(Builders, BeamSearchIsGreedySearchAtTheSameLength) {
+  // With ef a power of two and at least the degree, the build search and
+  // the query path's greedy search are one computation: the same list, the
+  // same distance bits and the same scored count.
+  const sim::CostModel cm;
+  for (const Metric metric : {Metric::kL2, Metric::kCosine}) {
+    const auto& world = testing::tiny_world(metric);
+    StampedSet visited(world.ds.num_base());
+    for (const Graph* g : {&world.nsw, &world.cagra}) {
+      for (const std::size_t ef : {16u, 64u}) {
+        search::SearchConfig cfg;
+        cfg.topk = ef;
+        cfg.candidate_len = ef;
+        cfg.beam_width = 1;
+        const auto check = [&](std::span<const float> query) {
+          std::size_t scored = 0;
+          const auto found = build_beam_search(world.ds, *g, query, ef,
+                                               g->entry_point(), visited,
+                                               &scored);
+          const auto ref =
+              search::greedy_search(world.ds, *g, cm, cfg, query);
+          ASSERT_EQ(found.size(), ref.topk.size());
+          for (std::size_t i = 0; i < found.size(); ++i) {
+            EXPECT_EQ(found[i].id(), ref.topk[i].id()) << "position " << i;
+            EXPECT_EQ(found[i].dist, ref.topk[i].dist) << "position " << i;
+            EXPECT_FALSE(found[i].checked());
+          }
+          EXPECT_EQ(scored, ref.stats.scored_points);
+        };
+        for (NodeId v = 0; v < world.ds.num_base(); v += 97) {
+          check(world.ds.base_vector(v));
+        }
+        for (std::size_t q = 0; q < world.ds.num_queries(); q += 13) {
+          check(world.ds.query(q));
+        }
+      }
+    }
+  }
+}
+
+TEST(Builders, BeamSearchBreaksDistanceTiesById) {
+  // 48 rows on 12 grid points (each point 4 times) and complete graphs whose
+  // rows list the other nodes in descending or shuffled id order: distances
+  // tie everywhere, and the search must return the brute-force best ef by
+  // (distance, id) whatever order the neighbours arrive in.
+  constexpr std::size_t kRows = 48;
+  Dataset ds("ties", 2, Metric::kL2);
+  std::vector<float> rows;
+  for (std::size_t i = 0; i < kRows; ++i) {
+    rows.push_back(static_cast<float>(i % 4));
+    rows.push_back(static_cast<float>((i / 4) % 3));
+  }
+  ds.set_base(rows);
+  Graph descending(kRows, kRows - 1);
+  Graph shuffled(kRows, kRows - 1);
+  Rng rng(48);
+  for (NodeId v = 0; v < kRows; ++v) {
+    std::vector<NodeId> others;
+    for (NodeId u = kRows; u-- > 0;) {
+      if (u != v) others.push_back(u);
+    }
+    std::copy(others.begin(), others.end(),
+              descending.mutable_neighbors(v).begin());
+    for (std::size_t i = others.size(); i > 1; --i) {
+      std::swap(others[i - 1], others[rng.next_below(i)]);
+    }
+    std::copy(others.begin(), others.end(),
+              shuffled.mutable_neighbors(v).begin());
+  }
+  StampedSet visited(kRows);
+  const std::size_t efs[] = {1, 5, 10, 24, kRows};
+  for (const std::vector<float>& query :
+       {std::vector<float>{1.0f, 1.0f}, std::vector<float>{1.5f, 1.0f},
+        std::vector<float>{0.5f, 0.5f}}) {
+    std::vector<KV> brute;
+    for (NodeId u = 0; u < kRows; ++u) {
+      brute.push_back(KV::make(ds.score(query, u), u));
+    }
+    std::sort(brute.begin(), brute.end());
+    for (const Graph* g : {&descending, &shuffled}) {
+      for (const std::size_t ef : efs) {
+        for (const NodeId entry : {0u, 17u, 47u}) {
+          const auto found =
+              build_beam_search(ds, *g, query, ef, entry, visited);
+          ASSERT_EQ(found.size(), ef);
+          for (std::size_t i = 0; i < ef; ++i) {
+            EXPECT_EQ(found[i].id(), brute[i].id())
+                << "ef " << ef << " entry " << entry << " position " << i;
+            EXPECT_EQ(found[i].dist, brute[i].dist);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Builders, BeamSearchShorterThanTheDegree) {
+  // ef below the degree: one expansion yields more fresh neighbours than
+  // the list holds, so the search keeps the best ef of each round and
+  // still returns ef distinct entries in ascending order.
+  const auto& world = testing::tiny_world();
+  const NodeId entry = world.nsw.entry_point();
+  StampedSet visited(world.nsw.num_nodes());
+  for (const std::size_t ef : {1u, 3u, 5u, 12u}) {
+    ASSERT_GT(world.nsw.valid_degree(entry), ef);
+    for (std::size_t q = 0; q < world.ds.num_queries(); q += 17) {
+      const auto query = world.ds.query(q);
+      const auto found =
+          build_beam_search(world.ds, world.nsw, query, ef, entry, visited);
+      ASSERT_EQ(found.size(), ef);
+      EXPECT_TRUE(std::is_sorted(found.begin(), found.end()));
+      std::set<NodeId> ids;
+      for (const KV& e : found) {
+        EXPECT_FALSE(e.checked());
+        EXPECT_EQ(e.dist, world.ds.score(query, e.id()));
+        ids.insert(e.id());
+      }
+      EXPECT_EQ(ids.size(), ef);
+    }
+  }
 }
 
 TEST(Builders, ApproximateMedoidIsCentral) {

@@ -27,28 +27,31 @@ class CandidateListProperty : public ::testing::TestWithParam<std::uint64_t> {
 
 TEST_P(CandidateListProperty, MergeSequenceMatchesSortedReference) {
   // Random sequence of merge_sorted calls must leave the list equal to the
-  // L best of everything ever inserted.
+  // L best of everything ever inserted: at the query path's power-of-two
+  // length and at a builder's ef_construction of 48.
   Rng rng(GetParam());
-  const std::size_t cap = 64;
-  search::CandidateList list(cap);
-  list.reset();
-  std::vector<KV> inserted;
-  for (int round = 0; round < 10; ++round) {
-    const std::size_t n = 1 + rng.next_below(cap);
-    std::vector<KV> expand;
-    for (std::size_t i = 0; i < n; ++i) {
-      // Unique ids so the reference is unambiguous.
-      const auto id = static_cast<NodeId>(inserted.size() + expand.size());
-      expand.push_back(KV::make(rng.next_float() * 10.0f, id));
+  for (const std::size_t cap : {64u, 48u}) {
+    search::CandidateList list(cap);
+    list.reset();
+    std::vector<KV> inserted;
+    for (int round = 0; round < 10; ++round) {
+      const std::size_t n = 1 + rng.next_below(cap);
+      std::vector<KV> expand;
+      for (std::size_t i = 0; i < n; ++i) {
+        // Unique ids so the reference is unambiguous.
+        const auto id = static_cast<NodeId>(inserted.size() + expand.size());
+        expand.push_back(KV::make(rng.next_float() * 10.0f, id));
+      }
+      std::sort(expand.begin(), expand.end());
+      list.merge_sorted(expand);
+      inserted.insert(inserted.end(), expand.begin(), expand.end());
     }
-    std::sort(expand.begin(), expand.end());
-    list.merge_sorted(expand);
-    inserted.insert(inserted.end(), expand.begin(), expand.end());
-  }
-  std::sort(inserted.begin(), inserted.end());
-  for (std::size_t i = 0; i < std::min(cap, inserted.size()); ++i) {
-    EXPECT_EQ(list.at(i).id(), inserted[i].id()) << "position " << i;
-    EXPECT_FLOAT_EQ(list.at(i).dist, inserted[i].dist);
+    std::sort(inserted.begin(), inserted.end());
+    for (std::size_t i = 0; i < std::min(cap, inserted.size()); ++i) {
+      EXPECT_EQ(list.at(i).id(), inserted[i].id())
+          << "capacity " << cap << " position " << i;
+      EXPECT_FLOAT_EQ(list.at(i).dist, inserted[i].dist);
+    }
   }
 }
 

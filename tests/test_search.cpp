@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -48,10 +50,79 @@ TEST(Kv, TiesBreakById) {
   EXPECT_FALSE(b < a);
 }
 
+TEST(Kv, StrictWeakOrderOverEveryKindOfKey) {
+  // Every distance class (NaN of both signs, ±0, ±inf, finite, equal
+  // distances) at a few ids, each also with the checked flag, plus empties:
+  // the strict-weak-order axioms hold over every pair and triple.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<KV> keys;
+  for (const float d : {-inf, -1.0f, -0.0f, 0.0f, 1.0f, 1.0f, inf, nan, -nan}) {
+    for (const NodeId id : {0u, 1u, 7u}) {
+      KV kv = KV::make(d, id);
+      keys.push_back(kv);
+      kv.mark_checked();
+      keys.push_back(kv);
+    }
+  }
+  keys.push_back(KV::empty());
+  const auto equiv = [](const KV& a, const KV& b) {
+    return !(a < b) && !(b < a);
+  };
+  for (const KV& a : keys) {
+    EXPECT_FALSE(a < a);
+    for (const KV& b : keys) {
+      EXPECT_FALSE(a < b && b < a);
+      for (const KV& c : keys) {
+        EXPECT_TRUE(!(a < b && b < c) || a < c);
+        EXPECT_TRUE(!(equiv(a, b) && equiv(b, c)) || equiv(a, c));
+      }
+    }
+  }
+
+  // The order itself: numbers by distance (±0 equal), then NaN, then
+  // empties; equal distances by id; the checked flag never matters.
+  const auto rank = [](const KV& kv) {
+    if (kv.is_empty()) return 2;
+    return std::isnan(kv.dist) ? 1 : 0;
+  };
+  for (const KV& a : keys) {
+    for (const KV& b : keys) {
+      bool expected = false;
+      if (rank(a) != rank(b)) {
+        expected = rank(a) < rank(b);
+      } else if (rank(a) == 0 && a.dist != b.dist) {
+        expected = a.dist < b.dist;
+      } else if (rank(a) < 2) {
+        expected = a.id() < b.id();
+      }
+      EXPECT_EQ(a < b, expected) << a.dist << "/" << a.id() << " vs "
+                                 << b.dist << "/" << b.id();
+      // Finite keys and empties order exactly as the NaN-blind comparator
+      // did before NaN had a place.
+      if (!std::isnan(a.dist) && !std::isnan(b.dist)) {
+        const bool before = a.is_empty() != b.is_empty()
+                                ? b.is_empty()
+                                : (a.dist != b.dist ? a.dist < b.dist
+                                                    : a.id() < b.id());
+        EXPECT_EQ(a < b, before);
+      }
+    }
+  }
+}
+
 // ---------------- candidate_list.hpp ----------------
 
-TEST(CandidateList, RejectsNonPow2) {
-  EXPECT_THROW(CandidateList(24), std::invalid_argument);
+TEST(CandidateList, RejectsZeroCapacity) {
+  EXPECT_THROW(CandidateList(0), std::invalid_argument);
+  // Any other length works: the builders keep ef_construction entries, and
+  // only normalize_config rounds the query path's L to a power of two.
+  CandidateList list(3);
+  EXPECT_EQ(list.capacity(), 3u);
+  std::vector<KV> expand{KV::make(1.0f, 4), KV::make(2.0f, 5),
+                         KV::make(3.0f, 6)};
+  list.merge_sorted(expand);
+  EXPECT_EQ(list.topk(3).back().id(), 6u);
 }
 
 TEST(CandidateList, SeedKeepsSorted) {

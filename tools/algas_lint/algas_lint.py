@@ -11,9 +11,9 @@ dynamic ProtocolChecker / byte-identity tests:
                   seeded xoshiro Rng so runs reproduce bit-for-bit.
   wall-clock      std::chrono::*_clock::now(), time(), clock_gettime()
                   outside the wall-clock allowlist (bench_walltime,
-                  BuildReport wall timing). Virtual time comes from
-                  Simulation; host clocks may only feed wall-clock
-                  *reporting*, never results.
+                  bench_common's trial timer, BuildReport wall timing).
+                  Virtual time comes from Simulation; host clocks may
+                  only feed wall-clock *reporting*, never results.
   deadline-clock  any host-clock read inside scheduler code (src/core/,
                   src/simgpu/). Deadline comparisons and arrival timing
                   must use Simulation virtual time — a wall-clock deadline
@@ -70,15 +70,13 @@ EXCLUDE_PARTS = ("algas_lint/fixtures",)
 ALLOW = {
     "raw-rng": {"src/common/rng.hpp"},
     "wall-clock": {
-        # The sanctioned wall-clock consumers: the wall-clock benches and
-        # BuildReport's wall_build_s timing. Everything else runs on
-        # Simulation virtual time. bench_shard times the host-side
-        # scatter-gather hot loop for its distance_evals_per_s gate.
+        # The sanctioned wall-clock consumers: bench_walltime, the
+        # repeated-trial timer in bench_common (bench::median_trial, which
+        # bench_walltime, bench_shard and bench_serving time their
+        # wall-clock floors with) and BuildReport's wall_build_s timing.
+        # Everything else runs on Simulation virtual time.
         "bench/bench_walltime.cpp",
-        "bench/bench_shard.cpp",
-        # bench_serving times its host-side sweep loop for the
-        # serving_distance_evals_per_s gate, same pattern as bench_shard.
-        "bench/bench_serving.cpp",
+        "bench/bench_common.cpp",
         "src/graph/builder.cpp",
     },
     # deadline-clock deliberately has NO entries: scheduler code (src/core/,
