@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -187,6 +188,19 @@ std::vector<const metrics::QueryRecord*> by_query_index(
               return a->query_index < b->query_index;
             });
   return recs;
+}
+
+std::uint64_t results_checksum(const metrics::Collector& c) {
+  Fnv f;
+  for (const auto* r : by_query_index(c)) {
+    f.mix(r->query_index);
+    f.mix(r->results.size());
+    for (const KV& kv : r->results) {
+      f.mix(kv.id());
+      f.mix(std::bit_cast<std::uint32_t>(kv.dist));
+    }
+  }
+  return f.h;
 }
 
 JsonReport::JsonReport(const std::string& name)

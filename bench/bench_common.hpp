@@ -98,6 +98,12 @@ Trial median_trial(const std::function<std::size_t()>& pass);
 std::vector<const metrics::QueryRecord*> by_query_index(
     const metrics::Collector& c);
 
+/// FNV-1a 64 over every query's results (index, count, then each id and
+/// distance bits) in query-index order: the byte-identity fingerprint
+/// bench_shard compares across ALGAS_BENCH_HOSTS, and the one each timed
+/// trial of a run must reproduce.
+std::uint64_t results_checksum(const metrics::Collector& c);
+
 /// The JSON report of a gate bench, written to ALGAS_BENCH_OUT (default
 /// BENCH_<name>.json). Fields are written in call order; object() and
 /// array() open a container and close() ends the innermost one. Doubles

@@ -14,9 +14,9 @@
 //     (deterministic chain), the selective variant may trail the same-run
 //     full recall by a pinned epsilon.
 //   * determinism: the bench runs twice with ALGAS_BENCH_HOSTS=1 and =4;
-//     the per-variant results_checksum (FNV-1a over merged per-query
-//     results, sorted by query index) must be byte-identical — host
-//     thread count must never leak into merged results.
+//     the per-variant results_checksum (bench::results_checksum over the
+//     merged per-query results) must be byte-identical — host thread
+//     count must never leak into merged results.
 //   * wall clock: sharded_distance_evals_per_s has a floor (the sharded
 //     serving path is a real host hot loop), taken by bench::median_trial
 //     over repeated runs of the full-fanout K=4 point, each checked
@@ -28,7 +28,6 @@
 //   ALGAS_DATASETS     first two names are swept (default sift,gist)
 //   ALGAS_BENCH_HOSTS  host worker threads per shard engine (default 1)
 //   ALGAS_BENCH_OUT    output JSON path (default "BENCH_shard.json")
-#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
@@ -65,21 +64,6 @@ core::ShardedConfig sharded_config(std::size_t shards, std::size_t slots,
   cfg.fanout = fanout;
   cfg.build = bench::bench_build_config();
   return cfg;
-}
-
-/// FNV-1a 64 over the merged per-query results in query-index order — the
-/// byte-identity fingerprint the gate compares across ALGAS_BENCH_HOSTS.
-std::uint64_t results_checksum(const metrics::Collector& c) {
-  bench::Fnv f;
-  for (const auto* r : bench::by_query_index(c)) {
-    f.mix(r->query_index);
-    f.mix(r->results.size());
-    for (const KV& kv : r->results) {
-      f.mix(kv.id());
-      f.mix(std::bit_cast<std::uint32_t>(kv.dist));
-    }
-  }
-  return f.h;
 }
 
 struct Row {
@@ -132,10 +116,10 @@ int main() {
         // The wall-clock floor times repeated runs of this point; each
         // must merge exactly the row's results.
         const std::uint64_t checksum =
-            results_checksum(row.rep.merged.collector);
+            bench::results_checksum(row.rep.merged.collector);
         const auto timed_run = [&] {
           const auto rep = engine.run_closed_loop(nq);
-          if (results_checksum(rep.merged.collector) != checksum) {
+          if (bench::results_checksum(rep.merged.collector) != checksum) {
             throw std::runtime_error(
                 "bench_shard: a timed run changed its merged results");
           }
@@ -227,8 +211,8 @@ int main() {
     report.object(name)
         .number("recall_at_10", row->rep.merged.recall)
         .number("mean_latency_us", row->rep.merged.summary.mean_service_us)
-        .text("results_checksum",
-              bench::hex64(results_checksum(row->rep.merged.collector)))
+        .text("results_checksum", bench::hex64(bench::results_checksum(
+                                      row->rep.merged.collector)))
         .close();
   }
   report.close().array("scaling");

@@ -15,14 +15,15 @@
 //             expand list into an L = 128 list (the per-round upkeep).
 //   topk_merge  host merge_sorted_runs of 4 sorted runs of 128 into a
 //             TopK of 16 (the slot's host merge).
-//             These six run bench::median_trial: 5 trials, each repeating
+//   engine    AlgasEngine closed loop on the Fig 10/11 configuration
+//             (batch 16, TopK 16, L 128, 4 CTAs, beam extend) — end-to-end
+//             queries/s and DES events/s (informational); every timed run
+//             must return the first run's results.
+//             These seven run bench::median_trial: 5 trials, each repeating
 //             its whole pass until at least 0.2 s have elapsed, and the
 //             section reports the trial with the median rate: one pass
 //             lasts ~10 ms at CI scale, too short to hold a floor against
 //             timer and scheduler noise.
-//   engine    AlgasEngine closed loop on the Fig 10/11 configuration
-//             (batch 16, TopK 16, L 128, 4 CTAs, beam extend) — end-to-end
-//             queries/s and DES events/s.
 //   construction  deterministic batched NSW build on a capped corpus —
 //             insertions/s at threads=1 (gated; the median of kBuilds
 //             builds) plus the parallel speedup at the default thread
@@ -36,7 +37,6 @@
 // run on a host without AVX2 explains its own numbers.
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <iostream>
 #include <optional>
 #include <span>
@@ -65,7 +65,6 @@ namespace {
 constexpr std::size_t kBuilds = 3;
 
 using bench::median_trial;
-using bench::seconds_since;
 using bench::Trial;
 
 struct Section {
@@ -245,18 +244,29 @@ int main() {
   }
 
   // --- end-to-end engine: Fig 10/11 configuration -----------------------
+  // A first, untimed run gives the recall, the event count and the
+  // results every timed run must reproduce.
   double sim_events_per_s = 0.0;
   double engine_recall = 0.0;
   {
     const std::size_t nq = bench::query_budget(ds, 200);
     core::AlgasEngine engine(ds, g, bench::algas_config(16, 128, 16));
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto rep = engine.run_closed_loop(nq);
+    const auto first = engine.run_closed_loop(nq);
+    const std::uint64_t checksum = bench::results_checksum(first.collector);
+    const Trial t = median_trial([&] {
+      const auto rep = engine.run_closed_loop(nq);
+      if (bench::results_checksum(rep.collector) != checksum) {
+        throw std::runtime_error(
+            "bench_walltime: a timed engine run changed its results");
+      }
+      return nq;
+    });
     Section s{"engine"};
-    s.wall_s = seconds_since(t0);
-    s.queries_per_s = static_cast<double>(nq) / s.wall_s;
-    sim_events_per_s = static_cast<double>(rep.sim_events) / s.wall_s;
-    engine_recall = rep.recall;
+    s.wall_s = t.wall_s;
+    s.queries_per_s = t.rate();
+    sim_events_per_s =
+        static_cast<double>(t.passes * first.sim_events) / t.wall_s;
+    engine_recall = first.recall;
     sections.push_back(s);
   }
 

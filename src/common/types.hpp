@@ -35,8 +35,6 @@ constexpr std::size_t next_pow2(std::size_t v) {
   return p;
 }
 
-constexpr bool is_pow2(std::size_t v) { return v != 0 && (v & (v - 1)) == 0; }
-
 /// Integer ceil division.
 constexpr std::size_t ceil_div(std::size_t a, std::size_t b) {
   return (a + b - 1) / b;

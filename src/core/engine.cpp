@@ -717,16 +717,13 @@ AlgasEngine::AlgasEngine(const Dataset& ds, const Graph& g, AlgasConfig cfg)
     // view (core::MutableIndex before the first publish) skip the engine.
     throw std::invalid_argument("AlgasEngine: graph has no nodes to search");
   }
-  if (!cfg_.search.accept.null()) {
-    // Selectivity-aware widening (filter-during-search): the rarer the
-    // accepted set, the deeper the candidate list, so the accept step
-    // still fills the TopK from survivors. Runs before normalization so
-    // the widened length obeys the same clamps as any other config; the
-    // null-predicate path skips this branch entirely, keeping unfiltered
-    // runs byte-identical to the pre-predicate engine.
-    cfg_.search = search::widen_for_selectivity(
-        cfg_.search, cfg_.search.accept.selectivity(ds.num_base()));
-  }
+  // Selectivity-aware widening (filter-during-search): the rarer the
+  // accepted set, the deeper the candidate list, so the accept step still
+  // fills the TopK from survivors. Runs before normalization so the
+  // widened length obeys the same clamps as any other config. A null
+  // predicate's selectivity is 1.0, which leaves the config unchanged.
+  cfg_.search = search::widen_for_selectivity(
+      cfg_.search, cfg_.search.accept.selectivity(ds.num_base()));
   cfg_.search = search::normalize_config(cfg_.search, g.degree());
   cfg_.host_threads = std::max<std::size_t>(1, cfg_.host_threads);
 

@@ -133,7 +133,11 @@ class MutableIndex {
   /// Adopt an existing dataset + graph (e.g. from build_graph). The graph
   /// must cover exactly the dataset's rows and have degree >= 1 (else
   /// std::invalid_argument); its degree overrides cfg.degree so streamed
-  /// batches extend the same structure.
+  /// batches extend the same structure. The graph must have been built
+  /// over these rows under this codec, or loaded from a file: a built
+  /// graph's rows carry the diverse prefixes its own distances selected
+  /// (graph/neighbor_selection.hpp), which links then trust, and a loaded
+  /// one carries none.
   MutableIndex(Dataset ds, Graph g, BuildConfig cfg);
   /// Start empty: a dataset with no base rows yet (queries are fine) and a
   /// zero-node graph of cfg.degree. The first insert() bootstraps exactly

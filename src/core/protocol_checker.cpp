@@ -86,7 +86,6 @@ void ProtocolChecker::audit_channel(SimTime t, std::size_t slot,
 
 void ProtocolChecker::on_read(Side side, SimTime t, std::size_t slot,
                               std::size_t cta, SlotState observed) {
-  ++reads_observed_;
   check_side_order(side, t, slot, cta, "read");
   // §V-A conservation: naive host polls cross the channel exactly once;
   // mirrored host polls and all device polls stay local.

@@ -71,7 +71,6 @@ class ProtocolChecker {
   void finalize(SimTime t);
 
   std::uint64_t writes_observed() const { return writes_observed_; }
-  std::uint64_t reads_observed() const { return reads_observed_; }
 
  private:
   struct WordState {
@@ -101,7 +100,6 @@ class ProtocolChecker {
   std::uint64_t expected_polls_ = 0;
   std::uint64_t expected_writes_ = 0;
   std::uint64_t writes_observed_ = 0;
-  std::uint64_t reads_observed_ = 0;
   bool expect_full_drain_ = false;
 };
 

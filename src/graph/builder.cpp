@@ -57,16 +57,17 @@ BuildReport load_or_build_graph(GraphKind kind, const Dataset& ds,
   const std::string dir = cache_dir();
   std::string path;
   if (!dir.empty()) {
+    // The version moves whenever scoring moves a build's bits. Quantized
+    // builds score different floats and link different edges, so they
+    // carry a codec suffix and their own version: v5 since link scores a
+    // backlink from the row it joins, which moved only their bytes (f32
+    // distances are symmetric, so f32 keys and caches stay valid).
+    const bool quantized = ds.storage() != StorageCodec::kF32;
     std::ostringstream out;
-    out << dir << "/graph_v4_" << graph_kind_name(kind) << "_" << ds.name()
-        << "_n" << ds.num_base() << "_d" << cfg.degree << "_ef"
-        << cfg.ef_construction;
-    // Quantized builds score different floats and link different edges, so
-    // they must not collide with the f32 cache. f32 keeps the historical
-    // key (existing caches stay valid).
-    if (ds.storage() != StorageCodec::kF32) {
-      out << "_s" << storage_codec_name(ds.storage());
-    }
+    out << dir << (quantized ? "/graph_v5_" : "/graph_v4_")
+        << graph_kind_name(kind) << "_" << ds.name() << "_n" << ds.num_base()
+        << "_d" << cfg.degree << "_ef" << cfg.ef_construction;
+    if (quantized) out << "_s" << storage_codec_name(ds.storage());
     // The batch structure shapes the graph (each batch searches the frozen
     // prefix), so non-default batches get their own entries. The thread
     // count never appears: builds are byte-identical across thread counts.

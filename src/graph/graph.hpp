@@ -14,9 +14,10 @@
 // diversity test kept when select_neighbors last wrote the row. Only
 // select_neighbors records it; every other writer resets it to unknown —
 // mutable_neighbors(), grow() (new rows), construction and load() — so
-// code that edits rows need not know it exists. It is never saved: .agr
-// files and snapshots hold adjacency only, and a loaded row pays one
-// hint-free re-selection before it has a prefix again.
+// code that edits rows need not know it exists. A prefix describes the
+// dataset whose distances selected the row, under that dataset's codec.
+// It is never saved: .agr files and snapshots hold adjacency only, and a
+// loaded row pays one hint-free re-selection before it has a prefix again.
 #pragma once
 
 #include <algorithm>

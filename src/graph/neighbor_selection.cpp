@@ -81,44 +81,43 @@ void select_neighbors(const Dataset& ds, Graph& g, NodeId v,
     if (kept >= row.size()) break;
     row[kept++] = candidates[i].id;
   }
-  if (ds.storage() == StorageCodec::kF32) {
-    g.set_diverse_prefix(v, diverse_prefix);
-  }
+  g.set_diverse_prefix(v, diverse_prefix);
 }
 
-/// Add edge v->u; on overflow re-select v's row with the heuristic.
-void link(const Dataset& ds, Graph& g, NodeId v, NodeId u, float d_vu,
+/// Add edge w->v; on overflow re-select w's row with the heuristic.
+void link(const Dataset& ds, Graph& g, NodeId w, NodeId v,
           LinkScratch& scratch) {
   // Read the row through neighbors(): mutable_neighbors() would reset the
   // diverse prefix the re-selection needs.
-  const std::span<const NodeId> row = g.neighbors(v);
+  const std::span<const NodeId> row = g.neighbors(w);
   for (std::size_t i = 0; i < row.size(); ++i) {
-    if (row[i] == u) return;
+    if (row[i] == v) return;
     if (row[i] == kInvalidNode) {
-      g.mutable_neighbors(v)[i] = u;  // appended, not selected: no prefix
+      g.mutable_neighbors(w)[i] = v;  // appended, not selected: no prefix
       return;
     }
   }
-  // Only f32 rows record a prefix; a graph adopted by a quantized dataset
-  // may still carry its f32 ones, which quantized distances do not match.
-  const std::size_t prefix = ds.storage() == StorageCodec::kF32
-                                 ? g.diverse_prefix(v)
-                                 : Graph::kUnknownPrefix;
-  std::vector<float>& row_dists = scratch.row_dists;
-  row_dists.resize(row.size());
-  ds.distance_batch(ds.base_vector(v), row, row_dists,
-                    ds.base_query_norm(v));
-  scratch.evals += row.size();
+  // The members and v in one batch from w's side: every distance the
+  // re-selection compares is the one w's own selections scored, under
+  // every codec, so the prefix holds.
+  const std::size_t prefix = g.diverse_prefix(w);
+  std::vector<NodeId>& ids = scratch.row_ids;
+  ids.assign(row.begin(), row.end());
+  ids.push_back(v);
+  std::vector<float>& dists = scratch.row_dists;
+  dists.resize(ids.size());
+  ds.distance_batch(ds.base_vector(w), ids, dists, ds.base_query_norm(w));
+  scratch.evals += ids.size();
   std::vector<Candidate>& candidates = scratch.candidates;
   candidates.clear();
-  candidates.push_back({d_vu, u, Hint::kUnknown});
-  for (std::size_t i = 0; i < row.size(); ++i) {
-    const Hint hint = prefix == Graph::kUnknownPrefix ? Hint::kUnknown
-                      : i < prefix                    ? Hint::kKept
-                                                      : Hint::kPruned;
-    candidates.push_back({row_dists[i], row[i], hint});
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    Hint hint = Hint::kUnknown;  // v, or a row with no recorded prefix
+    if (i < row.size() && prefix != Graph::kUnknownPrefix) {
+      hint = i < prefix ? Hint::kKept : Hint::kPruned;
+    }
+    candidates.push_back({dists[i], ids[i], hint});
   }
-  select_neighbors(ds, g, v, candidates, scratch);
+  select_neighbors(ds, g, w, candidates, scratch);
 }
 
 }  // namespace algas

@@ -1,8 +1,8 @@
 // Neighbor-selection heuristics shared by the graph builders.
 //
 // A call writes exactly one adjacency row: select_neighbors(v) rewrites
-// row v and its diverse-prefix byte, and link(v, u) adds to (or re-selects)
-// row v, reading and writing the same byte. Neither reads any other row of
+// row v and its diverse-prefix byte, and link(w, v) adds to (or re-selects)
+// row w, reading and writing the same byte. Neither reads any other row of
 // the graph; both score only base vectors. So concurrent calls are safe as
 // long as no two of them share a row, which is how the NSW link phase runs
 // them in parallel (graph/nsw_builder.hpp). Each row's calls must still
@@ -16,11 +16,14 @@
 // reproduces that split, so when link re-selects a full row over its
 // members plus one new node it passes each member's old decision as a
 // hint, and select_neighbors re-scores only what the new node can change
-// (DESIGN.md, "Deterministic parallel construction"). The graph is the
-// same bytes as with no hints. The hints hold only when a member's
-// distance recomputes to the float it was selected with, which f32 rows
-// guarantee (distances are symmetric bit for bit); quantized rows score an
-// f32 row against a decoded one, so they never record a prefix.
+// (DESIGN.md, "Incremental re-selection"). The graph is the same bytes as
+// with no hints. The hints hold when a member's distance recomputes to the
+// float it was selected with. Under every codec a row's distances are
+// scored from its own side (its f32 row against the members' stored
+// rows): select_neighbors is handed them that way, and link scores the
+// members and the new node from the row's side in one batch. So a prefix
+// describes the dataset that selected the row, and a graph adopted by
+// another codec's rows must come without prefixes (a loaded file has none).
 #pragma once
 
 #include <cstddef>
@@ -39,8 +42,8 @@ enum class Hint : std::uint8_t {
   kPruned,   ///< in the row's backfilled tail
 };
 
-/// A candidate neighbor of the row being selected: its distance to the
-/// row's node, its id and, for a current member, its old decision.
+/// A candidate neighbor of the row being selected: its distance scored
+/// from the row's node, its id and, for a current member, its old decision.
 struct Candidate {
   float dist = 0.0f;
   NodeId id = kInvalidNode;
@@ -56,6 +59,8 @@ struct LinkScratch {
   /// Kept candidates that were not in the row's old diverse prefix.
   std::vector<NodeId> fresh;
   std::vector<Candidate> candidates;
+  /// link's batch: the row's members, then the new node.
+  std::vector<NodeId> row_ids;
   std::vector<float> row_dists;
   /// Pair distances scored through this scratch (host work only; the link
   /// phase sums it into BuildCost::link_evals).
@@ -68,16 +73,16 @@ struct LinkScratch {
 /// neighbor — preserving a mix of short and long (navigable) edges. Pruned
 /// candidates backfill remaining slots. Candidates whose hint is known
 /// skip the checks their old decision already settles. Records the row's
-/// diverse prefix on f32 datasets. `candidates` may be
-/// `scratch.candidates`.
+/// diverse prefix. Each candidate's distance must be scored from v's side
+/// (query base_vector(v)). `candidates` may be `scratch.candidates`.
 void select_neighbors(const Dataset& ds, Graph& g, NodeId v,
                       std::vector<Candidate>& candidates,
                       LinkScratch& scratch);
 
-/// Add edge v->u (distance d_vu); on a full row, re-select v's neighbors
-/// with the heuristic over {current row + u}, hinted by the row's diverse
-/// prefix when it has one.
-void link(const Dataset& ds, Graph& g, NodeId v, NodeId u, float d_vu,
+/// Add edge w->v; on a full row, score the members and v from w's side in
+/// one batch and re-select w's neighbors with the heuristic over {current
+/// row + v}, hinted by the row's diverse prefix when it has one.
+void link(const Dataset& ds, Graph& g, NodeId w, NodeId v,
           LinkScratch& scratch);
 
 }  // namespace algas

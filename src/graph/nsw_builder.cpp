@@ -120,18 +120,16 @@ BuildCost link_batch(const Dataset& ds, Graph& g, const BuildConfig& cfg,
   cost.batches = 1;
 
   // Step 2a: every row v of the batch selects its neighbors from its beam
-  // and records its backlinks (its new neighbors and their distances to
-  // v) before any link can change row v. A beam holds only rows below the
-  // batch (in the bootstrap batch, rows below v), so select_neighbors(v)
-  // writes row v alone and the rows run in parallel. Row 0 of the
-  // bootstrap has an empty beam.
+  // and records its backlinks (its new neighbors) before any link can
+  // change row v. A beam holds only rows below the batch (in the bootstrap
+  // batch, rows below v), so select_neighbors(v) writes row v alone and the
+  // rows run in parallel. Row 0 of the bootstrap has an empty beam.
   //
   // Both steps count the pair distances they score per chunk; integer sums
   // do not depend on the chunking, so link_evals is the same at any thread
   // count.
   const std::size_t degree = g.degree();
   std::vector<NodeId> back(batch.count * degree, kInvalidNode);
-  std::vector<float> back_dists(batch.count * degree);
   std::atomic<std::size_t> link_evals{0};
   exec.parallel_for(batch.count, [&](std::size_t lo, std::size_t hi) {
     LinkScratch scratch;
@@ -143,25 +141,18 @@ BuildCost link_batch(const Dataset& ds, Graph& g, const BuildConfig& cfg,
         scratch.candidates.push_back({e.dist, e.id(), Hint::kUnknown});
       }
       select_neighbors(ds, g, v, scratch.candidates, scratch);
-      const std::span<NodeId> ids(back.data() + i * degree, degree);
-      std::size_t k = 0;
-      for (NodeId u : g.neighbors(v)) {
-        if (u != kInvalidNode) ids[k++] = u;
-      }
-      ds.distance_batch(ds.base_vector(v), ids.first(k),
-                        {back_dists.data() + i * degree, k},
-                        ds.base_query_norm(v));
-      scratch.evals += k;
+      const auto row = g.neighbors(v);
+      std::copy(row.begin(), row.end(), back.begin() + i * degree);
     }
     link_evals += scratch.evals;
   });
 
-  // Step 2b: link(w, v) reads and writes row w alone, and every link into
-  // w comes from a row above w, so the target rows run in parallel. Each
-  // chunk owns a contiguous range of targets (the rows below the batch, or
-  // the bootstrap batch's own rows) and walks the backlinks in insertion
-  // order, so each row receives its links in the serial fold's order:
-  // the graph is the same bytes at any thread count.
+  // Step 2b: link(w, v) reads and writes row w alone (scoring v from w's
+  // side), and every link into w comes from a row above w, so the target
+  // rows run in parallel. Each chunk owns a contiguous range of targets
+  // (the rows below the batch, or the bootstrap batch's own rows) and walks
+  // the backlinks in insertion order, so each row receives its links in the
+  // serial fold's order: the graph is the same bytes at any thread count.
   const std::size_t target_rows = begin == 0 ? end : begin;
   exec.parallel_for(target_rows, [&](std::size_t lo, std::size_t hi) {
     LinkScratch scratch;
@@ -170,7 +161,7 @@ BuildCost link_batch(const Dataset& ds, Graph& g, const BuildConfig& cfg,
       for (std::size_t j = i * degree;
            j < (i + 1) * degree && back[j] != kInvalidNode; ++j) {
         if (back[j] >= lo && back[j] < hi) {
-          link(ds, g, back[j], v, back_dists[j], scratch);
+          link(ds, g, back[j], v, scratch);
         }
       }
     }

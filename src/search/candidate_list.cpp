@@ -26,22 +26,13 @@ void CandidateList::seed(KV entry) {
   *it = entry;
 }
 
-std::size_t CandidateList::first_unchecked() const {
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    const KV& e = entries_[i];
-    if (e.is_empty()) return npos;  // ascending: empties are the tail
-    if (!e.checked()) return i;
-  }
-  return npos;
-}
-
 std::size_t CandidateList::take_unchecked(std::size_t max_count,
                                           std::span<std::size_t> out_indices) {
   assert(out_indices.size() >= max_count);
   std::size_t found = 0;
   for (std::size_t i = 0; i < entries_.size() && found < max_count; ++i) {
     KV& e = entries_[i];
-    if (e.is_empty()) break;
+    if (e.is_empty()) break;  // ascending: empties are the tail
     if (e.checked()) continue;
     e.mark_checked();
     out_indices[found++] = i;

@@ -28,14 +28,10 @@ class CandidateList {
   /// Seed with one starting point (keeps list sorted).
   void seed(KV entry);
 
-  /// Index of the best (closest) unchecked entry, or npos when the list is
-  /// exhausted — the search-termination condition.
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-  std::size_t first_unchecked() const;
-
   /// Collect up to `max_count` best unchecked entry indices (ascending by
-  /// distance) and mark them checked. Returns number collected. The beam
-  /// extend step uses max_count = beam width; greedy uses 1.
+  /// distance) and mark them checked. Returns number collected; 0 means the
+  /// list is exhausted — the search-termination condition. The beam extend
+  /// step uses max_count = beam width; greedy uses 1.
   std::size_t take_unchecked(std::size_t max_count,
                              std::span<std::size_t> out_indices);
 

@@ -66,21 +66,19 @@ bool IntraCtaSearch::step(StepCost& cost) {
   pending_ns_ = 0.0;
 
   // --- 1. select candidate(s) to expand --------------------------------
-  const std::size_t want = diffusing_ ? cfg_.beam_width : 1;
   c.select_ns += cm_.select_ns(cfg_.candidate_len);
-  const std::size_t first = list_.first_unchecked();
-  if (first == CandidateList::npos) {
+  const std::size_t got =
+      list_.take_unchecked(diffusing_ ? cfg_.beam_width : 1, selected_);
+  if (got == 0) {
     done_ = true;
     stats_.cost += c;
     cost = c;
     return true;  // this round performed the (empty) final scan
   }
-  if (!diffusing_ && first >= cfg_.offset_beam && cfg_.beam_width > 1) {
+  if (!diffusing_ && selected_[0] >= cfg_.offset_beam &&
+      cfg_.beam_width > 1) {
     diffusing_ = true;  // §IV-C: selected offset reached offset_beam
   }
-  const std::size_t take = diffusing_ ? want : 1;
-  const std::size_t got = list_.take_unchecked(take, selected_);
-  assert(got >= 1);
 
   // --- 2+3. gather neighbors + filter via bitmap, then one batched
   // distance round over the surviving ids — the same gather/score split the
@@ -135,7 +133,6 @@ bool IntraCtaSearch::step(StepCost& cost) {
 }
 
 std::vector<KV> IntraCtaSearch::results() const {
-  if (cfg_.accept.null()) return list_.topk(cfg_.topk);
   // Same walk as CandidateList::topk (entries ascending, empties at the
   // tail terminate), with predicate-rejected ids skipped at the accept
   // step.

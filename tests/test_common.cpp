@@ -42,15 +42,6 @@ TEST(Types, NextPow2) {
                std::overflow_error);
 }
 
-TEST(Types, IsPow2) {
-  EXPECT_FALSE(is_pow2(0));
-  EXPECT_TRUE(is_pow2(1));
-  EXPECT_TRUE(is_pow2(2));
-  EXPECT_FALSE(is_pow2(3));
-  EXPECT_TRUE(is_pow2(4096));
-  EXPECT_FALSE(is_pow2(4095));
-}
-
 TEST(Types, CeilDiv) {
   EXPECT_EQ(ceil_div(0, 4), 0u);
   EXPECT_EQ(ceil_div(1, 4), 1u);

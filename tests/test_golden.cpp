@@ -436,8 +436,11 @@ TEST(GraphGolden, OfflineBuildsAtEveryThreadCount) {
         0x4171b1be56666668ull}},
       {"cosine f16 uneven tail", Metric::kCosine, StorageCodec::kF16, 2000,
        384,
-       {0x1b2e25daf1d90ebaull, 6, 390272, 0x4104a94cccccccccull,
-        0x4171b14c9999999aull}},
+       {0xb958e6124ed035f3ull, 6, 390265, 0x4104a94cccccccccull,
+        0x4171b1425cccccceull}},
+      {"l2 int8 uneven tail", Metric::kL2, StorageCodec::kInt8, 2000, 384,
+       {0x3b3acf01421f0883ull, 6, 395196, 0x4104e68e66666666ull,
+        0x4171d8a4f3333334ull}},
       {"l2 bootstrap only", Metric::kL2, StorageCodec::kF32, 2000, 4096,
        {0x47dd91d259254e7full, 1, 1999000, 0x410eb27666666666ull,
         0x4190d6fbf3333333ull}},
@@ -557,8 +560,8 @@ TEST(GraphGolden, LinkEvalsAtEveryThreadCount) {
     std::uint64_t link_evals;
   };
   const Case cases[] = {
-      {"l2 uneven tail", Metric::kL2, 1228380},
-      {"cosine uneven tail", Metric::kCosine, 1227289},
+      {"l2 uneven tail", Metric::kL2, 1228244},
+      {"cosine uneven tail", Metric::kCosine, 1227153},
   };
   for (const Case& c : cases) {
     Dataset ds = algas::testing::tiny_world(c.metric).ds;

@@ -249,8 +249,7 @@ void select_row(const Dataset& ds, Graph& g, NodeId v, std::size_t count,
   select_neighbors(ds, g, v, candidates, scratch);
 }
 
-/// 50 seeded backlinks into row v, each scored in the link phase's
-/// direction (from the new node). After every one, row v and its prefix
+/// 50 seeded backlinks into row v. After every one, row v and its prefix
 /// must equal the same link on a copy whose prefix was reset through
 /// mutable_neighbors, which re-selects with no hints. Returns the pair
 /// distances the hinted and the hint-free links scored.
@@ -271,16 +270,13 @@ void expect_links_match_hint_free(const Dataset& ds, Graph& g, NodeId v,
                                u) != g.neighbors(v).end()) {
       u = static_cast<NodeId>(rng.next_below(ds.num_base()));
     }
-    const NodeId vs[1] = {v};
-    float d[1] = {};
-    ds.distance_batch(ds.base_vector(u), vs, d, ds.base_query_norm(u));
     Graph ref = g;
     const std::vector<NodeId> before(ref.neighbors(v).begin(),
                                      ref.neighbors(v).end());
     std::copy(before.begin(), before.end(),
               ref.mutable_neighbors(v).begin());
-    link(ds, g, v, u, d[0], hinted);
-    link(ds, ref, v, u, d[0], plain);
+    link(ds, g, v, u, hinted);
+    link(ds, ref, v, u, plain);
     const auto got = g.neighbors(v), want = ref.neighbors(v);
     ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
         << name << " step " << step;
@@ -291,21 +287,28 @@ void expect_links_match_hint_free(const Dataset& ds, Graph& g, NodeId v,
 }
 
 TEST(IncrementalSelection, LinksMatchHintFreeReselection) {
-  for (const Metric metric :
-       {Metric::kL2, Metric::kInnerProduct, Metric::kCosine}) {
-    const Dataset ds = selection_ds(metric);
-    for (const std::size_t degree : {4u, 16u, 33u}) {
-      const std::string name = std::string(metric_name(metric)) +
-                               " degree=" + std::to_string(degree);
-      Graph g(ds.num_base(), degree);
-      LinkScratch scratch;
-      // A duplicated row and its copy both sit among the candidates.
-      select_row(ds, g, 5, 4 * degree, scratch);
-      ASSERT_NE(g.diverse_prefix(5), Graph::kUnknownPrefix) << name;
-      ASSERT_LE(g.diverse_prefix(5), g.valid_degree(5)) << name;
-      LinkEvals evals;
-      expect_links_match_hint_free(ds, g, 5, name, &evals);
-      EXPECT_LT(evals.hinted, evals.plain) << name;
+  // Every codec scores a row's distances from the row's own side, so
+  // quantized rows record and trust a prefix like f32 rows.
+  for (const StorageCodec codec :
+       {StorageCodec::kF32, StorageCodec::kF16, StorageCodec::kInt8}) {
+    for (const Metric metric :
+         {Metric::kL2, Metric::kInnerProduct, Metric::kCosine}) {
+      Dataset ds = selection_ds(metric);
+      ds.set_storage(codec);
+      for (const std::size_t degree : {4u, 16u, 33u}) {
+        const std::string name = std::string(metric_name(metric)) + " " +
+                                 storage_codec_name(codec) +
+                                 " degree=" + std::to_string(degree);
+        Graph g(ds.num_base(), degree);
+        LinkScratch scratch;
+        // A duplicated row and its copy both sit among the candidates.
+        select_row(ds, g, 5, 4 * degree, scratch);
+        ASSERT_NE(g.diverse_prefix(5), Graph::kUnknownPrefix) << name;
+        ASSERT_LE(g.diverse_prefix(5), g.valid_degree(5)) << name;
+        LinkEvals evals;
+        expect_links_match_hint_free(ds, g, 5, name, &evals);
+        EXPECT_LT(evals.hinted, evals.plain) << name;
+      }
     }
   }
 }
@@ -320,36 +323,13 @@ TEST(IncrementalSelection, PartialRowAppendsWithoutAPrefix) {
   const auto row = g.neighbors(9);
   NodeId u = 10;
   while (std::find(row.begin(), row.end(), u) != row.end()) ++u;
-  link(ds, g, 9, u, ds.score(ds.base_vector(u), 9), scratch);
+  link(ds, g, 9, u, scratch);
   EXPECT_EQ(g.valid_degree(9), 6u);
   EXPECT_EQ(g.diverse_prefix(9), Graph::kUnknownPrefix);
   // The row fills by appending, then re-selects hint-free once and
   // records its prefix again.
   expect_links_match_hint_free(ds, g, 9, "partial");
   EXPECT_NE(g.diverse_prefix(9), Graph::kUnknownPrefix);
-}
-
-TEST(IncrementalSelection, QuantizedRowsNeverRecordAPrefix) {
-  for (const StorageCodec codec : {StorageCodec::kF16, StorageCodec::kInt8}) {
-    Dataset ds = selection_ds(Metric::kCosine);
-    ds.set_storage(codec);
-    Graph g(ds.num_base(), 8);
-    LinkScratch scratch;
-    select_row(ds, g, 3, 40, scratch);
-    EXPECT_EQ(g.diverse_prefix(3), Graph::kUnknownPrefix);
-    expect_links_match_hint_free(ds, g, 3, storage_codec_name(codec));
-    EXPECT_EQ(g.diverse_prefix(3), Graph::kUnknownPrefix);
-  }
-  // A graph selected over f32 rows keeps its prefixes when a quantized
-  // dataset adopts it; link must not trust them.
-  const Dataset f32 = selection_ds(Metric::kL2);
-  Dataset f16 = selection_ds(Metric::kL2);
-  f16.set_storage(StorageCodec::kF16);
-  Graph g(f32.num_base(), 8);
-  LinkScratch scratch;
-  select_row(f32, g, 3, 40, scratch);
-  ASSERT_NE(g.diverse_prefix(3), Graph::kUnknownPrefix);
-  expect_links_match_hint_free(f16, g, 3, "f32 graph, f16 rows");
 }
 
 // ---------------- builders ----------------
@@ -472,8 +452,10 @@ TEST(Builders, DegreeZeroIsRejected) {
 
 TEST(Builders, CacheKeyMovesWithTheScoringOrder) {
   // Graphs cached before distance() summed in the warp lane order hold
-  // other edges, so their v3 names must not be read: a truncated file
-  // planted under the v3 name must neither be loaded nor throw.
+  // other edges, so their v3 names must not be read, and neither must v4
+  // quantized names, cached before link scored backlinks from the row
+  // they join: a truncated file planted under an old name must neither be
+  // loaded nor throw. f32 graphs kept their bytes, and their v4 names.
   const auto dir = std::filesystem::temp_directory_path() / "algas_cache_key";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
@@ -481,16 +463,29 @@ TEST(Builders, CacheKeyMovesWithTheScoringOrder) {
   ::setenv("ALGAS_CACHE_DIR", dir.c_str(), 1);
 
   const auto& world = testing::tiny_world();
+  Dataset f16 = world.ds;
+  f16.set_storage(StorageCodec::kF16);
   BuildConfig cfg;
   cfg.degree = 8;
   cfg.ef_construction = 16;
   const std::string stem = "_NSW_" + world.ds.name() + "_n" +
                            std::to_string(world.ds.num_base()) + "_d8_ef16";
-  std::ofstream(dir / ("graph_v3" + stem + ".agr")) << "ALG";  // truncated
-  const BuildReport fresh = load_or_build_graph(GraphKind::kNsw, world.ds, cfg);
-  EXPECT_FALSE(fresh.cache_hit);
-  EXPECT_TRUE(std::filesystem::exists(dir / ("graph_v4" + stem + ".agr")));
-  EXPECT_TRUE(load_or_build_graph(GraphKind::kNsw, world.ds, cfg).cache_hit);
+  struct Case {
+    const Dataset& ds;
+    std::string stale, current;
+  };
+  const Case cases[] = {
+      {world.ds, "graph_v3" + stem + ".agr", "graph_v4" + stem + ".agr"},
+      {f16, "graph_v4" + stem + "_sf16.agr", "graph_v5" + stem + "_sf16.agr"},
+  };
+  for (const Case& c : cases) {
+    std::ofstream(dir / c.stale) << "ALG";  // truncated
+    const BuildReport fresh = load_or_build_graph(GraphKind::kNsw, c.ds, cfg);
+    EXPECT_FALSE(fresh.cache_hit) << c.stale;
+    EXPECT_TRUE(std::filesystem::exists(dir / c.current)) << c.current;
+    EXPECT_TRUE(load_or_build_graph(GraphKind::kNsw, c.ds, cfg).cache_hit)
+        << c.current;
+  }
 
   ::setenv("ALGAS_CACHE_DIR", before.c_str(), 1);  // same cache_dir() as before
   std::filesystem::remove_all(dir);

@@ -143,15 +143,20 @@ TEST(CandidateList, FirstUncheckedAndTake) {
   list.seed(KV::make(1.0f, 10));
   list.seed(KV::make(2.0f, 20));
   list.seed(KV::make(3.0f, 30));
-  EXPECT_EQ(list.first_unchecked(), 0u);
 
+  // The best unchecked entries, ascending, each marked checked once; 0
+  // once the list is exhausted (the search-termination condition).
   std::vector<std::size_t> idx(2);
   EXPECT_EQ(list.take_unchecked(2, idx), 2u);
   EXPECT_EQ(idx[0], 0u);
   EXPECT_EQ(idx[1], 1u);
-  EXPECT_EQ(list.first_unchecked(), 2u);
+  EXPECT_TRUE(list.at(0).checked());
+  EXPECT_TRUE(list.at(1).checked());
+  EXPECT_FALSE(list.at(2).checked());
   EXPECT_EQ(list.take_unchecked(2, idx), 1u);
-  EXPECT_EQ(list.first_unchecked(), CandidateList::npos);
+  EXPECT_EQ(idx[0], 2u);
+  EXPECT_EQ(list.take_unchecked(2, idx), 0u);
+  EXPECT_EQ(list.take_unchecked(1, idx), 0u);
 }
 
 TEST(CandidateList, MergeKeepsBestL) {
@@ -221,7 +226,7 @@ TEST(IntraCta, NormalizeConfigRaisesListForDegree) {
   cfg.topk = 8;
   const auto norm = normalize_config(cfg, 64);
   EXPECT_GE(norm.candidate_len, 64u);
-  EXPECT_TRUE(is_pow2(norm.candidate_len));
+  EXPECT_EQ(next_pow2(norm.candidate_len), norm.candidate_len);
 }
 
 TEST(IntraCta, NormalizeConfigShrinksBeam) {
