@@ -132,7 +132,7 @@ int main() {
   // same batch path churn uses (an index streamed from empty in one insert
   // call is byte-identical to build_nsw over the same rows).
   Dataset serving(full.name() + "-churn", dim, full.metric());
-  serving.mutable_queries() = full.queries();
+  serving.set_queries(full.queries());
   core::MutableIndex idx(std::move(serving), build_cfg);
   idx.insert({full.base().data(), n_keep * dim});
 

@@ -23,9 +23,12 @@
 //   ALGAS_TRACE         — SimTrace output path ("" = tracing off).
 //   ALGAS_SIMCHECK      — 1/on or 0/off; unset follows the compiled
 //                         ALGAS_SIMCHECK CMake default.
-//   ALGAS_BUILD_THREADS — worker threads for offline construction work
-//                         (graph builds, ground truth, k-means). 0 / unset
-//                         picks std::thread::hardware_concurrency().
+//   ALGAS_BUILD_THREADS — worker threads of the pool that runs construction
+//                         work (graph builds, ground truth, k-means) and
+//                         the engines' search jobs (core/search_job.hpp).
+//                         0 / unset picks
+//                         std::thread::hardware_concurrency(); 1 runs both
+//                         on the calling thread.
 //   ALGAS_BENCH_OUT     — JSON report path of a gate bench (bench_walltime,
 //                         recall_gate, bench_churn, bench_shard,
 //                         bench_serving, bench_filtered). "" / unset writes
@@ -75,8 +78,8 @@ double dataset_scale();
 /// Cache directory (RuntimeOptions::cache_dir). Empty disables caching.
 std::string cache_dir();
 
-/// Offline construction worker count (RuntimeOptions::build_threads,
-/// 0 = hardware concurrency).
+/// Worker count for construction and the engines' search jobs
+/// (RuntimeOptions::build_threads, 0 = hardware concurrency).
 std::size_t build_threads();
 
 }  // namespace algas

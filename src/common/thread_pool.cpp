@@ -14,14 +14,29 @@ namespace {
 /// thread are covered uniformly.
 thread_local bool tl_in_parallel_for = false;
 
-/// Process-wide pool for offline work (lazily constructed; sized by
-/// ALGAS_BUILD_THREADS — see common/env.hpp — falling back to hardware
-/// concurrency).
+/// Process-wide pool for construction work and the engines' search jobs
+/// (lazily constructed; sized by ALGAS_BUILD_THREADS — see common/env.hpp —
+/// falling back to hardware concurrency).
 ThreadPool& global_pool() {
   static ThreadPool pool(build_threads());
   return pool;
 }
 }  // namespace
+
+void TaskGroup::add() {
+  std::lock_guard<std::mutex> lock(mu_);
+  ++pending_;
+}
+
+void TaskGroup::done() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (--pending_ == 0) cv_.notify_all();
+}
+
+void TaskGroup::wait() {
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_.wait(lock, [this] { return pending_ == 0; });
+}
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
@@ -42,18 +57,13 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::submit(std::function<void()> task) {
+void ThreadPool::post(TaskGroup& group, std::function<void()> task) {
+  group.add();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    tasks_.push(std::move(task));
-    ++in_flight_;
+    tasks_.push({std::move(task), &group});
   }
   cv_task_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_idle_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 void ThreadPool::parallel_for(
@@ -64,9 +74,10 @@ void ThreadPool::parallel_for(
         "ThreadPool::parallel_for: nested parallel_for is not supported "
         "(the inner loop would deadlock a fully busy pool)");
   }
-  // Per-call error state: concurrent parallel_for calls on a shared pool
-  // must each rethrow only their own chunks' failures.
+  // Per-call state: concurrent parallel_for calls and posted tasks share
+  // the pool, so each call waits for and rethrows only its own chunks.
   struct ForState {
+    TaskGroup chunks;
     std::mutex mu;
     std::exception_ptr error;
   };
@@ -84,21 +95,22 @@ void ThreadPool::parallel_for(
 
   const std::size_t parts = std::min(n, workers_.size() * 4 + 1);
   const std::size_t chunk = (n + parts - 1) / parts;
-  // The last chunk runs on the calling thread so a 1-thread pool still makes
-  // forward progress while the caller is blocked in wait_idle().
+  // The last chunk runs on the calling thread, which then waits for the
+  // chunks it queued. Each queued chunk holds `state`, so its group
+  // outlives the chunk's count-down.
   std::size_t begin = 0;
   for (; begin + chunk < n; begin += chunk) {
     const std::size_t end = begin + chunk;
-    submit([run, begin, end] { run(begin, end); });
+    post(state->chunks, [run, state, begin, end] { run(begin, end); });
   }
   run(begin, n);
-  wait_idle();
+  state->chunks.wait();
   if (state->error) std::rethrow_exception(state->error);
 }
 
 void ThreadPool::worker_loop() {
   for (;;) {
-    std::function<void()> task;
+    Task task;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_task_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
@@ -109,11 +121,8 @@ void ThreadPool::worker_loop() {
       task = std::move(tasks_.front());
       tasks_.pop();
     }
-    task();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (--in_flight_ == 0) cv_idle_.notify_all();
-    }
+    task.run();
+    task.group->done();
   }
 }
 
@@ -140,6 +149,12 @@ void BuildExecutor::parallel_for(
     return;
   }
   pool_->parallel_for(n, fn);
+}
+
+bool BuildExecutor::post(TaskGroup& group, std::function<void()> task) {
+  if (pool_ == nullptr || tl_in_parallel_for) return false;
+  pool_->post(group, std::move(task));
+  return true;
 }
 
 }  // namespace algas

@@ -1,14 +1,19 @@
-// Minimal thread pool with a blocking parallel_for. Used only for *offline*
-// work that is outside the simulated system: graph construction, k-means,
-// and brute-force ground truth. The simulated GPU itself is a single-threaded
-// discrete-event simulation (see simgpu/simulation.hpp) for determinism.
+// Minimal thread pool: a blocking parallel_for, and post() for tasks
+// counted in a TaskGroup that their poster waits on. It serves the work
+// the simulated system's clock does not see: graph construction, k-means
+// and brute-force ground truth through parallel_for, and the engines'
+// search jobs through post(), which compute a query's functional search
+// while the single-threaded discrete-event simulation
+// (simgpu/simulation.hpp) replays its costs (DESIGN.md, "Search rounds off
+// the simulator thread"). The simulation itself stays on one thread, for
+// determinism.
 //
 // Error handling: the first exception thrown inside a parallel_for chunk is
 // captured and rethrown to the caller instead of terminating the worker
 // thread. Nested parallel_for — calling parallel_for from inside a chunk
 // already running under any pool's parallel_for — is rejected with
 // std::logic_error: the inner call would deadlock a fully busy pool and its
-// chunking would depend on scheduling.
+// chunking would depend on scheduling. A posted task must not throw.
 #pragma once
 
 #include <condition_variable>
@@ -21,6 +26,28 @@
 #include <vector>
 
 namespace algas {
+
+/// Counts the tasks posted to a pool on one poster's behalf, so it can wait
+/// for all of them: parallel_for's chunks, or an engine run's search jobs.
+/// post() adds each task and the worker marks it done after it returns.
+class TaskGroup {
+ public:
+  TaskGroup() = default;
+  TaskGroup(const TaskGroup&) = delete;
+  TaskGroup& operator=(const TaskGroup&) = delete;
+
+  /// Blocks until every task posted in this group has returned.
+  void wait();
+
+ private:
+  friend class ThreadPool;
+  void add();
+  void done();
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::size_t pending_ = 0;
+};
 
 class ThreadPool {
  public:
@@ -40,25 +67,28 @@ class ThreadPool {
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t, std::size_t)>& fn);
 
+  /// Queue `task` for a worker, counted in `group`, and return at once.
+  /// `group` must outlive the task. Tasks run in FIFO order with
+  /// parallel_for's chunks; each parallel_for waits for its own group only,
+  /// so posted tasks never hold one up past their own run time.
+  void post(TaskGroup& group, std::function<void()> task);
+
  private:
-  /// Enqueue a chunk; returns immediately. Chunks never throw: parallel_for
-  /// wraps each in its own catch.
-  void submit(std::function<void()> task);
-  /// Block until every submitted chunk has completed.
-  void wait_idle();
+  struct Task {
+    std::function<void()> run;
+    TaskGroup* group = nullptr;
+  };
   void worker_loop();
 
   std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> tasks_;
+  std::queue<Task> tasks_;
   std::mutex mu_;
   std::condition_variable cv_task_;
-  std::condition_variable cv_idle_;
-  std::size_t in_flight_ = 0;
   bool stopping_ = false;
 };
 
 /// Routes a `threads` knob (BuildConfig::threads, CLI --threads) to an
-/// executor for one build:
+/// executor for one build, or for one engine run's search jobs (knob 0):
 ///
 ///   knob 0  → ALGAS_BUILD_THREADS, which itself defaults to hardware
 ///   resolved 1  → run chunks inline on the caller, no pool involved
@@ -68,7 +98,8 @@ class ThreadPool {
 ///
 /// parallel_for must produce results independent of the thread count; the
 /// graph builders rely on that (see DESIGN.md "Deterministic parallel
-/// construction").
+/// construction"). So must work handed to post(): the engines' search jobs
+/// produce the same rounds whichever thread runs them.
 class BuildExecutor {
  public:
   explicit BuildExecutor(std::size_t threads = 0);
@@ -78,6 +109,13 @@ class BuildExecutor {
 
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t, std::size_t)>& fn);
+
+  /// Queue `task` on a pool worker, counted in `group`, and return true.
+  /// Returns false, leaving `task` unrun and uncounted, when this executor
+  /// runs inline or the caller is itself inside a parallel_for chunk (a
+  /// task it then waited on could deadlock a fully busy pool): the caller
+  /// must be able to do the work itself.
+  bool post(TaskGroup& group, std::function<void()> task);
 
  private:
   std::size_t threads_ = 1;

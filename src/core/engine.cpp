@@ -9,10 +9,11 @@
 #include <string>
 
 #include "common/ownership.hpp"
+#include "common/thread_pool.hpp"
 #include "core/protocol_checker.hpp"
+#include "core/search_job.hpp"
 #include "core/state_sync.hpp"
 #include "metrics/recall.hpp"
-#include "search/multi_cta.hpp"
 #include "search/topk_merge.hpp"
 #include "simgpu/simulation.hpp"
 #include "simgpu/trace.hpp"
@@ -58,9 +59,11 @@ struct ParkedCta {
 
 /// Per-slot runtime shared between the slot's CTAs and its host worker —
 /// the in-memory half of the Fig 9 single-writer matrix. Host-side fields
-/// are owned by the slot's HostWorker outright; the per-query scratch
+/// are owned by the slot's HostWorker outright; the per-query accumulation
 /// rotates between the CTAs (while the slot is in Work) and the host
-/// (outside Work), with the slot state machine acting as the epoch.
+/// (outside Work), with the slot state machine acting as the epoch. The
+/// functional search — the visited set, the CTAs' lists and the result
+/// block — belongs to the slot's SearchJob.
 struct SlotRuntime {
   bool busy ALGAS_OWNED_BY(HostWorker) = false;  // a query is in flight
   bool quit ALGAS_OWNED_BY(HostWorker) = false;  // slot retired
@@ -73,12 +76,6 @@ struct SlotRuntime {
   SimTime deadline_ns ALGAS_OWNED_BY(HostWorker) =
       std::numeric_limits<SimTime>::infinity();
   std::uint8_t priority ALGAS_OWNED_BY(HostWorker) = 0;
-  StampedSet visited ALGAS_GUARDED_BY_EPOCH(CtaActor, HostWorker, RunState);
-  std::vector<NodeId> entries ALGAS_OWNED_BY(HostWorker);  // per-CTA entry pts
-  // T * L contiguous result block (§IV-B): host fills/drains outside Work,
-  // CTAs write their stripes inside Work, RunState sizes it at wiring time.
-  std::vector<KV> result_buffer ALGAS_GUARDED_BY_EPOCH(CtaActor, HostWorker,
-                                                       RunState);
   // Per-query accumulation harvested into the QueryRecord at completion.
   search::StepCost gpu_cost ALGAS_GUARDED_BY_EPOCH(CtaActor, HostWorker);
   std::size_t steps ALGAS_GUARDED_BY_EPOCH(CtaActor, HostWorker) = 0;
@@ -124,18 +121,26 @@ metrics::QueryRecord shed_record(const PendingQuery& q, SimTime when,
 /// idle state (see step()).
 class CtaActor final : public sim::Actor {
  public:
-  CtaActor(RunState& run, std::size_t slot, std::size_t cta);
+  /// `first_poll` is the instant of the CTA's launch poll, which the caller
+  /// schedules.
+  CtaActor(RunState& run, std::size_t slot, std::size_t cta,
+           SimTime first_poll);
   void step(sim::Simulation& sim) override;
   const char* name() const override { return "cta"; }
   double busy_ns() const { return busy_ns_; }
+  /// Where this CTA starts a query the host writes while its idle poll is
+  /// still queued: at that poll's instant, ranked by when it was scheduled.
+  SimTime queued_poll_at() const { return poll_at_; }
+  std::uint64_t queued_poll_order() const { return poll_order_; }
 
  private:
   RunState& run_;
   std::size_t slot_;
   std::size_t cta_;
-  search::IntraCtaSearch search_;
   bool active_ = false;
   double busy_ns_ = 0.0;
+  SimTime poll_at_ = 0.0;
+  std::uint64_t poll_order_ = 0;
 };
 
 /// The idle loop's recurrence: a CTA whose poll runs at `t` polls next at
@@ -194,14 +199,17 @@ struct RunState {
              cfg_in.host_sync == HostSync::kPollMirrored),
         qm(check_in),
         slots(cfg_in.slots) {
-    const std::size_t list_len =
-        search::normalize_config(cfg.search, g.degree()).candidate_len;
-    for (auto& s : slots) {
-      s.visited.resize(ds.num_base());
-      s.result_buffer.assign(plan.n_parallel * list_len, KV::empty());
+    run_len = search::normalize_config(cfg.search, g.degree()).candidate_len;
+    clear_words = visited_clear_words(ds.num_base(), plan.n_parallel);
+    for (std::size_t s = 0; s < slots.size(); ++s) {
+      searches.push_back(std::make_unique<SearchJob>(
+          ds, g, cfg.cost, cfg.search, plan.n_parallel, run_len, clear_words,
+          cfg.seed));
     }
-    run_len = list_len;
   }
+  /// Teardown waits for every search task the run posted: each one holds
+  /// its slot's SearchJob.
+  ~RunState() { posted.wait(); }
 
   const Dataset& ds;
   const Graph& g;
@@ -214,11 +222,13 @@ struct RunState {
   QueryManager qm;
   metrics::Collector collector;
   std::vector<SlotRuntime> slots;
-  std::vector<std::unique_ptr<CtaActor>> ctas;
+  std::vector<std::unique_ptr<SearchJob>> searches;  // one per slot
+  std::vector<std::unique_ptr<CtaActor>> ctas;  // slot-major, CTA order
   std::vector<std::unique_ptr<HostWorker>> workers;
   std::vector<HostWorker*> worker_of_slot;  // interrupt routing (blocking)
 
   std::size_t run_len = 0;       // candidate list length L (normalized)
+  std::size_t clear_words = 0;   // each CTA's share of the bitmap clear
   std::size_t total_queries = 0;
   /// Where deliver() hands records: RunAttach::deliver, or by default this
   /// run's own collector.
@@ -237,11 +247,23 @@ struct RunState {
   /// through the actor at their arrival instants instead of being
   /// pre-loaded, so workload exhaustion must also wait for it.
   AdmissionActor* admission = nullptr;
+  /// Order in which CTAs scheduled their idle polls (tie rank of a queued
+  /// poll; CtaActor::queued_poll_order).
+  std::uint64_t next_poll_order ALGAS_OWNED_BY(CtaActor) = 0;
+  /// Runs the slots' search jobs: ALGAS_BUILD_THREADS workers, or none, in
+  /// which case the simulator thread runs each job when it needs a round.
+  BuildExecutor exec;
+  TaskGroup posted;
 
   /// The one host write path for slot states: moves all n_parallel words of
   /// `slot` to `next` at the current host step, and on Work or Quit — the
-  /// states an idle CTA acts on — wakes the slot's parked CTAs together.
+  /// states an idle CTA acts on — wakes the slot's parked CTAs together. On
+  /// Work it also starts the query's search job (start_search).
   void write_slot(std::size_t slot, SlotState next, double* elapsed);
+
+  /// Hands the slot's query to its SearchJob with each CTA's start, and
+  /// posts the job to the executor. `wake` is the parked CTAs' instant.
+  void start_search(std::size_t slot, SimTime wake);
 
   /// The one way a query's record leaves the run, whatever its outcome
   /// (served, evicted, shed at dispatch or at admission): hands it to the
@@ -323,11 +345,14 @@ SimTime RunState::next_arrival() const {
   return t;
 }
 
-CtaActor::CtaActor(RunState& run, std::size_t slot, std::size_t cta)
+CtaActor::CtaActor(RunState& run, std::size_t slot, std::size_t cta,
+                   SimTime first_poll)
     : run_(run),
       slot_(slot),
       cta_(cta),
-      search_(run.ds, run.g, run.cfg.cost, run.cfg.search) {}
+      poll_at_(first_poll) {
+  poll_order_ = run_.next_poll_order++;
+}
 
 void CtaActor::step(sim::Simulation& sim) {
   const sim::CostModel& cm = run_.cfg.cost;
@@ -337,37 +362,32 @@ void CtaActor::step(sim::Simulation& sim) {
   switch (st) {
     case SlotState::kWork: {
       SlotRuntime& rt = run_.slots[slot_];
-      if (!active_) {
-        active_ = true;
-        // Start-of-query: load query to shared memory, clear this CTA's
-        // share of the visited bitmap (§IV-B step 1), seed the entry point.
-        const std::size_t words =
-            visited_clear_words(run_.ds.num_base(), run_.plan.n_parallel);
-        elapsed += cm.cta_start_ns +
-                   static_cast<double>(words) * cm.bitmap_clear_per_word_ns;
-        // A graph with fewer nodes than CTAs yields fewer entry points; a
-        // CTA without one ends with an empty list.
-        search_.reset(run_.ds.query(rt.query_index),
-                      cta_ < rt.entries.size() ? rt.entries[cta_]
-                                               : kInvalidNode,
-                      &rt.visited);
+      SearchJob& job = *run_.searches[slot_];
+      // The slot's search job ran this round (DESIGN.md, "Search rounds off
+      // the simulator thread"); this event charges it. A CTA's first event
+      // also charges the start of the query: loading it to shared memory,
+      // clearing this CTA's share of the visited bitmap (§IV-B step 1) and
+      // seeding the entry point.
+      const SearchRound& round = job.next_round();
+      if (round.cta != cta_) {
+        throw std::logic_error("search job out of step with CTA s" +
+                               std::to_string(slot_) + " c" +
+                               std::to_string(cta_));
       }
-      search::StepCost cost;
-      if (search_.step(cost)) {
-        elapsed += cost.total_ns();
-        rt.gpu_cost += cost;
-      }
-      if (search_.done()) {
-        // Push this CTA's sorted list into the slot's contiguous result
-        // block, then flag Finish.
-        const auto cand = search_.candidates();
-        std::copy(cand.begin(), cand.end(),
-                  rt.result_buffer.begin() + cta_ * run_.run_len);
-        elapsed += static_cast<double>(cand.size()) *
+      const bool first = !active_;
+      active_ = true;
+      charge_work(&elapsed, cm, first, run_.clear_words, round);
+      if (round.stepped) rt.gpu_cost += round.cost;
+      if (round.done) {
+        // The job wrote this CTA's sorted list into its stripe of the
+        // slot's contiguous result block; charge the push, then flag
+        // Finish.
+        elapsed += static_cast<double>(run_.run_len) *
                    cm.result_write_per_entry_ns;
-        rt.steps += search_.stats().expanded_points;
-        rt.rounds += search_.stats().rounds;
-        rt.scored += search_.stats().scored_points;
+        const CtaTotals& totals = job.totals(cta_);
+        rt.steps += totals.expanded;
+        rt.rounds += totals.rounds;
+        rt.scored += totals.scored;
         // Base time, not sim.now()+elapsed: StateSync advances by *elapsed
         // itself, and state write-throughs are control-plane posts whose
         // cost is independent of the issue instant, so the stamp choice
@@ -387,6 +407,10 @@ void CtaActor::step(sim::Simulation& sim) {
           }
         }
         active_ = false;
+        // The poll after Finish: a Work write that lands before it runs
+        // starts this CTA there (RunState::start_search).
+        poll_at_ = sim.now() + elapsed;
+        poll_order_ = run_.next_poll_order++;
       }
       busy_ns_ += elapsed;
       if (run_.trace.tracer) {
@@ -435,7 +459,6 @@ void RunState::write_slot(std::size_t slot, SlotState next,
   // CTAs park"). A poll tying with the step ran after it and read the
   // write: the host scheduled its step before the CTA scheduled that poll.
   SlotRuntime& rt = slots[slot];
-  if (rt.parked.empty()) return;
   SimTime wake = std::numeric_limits<SimTime>::infinity();
   for (const ParkedCta& p : rt.parked) {
     // Each poll before the CTA's first one at or after this step was
@@ -451,8 +474,36 @@ void RunState::write_slot(std::size_t slot, SlotState next,
             [](const ParkedCta& a, const ParkedCta& b) {
               return a.index < b.index;
             });
+  if (next == SlotState::kWork) start_search(slot, wake);
   for (const ParkedCta& p : rt.parked) sim.schedule(p.cta, wake);
   rt.parked.clear();
+}
+
+void RunState::start_search(std::size_t slot, SimTime wake) {
+  // The start rule. A CTA whose idle poll is still queued reads Work at
+  // that poll's own instant, and on a tie runs ahead of the parked CTAs
+  // this write wakes, because it scheduled the poll first; queued polls
+  // among themselves run in the order they were scheduled. The parked CTAs
+  // start together at `wake`, in CTA order.
+  const SlotRuntime& rt = slots[slot];
+  const std::size_t n = plan.n_parallel;
+  std::vector<bool> parked(n, false);
+  for (const ParkedCta& p : rt.parked) parked[p.index] = true;
+  std::vector<CtaStart> starts;
+  starts.reserve(n);
+  for (std::size_t c = 0; c < n; ++c) {
+    if (!parked[c]) {
+      starts.push_back({c, ctas[slot * n + c]->queued_poll_at()});
+    }
+  }
+  std::sort(starts.begin(), starts.end(),
+            [&](const CtaStart& a, const CtaStart& b) {
+              return ctas[slot * n + a.cta]->queued_poll_order() <
+                     ctas[slot * n + b.cta]->queued_poll_order();
+            });
+  for (const ParkedCta& p : rt.parked) starts.push_back({p.index, wake});
+
+  searches[slot]->start(rt.query_index, std::move(starts), exec, posted);
 }
 
 bool HostWorker::dispatch(sim::Simulation& sim, std::size_t slot,
@@ -484,10 +535,6 @@ bool HostWorker::dispatch(sim::Simulation& sim, std::size_t slot,
   rt.scored = 0;
   rt.finished_ctas = 0;
   rt.complete = false;
-  rt.visited.clear();  // functional clear; virtual cost charged by CTAs
-  rt.entries = search::select_entry_points(run_.g, run_.plan.n_parallel,
-                                           run_.cfg.seed, q->query_index);
-  std::fill(rt.result_buffer.begin(), rt.result_buffer.end(), KV::empty());
 
   *elapsed += cm.host_dispatch_ns;
   // Query dispatch is a posted write into the slot's device buffer, at the
@@ -513,22 +560,22 @@ bool HostWorker::dispatch(sim::Simulation& sim, std::size_t slot,
 void HostWorker::fetch_and_complete(sim::Simulation& sim, std::size_t slot,
                                     double* elapsed) {
   const sim::CostModel& cm = run_.cfg.cost;
-  SlotRuntime& rt = run_.slots[slot];
+  const std::span<const KV> block = run_.searches[slot]->results();
   run_.write_slot(slot, SlotState::kDone, elapsed);
   // One sequential read of the slot's whole result block (§IV-B), issued
   // through this worker's private IO stream (§V-B).
   *elapsed += cm.host_io_submit_ns;
-  *elapsed += run_.channel.transfer(
-      sim.now() + *elapsed,
-      rt.result_buffer.size() * sim::kListEntryBytes, sim::Xfer::kResult);
+  *elapsed += run_.channel.transfer(sim.now() + *elapsed,
+                                    block.size() * sim::kListEntryBytes,
+                                    sim::Xfer::kResult);
   // Merge & filter on the host (§IV-B step 4).
   *elapsed += cm.host_topk_merge_ns(run_.plan.n_parallel, run_.cfg.search.topk);
   // The accept predicate is consulted here, at the accept step: filtered
   // and tombstoned ids routed the traversal but never surface in the
   // merged TopK.
-  auto topk = search::merge_sorted_runs(
-      rt.result_buffer, run_.plan.n_parallel, run_.run_len,
-      run_.cfg.search.topk, run_.cfg.search.accept);
+  auto topk = search::merge_sorted_runs(block, run_.plan.n_parallel,
+                                        run_.run_len, run_.cfg.search.topk,
+                                        run_.cfg.search.accept);
   finish_slot(slot, sim.now() + *elapsed, metrics::Disposition::kServed,
               std::move(topk));
 }
@@ -856,7 +903,7 @@ struct EngineRun::Impl {
     const SimTime start = cfg.cost.kernel_launch_ns;
     for (std::size_t s = 0; s < cfg.slots; ++s) {
       for (std::size_t c = 0; c < engine.plan_.n_parallel; ++c) {
-        run->ctas.push_back(std::make_unique<CtaActor>(*run, s, c));
+        run->ctas.push_back(std::make_unique<CtaActor>(*run, s, c, start));
         if (check) {
           // §IV-C budget: every launched block's layout must fit the tuned
           // per-block shared-memory allowance.

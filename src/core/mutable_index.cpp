@@ -175,7 +175,7 @@ CompactReport MutableIndex::compact() {
     }
     nds.set_storage(ds_.storage());  // first, so the rows encode once
     nds.set_base(std::move(base));
-    nds.mutable_queries() = ds_.queries();
+    nds.set_queries(ds_.queries());
   }
 
   // Remap every live row. A row that kept all its neighbors copies over

@@ -65,6 +65,12 @@ void Dataset::set_base(std::vector<float> rows) {
   rebuild_caches(0);
 }
 
+void Dataset::set_queries(std::vector<float> rows) {
+  check_rows("set_queries", rows, dim_, StorageCodec::kF32);
+  clear_ground_truth();
+  queries_ = std::move(rows);
+}
+
 void Dataset::append_base(std::span<const float> rows) {
   check_rows("append_base", rows, dim_, codec_);
   clear_ground_truth();  // exact only for the pre-append base set

@@ -63,6 +63,14 @@ class Dataset {
     gt_.clear();
     gt_k_ = 0;
   }
+  /// Replace every query row. The rows must be whole (`rows.size()` a
+  /// multiple of dim) and finite; otherwise std::invalid_argument names the
+  /// first bad row and nothing changes. Ground truth is dropped (it
+  /// describes the old queries). Queries are scored as floats under every
+  /// codec, so set_base's f16 range rule does not apply.
+  void set_queries(std::vector<float> rows);
+  /// Unchecked writer, left only for perfbench/workloads.cpp until the
+  /// benchmark next changes; everything else calls set_queries.
   std::vector<float>& mutable_queries() { return queries_; }
   const std::vector<float>& base() const { return base_; }
   const std::vector<float>& queries() const { return queries_; }

@@ -121,8 +121,9 @@ Dataset load_dataset(const std::string& path) {
   auto base = r.vec<float>("base");
   check_rows(r, base, dim, "base");
   ds.set_base(std::move(base));
-  ds.mutable_queries() = r.vec<float>("queries");
-  check_rows(r, ds.queries(), dim, "queries");
+  auto queries = r.vec<float>("queries");
+  check_rows(r, queries, dim, "queries");
+  ds.set_queries(std::move(queries));
   auto gt = r.vec<NodeId>("ground truth");
   // gt_k comes from the file: divide rather than multiply, so no overflow.
   const std::uint64_t gt_rows = gt_k == 0 ? 0 : gt.size() / gt_k;
@@ -175,7 +176,7 @@ Dataset load_texmex(const std::string& name, const std::string& base_path,
     }
   }
   ds.set_base(std::move(base));
-  ds.mutable_queries() = std::move(queries);
+  ds.set_queries(std::move(queries));
 
   if (!gt_path.empty()) {
     std::size_t gt_k = 0;

@@ -59,7 +59,7 @@ Dataset make_shard_dataset(const Dataset& ds, const ShardPartition& part,
   out.set_storage(ds.storage());
   out.set_base({ds.base().begin() + static_cast<std::ptrdiff_t>(r.begin * dim),
                 ds.base().begin() + static_cast<std::ptrdiff_t>(r.end * dim)});
-  out.mutable_queries() = ds.queries();
+  out.set_queries(ds.queries());
   return out;
 }
 

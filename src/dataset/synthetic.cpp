@@ -70,8 +70,7 @@ Dataset make_synthetic(const SyntheticSpec& spec) {
                base.data() + i * spec.dim);
   }
 
-  auto& queries = ds.mutable_queries();
-  queries.resize(spec.num_queries * spec.dim);
+  std::vector<float> queries(spec.num_queries * spec.dim);
   for (std::size_t i = 0; i < spec.num_queries; ++i) {
     float* out = queries.data() + i * spec.dim;
     if (rng.next_double() < spec.outlier_query_fraction) {
@@ -91,6 +90,7 @@ Dataset make_synthetic(const SyntheticSpec& spec) {
     }
   }
   ds.set_base(std::move(base));
+  ds.set_queries(std::move(queries));
   // Attributes last, from their own stateless hash stream: the sequential
   // rng above must see exactly the draws it always has, or every pinned
   // vector (and with them all recall baselines) would change.

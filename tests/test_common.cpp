@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <iterator>
 #include <limits>
 #include <set>
@@ -354,6 +356,79 @@ TEST(ThreadPool, StressManyParallelForRounds) {
   for (std::size_t i = 0; i < sums.size(); ++i) {
     EXPECT_EQ(sums[i].load(), 200u * i);
   }
+}
+
+TEST(ThreadPool, PostRunsTheTaskOnAWorker) {
+  ThreadPool pool(2);
+  TaskGroup group;
+  std::promise<std::thread::id> ran;
+  auto where = ran.get_future();
+  pool.post(group, [&ran] { ran.set_value(std::this_thread::get_id()); });
+  EXPECT_NE(where.get(), std::this_thread::get_id());
+  group.wait();
+}
+
+TEST(ThreadPool, TaskGroupWaitsForEveryPostedTask) {
+  ThreadPool pool(3);
+  TaskGroup group;
+  std::atomic<int> count{0};
+  for (int i = 0; i < 200; ++i) {
+    pool.post(group, [&count] { count.fetch_add(1); });
+  }
+  group.wait();
+  EXPECT_EQ(count.load(), 200);
+  group.wait();  // an empty group does not block
+}
+
+TEST(ThreadPool, ParallelForWaitsOnlyForItsOwnChunks) {
+  // A posted task still running (an engine's search job) must not hold up
+  // a parallel_for on the same pool.
+  ThreadPool pool(2);
+  TaskGroup group;
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  std::promise<void> finished;
+  pool.post(group, [gate, &finished] {
+    gate.wait_for(std::chrono::seconds(30));
+    finished.set_value();
+  });
+  std::atomic<int> count{0};
+  pool.parallel_for(100, [&](std::size_t b, std::size_t e) {
+    count.fetch_add(static_cast<int>(e - b));
+  });
+  EXPECT_EQ(count.load(), 100);
+  auto done = finished.get_future();
+  EXPECT_EQ(done.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);
+  release.set_value();
+  group.wait();
+  EXPECT_EQ(done.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+}
+
+TEST(BuildExecutorTest, InlineExecutorRefusesPost) {
+  BuildExecutor exec(1);
+  TaskGroup group;
+  bool ran = false;
+  EXPECT_FALSE(exec.post(group, [&ran] { ran = true; }));
+  EXPECT_FALSE(ran);
+  group.wait();  // a refused task is not counted
+}
+
+TEST(BuildExecutorTest, PostFromInsideAChunkIsRefused) {
+  // A task posted from a chunk could wait behind the chunks that wait on
+  // it; the caller must run the work itself instead.
+  BuildExecutor exec(2);
+  TaskGroup group;
+  std::atomic<int> refused{0};
+  exec.parallel_for(4, [&](std::size_t, std::size_t) {
+    if (!exec.post(group, [] {})) refused.fetch_add(1);
+  });
+  EXPECT_GT(refused.load(), 0);
+  std::atomic<bool> ran{false};
+  EXPECT_TRUE(exec.post(group, [&ran] { ran.store(true); }));
+  group.wait();
+  EXPECT_TRUE(ran.load());
 }
 
 TEST(BuildExecutorTest, SerialExecutorRunsInline) {

@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <set>
 #include <string>
+#include <vector>
 
+#include "common/thread_pool.hpp"
 #include "core/engine.hpp"
 #include "core/protocol_checker.hpp"
 #include "core/query_manager.hpp"
+#include "core/search_job.hpp"
 #include "core/slot.hpp"
 #include "core/state_sync.hpp"
 #include "core/tuner.hpp"
@@ -556,6 +561,66 @@ TEST(VisitedClearWords, ChargedCostMatchesFormula) {
   const double charged = static_cast<double>(visited_clear_words(1001, 4)) *
                          cm.bitmap_clear_per_word_ns;
   EXPECT_DOUBLE_EQ(charged, 4.0 * cm.bitmap_clear_per_word_ns);
+}
+
+// ---------------- search_job.hpp ----------------
+
+/// Runs `queries` queries back to back through one slot's SearchJob on
+/// `exec`, starting each as soon as the previous query's last round is
+/// taken (tighter than any engine, which merges and dispatches in
+/// between), and returns a digest of each query's rounds and result block.
+std::vector<std::uint64_t> run_search_job(BuildExecutor& exec,
+                                          std::size_t queries) {
+  const auto& world = algas::testing::tiny_world();
+  search::SearchConfig cfg;
+  cfg.topk = 4;
+  cfg.candidate_len = 16;
+  const sim::CostModel cm;
+  const std::size_t n_parallel = 2;
+  const std::size_t run_len =
+      search::normalize_config(cfg, world.nsw.degree()).candidate_len;
+  SearchJob job(world.ds, world.nsw, cm, cfg, n_parallel, run_len,
+                visited_clear_words(world.ds.num_base(), n_parallel), 7);
+  TaskGroup tasks;
+  std::vector<std::uint64_t> digests;
+  for (std::size_t q = 0; q < queries; ++q) {
+    // CTA 1 starts first, as a CTA whose idle poll was still queued would.
+    const SimTime t = 1000.0 * static_cast<double>(q);
+    job.start(q % world.ds.num_queries(), {{1, t}, {0, t + 37.0}}, exec,
+              tasks);
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    const auto mix = [&h](std::uint64_t v) { h = (h ^ v) * 0x100000001b3ull; };
+    for (std::size_t live = n_parallel; live > 0;) {
+      const SearchRound& r = job.next_round();
+      mix(r.cta);
+      mix(r.stepped);
+      mix(r.done);
+      mix(std::bit_cast<std::uint64_t>(r.cost.total_ns()));
+      if (r.done) --live;
+    }
+    for (const KV& kv : job.results()) {
+      mix(std::bit_cast<std::uint32_t>(kv.dist));
+      mix(kv.key);
+    }
+    digests.push_back(h);
+  }
+  tasks.wait();
+  return digests;
+}
+
+TEST(SearchJob, BackToBackQueriesOnFourWorkersMatchInline) {
+  // Stresses the hand-off between the simulator thread and the pool: a
+  // worker still releasing the job when the next query starts must neither
+  // lose that query nor change a bit of it.
+  BuildExecutor inline_exec(1);
+  BuildExecutor pool_exec(4);
+  const std::size_t queries = 20000;
+  const auto want = run_search_job(inline_exec, queries);
+  const auto got = run_search_job(pool_exec, queries);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t q = 0; q < queries; ++q) {
+    ASSERT_EQ(got[q], want[q]) << "query " << q;
+  }
 }
 
 AlgasConfig tiny_engine_config() {

@@ -100,7 +100,7 @@ TEST(GroundTruth, ExactOnTinyData) {
   Dataset ds("tiny", 2, Metric::kL2);
   // Base points on a line: 0, 1, 2, 3, 4 along x.
   ds.set_base({0.0f, 0.0f, 1.0f, 0.0f, 2.0f, 0.0f, 3.0f, 0.0f, 4.0f, 0.0f});
-  ds.mutable_queries() = {2.2f, 0.0f};
+  ds.set_queries({2.2f, 0.0f});
   compute_ground_truth(ds, 3);
   const auto gt = ds.ground_truth(0);
   EXPECT_EQ(gt[0], 2u);
@@ -392,7 +392,7 @@ Dataset two_part_ds(Metric metric, std::size_t head, std::size_t tail,
                         static_cast<std::ptrdiff_t>(head * full.dim()),
                     full.base().end());
   Dataset ds(full.name(), full.dim(), full.metric());
-  ds.mutable_queries() = full.queries();
+  ds.set_queries(full.queries());
   ds.append_base({full.base().data(), head * full.dim()});
   return ds;
 }
@@ -543,6 +543,38 @@ TEST(DatasetSetBase, RejectsPartialAndNonFiniteRowsUnchanged) {
   EXPECT_EQ(ds.num_base(), 20u);
   EXPECT_FALSE(ds.has_ground_truth());
   EXPECT_EQ(ds.base_norms().size(), 20u);
+}
+
+TEST(DatasetSetQueries, RejectsRaggedAndNonFiniteQueriesUnchanged) {
+  std::vector<float> tail;
+  Dataset ds = two_part_ds(Metric::kL2, 40, 20, &tail);
+  compute_ground_truth(ds, 4);
+  const std::vector<float> queries = ds.queries();
+  const std::vector<float> base = ds.base();
+  std::vector<float> ragged = queries;
+  ragged.pop_back();
+  std::vector<float> nan_row = queries;
+  nan_row[ds.dim() + 3] = std::numeric_limits<float>::quiet_NaN();
+  std::vector<float> inf_row = queries;
+  inf_row[2] = std::numeric_limits<float>::infinity();
+  for (const auto& [rows, expected] :
+       {std::pair{ragged, "whole rows"}, std::pair{nan_row, "row 1 "},
+        std::pair{inf_row, "row 0 "}}) {
+    try {
+      ds.set_queries(rows);
+      ADD_FAILURE() << "set_queries accepted bad rows";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(ds.queries(), queries);
+    EXPECT_EQ(ds.base(), base);
+    EXPECT_TRUE(ds.has_ground_truth());
+  }
+  // Whole finite rows replace the queries; the old ground truth goes.
+  ds.set_queries({tail.begin(), tail.begin() + 2 * ds.dim()});
+  EXPECT_EQ(ds.num_queries(), 2u);
+  EXPECT_FALSE(ds.has_ground_truth());
 }
 
 }  // namespace

@@ -13,8 +13,13 @@
 // and over K=4 shards; one run with more slots than queries, where sibling
 // CTAs idle in lockstep from launch until late arrivals; one where
 // siblings that parked apart must start every query at one instant, in
-// CTA order; and accept-predicate runs whose filter bitset and tombstone
-// set reject results while the rejected nodes keep routing.
+// CTA order; one where a CTA whose poll is still queued at the Work write
+// starts at that poll's own instant; and accept-predicate runs whose
+// filter bitset and tombstone set reject results while the rejected nodes
+// keep routing. The search rounds of every case run on the build executor
+// (DESIGN.md, "Search rounds off the simulator thread"); one case checks
+// that records, event counts and trace bytes are the same at 1, 2 and 4
+// executor threads.
 //
 // The GraphGolden cases pin the construction path the same way: an FNV-1a
 // over each built graph (shape, entry point, every adjacency row) and its
@@ -26,17 +31,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <limits>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/env.hpp"
 #include "common/node_set.hpp"
 #include "core/engine.hpp"
 #include "core/mutable_index.hpp"
@@ -311,6 +321,39 @@ TEST(VirtualTimeGolden, SiblingsWakeTogetherInCtaOrder) {
   }
 }
 
+TEST(VirtualTimeGolden, QueuedPollStartsAtItsOwnInstant) {
+  // Four host workers, one slot each: a worker can write Work while the
+  // last CTA's poll after its Finish write is still queued. That CTA reads
+  // Work at the poll's own instant, ahead of its siblings' shared wake on a
+  // tie, so some query's CTAs start apart (DESIGN.md, "Search rounds off
+  // the simulator thread").
+  AlgasConfig cfg = golden_config(HostSync::kPollMirrored);
+  cfg.host_threads = 4;
+  sim::Tracer tracer;
+  cfg.tracer = &tracer;
+  const auto rep = run_single(cfg, nullptr, 40);
+  expect_fingerprint(
+      rep, {0x224fda55e5acf305ull, 19098, 2018, 1072, 170368, 0, 992},
+      "queued poll");
+
+  // Each query's first span on every CTA lane.
+  std::map<std::string, std::vector<SimTime>> starts;
+  std::set<std::pair<std::string, int>> seen;
+  for (const sim::TraceEventRec& e : tracer.events()) {
+    if (e.cat == "cta" && seen.insert({e.name, e.tid}).second) {
+      starts[e.name].push_back(e.ts_ns);
+    }
+  }
+  ASSERT_EQ(starts.size(), 40u);
+  std::size_t apart = 0;
+  for (const auto& [query, ts] : starts) {
+    ASSERT_EQ(ts.size(), rep.plan.n_parallel) << query;
+    apart += std::adjacent_find(ts.begin(), ts.end(), std::not_equal_to<>()) !=
+             ts.end();
+  }
+  EXPECT_GT(apart, 0u);
+}
+
 TEST(VirtualTimeGolden, AcceptPredicateFilterAndTombstones) {
   // A filter accepting every third row, conjoined with tombstones on every
   // seventh: the candidate list widens 4x for the ~29% selectivity, and
@@ -348,6 +391,84 @@ TEST(VirtualTimeGolden, AcceptPredicateFilterAndTombstones) {
                 : Fingerprint{0x159dc2876242ce36ull, 53388, 5931, 1072,
                               661888, 0, 992};
     expect_fingerprint(rep, want, name);
+  }
+}
+
+/// Everything a run exposes that must not depend on which thread computed
+/// its search rounds: the record fingerprint (which carries
+/// sim_events + elided_polls) and the trace file's bytes.
+struct RunBits {
+  Fingerprint fp;
+  std::string trace;
+};
+
+RunBits run_bits(const std::function<EngineReport(sim::Tracer*)>& run) {
+  sim::Tracer tracer;
+  const EngineReport rep = run(&tracer);
+  std::ostringstream os;
+  tracer.write_json(os);
+  return {fingerprint(rep), os.str()};
+}
+
+TEST(VirtualTimeGolden, SameBitsAtEveryBuildThreadCount) {
+  // ALGAS_BUILD_THREADS sizes the executor that runs the engines' search
+  // jobs (1 = the simulator thread runs each job itself). Which thread
+  // computes a round must not move a bit of any record, event count or
+  // trace.
+  const auto& world = algas::testing::tiny_world();
+  const auto arrivals = open_arrivals();
+  const std::vector<std::pair<std::string,
+                              std::function<EngineReport(sim::Tracer*)>>>
+      runs = {
+          {"mirrored closed loop, 4 host workers",
+           [](sim::Tracer* tracer) {
+             AlgasConfig cfg = golden_config(HostSync::kPollMirrored);
+             cfg.host_threads = 4;
+             cfg.tracer = tracer;
+             return run_single(cfg, nullptr, 40);
+           }},
+          {"K=4 open loop, shed and evict",
+           [&arrivals](sim::Tracer* tracer) {
+             AlgasConfig cfg = open_config(HostSync::kPollMirrored);
+             cfg.tracer = tracer;
+             return run_sharded(cfg, &arrivals, 0);
+           }},
+          {"tombstoned MutableIndex::serve",
+           [&world](sim::Tracer* tracer) {
+             MutableIndex idx(world.ds, world.nsw, BuildConfig{});
+             for (std::size_t v = 0; v < world.ds.num_base(); v += 7) {
+               idx.remove(static_cast<NodeId>(v));
+             }
+             AlgasConfig cfg = golden_config(HostSync::kPollMirrored);
+             cfg.tracer = tracer;
+             return idx.serve(cfg, 40);
+           }},
+      };
+
+  const std::size_t before = build_threads();  // 0: unset (hardware)
+  std::vector<std::vector<RunBits>> got;       // [threads][run]
+  for (const char* threads : {"1", "2", "4"}) {
+    ::setenv("ALGAS_BUILD_THREADS", threads, 1);
+    got.emplace_back();
+    for (const auto& [name, run] : runs) got.back().push_back(run_bits(run));
+  }
+  if (before == 0) {
+    ::unsetenv("ALGAS_BUILD_THREADS");
+  } else {
+    ::setenv("ALGAS_BUILD_THREADS", std::to_string(before).c_str(), 1);
+  }
+
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    const RunBits& serial = got[0][r];
+    EXPECT_GT(serial.fp.events, 0u) << runs[r].first;
+    EXPECT_FALSE(serial.trace.empty()) << runs[r].first;
+    for (std::size_t t = 1; t < got.size(); ++t) {
+      const RunBits& other = got[t][r];
+      const std::string name = runs[r].first + " at threads index " +
+                               std::to_string(t);
+      EXPECT_EQ(describe(other.fp), describe(serial.fp)) << name;
+      EXPECT_TRUE(other.trace == serial.trace) << name;
+    }
   }
 }
 
@@ -557,14 +678,17 @@ TEST(GraphGolden, LinkEvalsAtEveryThreadCount) {
   struct Case {
     const char* name;
     Metric metric;
+    StorageCodec storage;
     std::uint64_t link_evals;
   };
   const Case cases[] = {
-      {"l2 uneven tail", Metric::kL2, 1228244},
-      {"cosine uneven tail", Metric::kCosine, 1227153},
+      {"l2 uneven tail", Metric::kL2, StorageCodec::kF32, 1228244},
+      {"cosine uneven tail", Metric::kCosine, StorageCodec::kF32, 1227153},
+      {"l2 int8 uneven tail", Metric::kL2, StorageCodec::kInt8, 1227230},
   };
   for (const Case& c : cases) {
     Dataset ds = algas::testing::tiny_world(c.metric).ds;
+    ds.set_storage(c.storage);
     ds.set_base({ds.base().begin(),
                  ds.base().begin() +
                      static_cast<std::ptrdiff_t>(2000 * ds.dim())});

@@ -311,7 +311,7 @@ TEST(DatasetBatch, MemberBatchBitwiseMatchesQueryDistance) {
   for (Metric m : kMetrics) {
     Dataset ds("t", 17, m);
     ds.set_base(make_base(50, 17, 11));
-    ds.mutable_queries() = make_query(17, 12);
+    ds.set_queries(make_query(17, 12));
     std::vector<NodeId> ids{0, 3, 3, 49, 7, 0};
     std::vector<float> out(ids.size());
     ds.distance_batch(ds.query(0), ids, out);
@@ -331,7 +331,7 @@ TEST(DatasetBatch, PassedQueryNormBitwiseMatchesEveryCodec) {
                                StorageCodec::kInt8}) {
       Dataset ds("t", 33, m);
       ds.set_base(make_base(40, 33, 21));
-      ds.mutable_queries() = make_query(33, 22);
+      ds.set_queries(make_query(33, 22));
       ds.set_storage(codec);
       const auto q = ds.query(0);
       EXPECT_EQ(ds.query_norm(q).has_value(), m == Metric::kCosine);

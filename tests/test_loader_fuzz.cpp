@@ -133,7 +133,7 @@ Dataset small_dataset(bool attributes) {
   Dataset ds("fz", 2, Metric::kL2);
   ds.set_base({0.0f, 0.0f, 1.0f, 0.0f, 0.0f, 1.0f, 1.0f, 1.0f, 0.5f, 0.5f,
                2.0f, 2.0f});
-  ds.mutable_queries() = {0.9f, 0.9f, 0.1f, 0.0f};
+  ds.set_queries({0.9f, 0.9f, 0.1f, 0.0f});
   ds.set_ground_truth({3, 4, 0, 1}, 2);
   if (attributes) {
     ds.set_attributes({1, 2, 1, 2, 1, 2}, {10, 20, 30, 40, 50, 60});

@@ -16,7 +16,7 @@ namespace {
 Dataset dataset_with_gt() {
   Dataset ds("gt", 1, Metric::kL2);
   ds.set_base({0.0f, 1.0f, 2.0f, 3.0f});
-  ds.mutable_queries() = {0.1f};
+  ds.set_queries({0.1f});
   // truth for query 0: 0, 1, 2 (k=3)
   ds.set_ground_truth({0, 1, 2}, 3);
   return ds;
@@ -47,7 +47,7 @@ TEST(Recall, OnlyFirstKResultsCount) {
 TEST(Recall, ThrowsWithoutGroundTruth) {
   Dataset ds("nogt", 1, Metric::kL2);
   ds.set_base({0.0f});
-  ds.mutable_queries() = {0.0f};
+  ds.set_queries({0.0f});
   std::vector<KV> res{KV::make(0.0f, 0)};
   EXPECT_THROW(recall_at_k(ds, 0, res, 1), std::logic_error);
 }
@@ -61,7 +61,7 @@ TEST(Recall, ThrowsBeyondGtDepth) {
 TEST(Recall, MeanOverQueries) {
   Dataset ds("gt2", 1, Metric::kL2);
   ds.set_base({0.0f, 1.0f});
-  ds.mutable_queries() = {0.0f, 1.0f, 0.5f};
+  ds.set_queries({0.0f, 1.0f, 0.5f});
   ds.set_ground_truth({0, 1, 0}, 1);  // q0 -> 0, q1 -> 1, q2 -> 0
   Collector col;
   EXPECT_DOUBLE_EQ(served_recall(ds, col, 1), 0.0);  // nothing served

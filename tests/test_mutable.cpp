@@ -45,7 +45,7 @@ BuildConfig small_cfg() {
 /// Empty dataset sharing `src`'s shape and queries — the streaming start.
 Dataset empty_like(const Dataset& src) {
   Dataset ds(src.name(), src.dim(), src.metric());
-  ds.mutable_queries() = src.queries();
+  ds.set_queries(src.queries());
   return ds;
 }
 

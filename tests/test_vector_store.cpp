@@ -326,7 +326,7 @@ Dataset quantizable_dataset(Metric m) {
   Rng qr(6);
   std::vector<float> queries(3 * 17);
   for (auto& v : queries) v = qr.next_gaussian();
-  ds.mutable_queries() = queries;
+  ds.set_queries(queries);
   return ds;
 }
 

@@ -37,9 +37,12 @@ dynamic ProtocolChecker / byte-identity tests:
                   ALGAS_GUARDED_BY_EPOCH(Actors...) (common/ownership.hpp)
                   may only be written from member functions of a declared
                   owning actor — the static mirror of ProtocolChecker's
-                  Fig 9 single-writer matrix. ALGAS_IMMUTABLE_AFTER_PUBLISH
-                  fields may only be written while the enclosing object is
-                  a function-local value still under construction.
+                  Fig 9 single-writer matrix. A write is an assignment, an
+                  increment, a mutating member call, passing the field's
+                  address as an argument, or a std::copy/fill through its
+                  begin()/data(). ALGAS_IMMUTABLE_AFTER_PUBLISH fields may
+                  only be written while the enclosing object is a
+                  function-local value still under construction.
 
 Suppressions (all require a trailing justification on the same line):
   // lint: ordered <why>         — sorted/order-insensitive use
@@ -531,6 +534,14 @@ def _write_patterns(name: str) -> list[re.Pattern]:
         re.compile(rf"(?:\+\+|--)\s*{recv}(?<!\w){n}\b"),
         re.compile(rf"{recv}(?<!\w){n}\b\s*(?:\+\+|--)"),
         re.compile(rf"{recv}(?<!\w){n}\b\s*\.\s*(?:{_MUTATORS})\s*\("),
+        # Handing out the field's address as an argument grants the callee
+        # write access: `search.reset(query, entry, &visited_)`.
+        re.compile(rf"[(,]\s*&\s*{recv}(?<!\w){n}\b(?!\s*(?:\.|->|\[))"),
+        # A standard algorithm writing through the field's iterators:
+        # `std::copy(a, b, results_.begin() + c * len)`.
+        re.compile(rf"\bstd::(?:ranges::)?(?:copy|copy_n|move|fill|fill_n)"
+                   rf"\s*\(.*?{recv}(?<!\w){n}\b\s*\.\s*"
+                   rf"(?:begin|data)\s*\("),
     ]
 
 
