@@ -194,6 +194,7 @@ std::uint64_t results_checksum(const metrics::Collector& c) {
   Fnv f;
   for (const auto* r : by_query_index(c)) {
     f.mix(r->query_index);
+    f.mix(static_cast<std::uint64_t>(r->disposition));
     f.mix(r->results.size());
     for (const KV& kv : r->results) {
       f.mix(kv.id());

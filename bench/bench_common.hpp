@@ -64,8 +64,7 @@ core::AlgasConfig algas_config(std::size_t batch, std::size_t candidate_len,
 std::string us(double v);
 
 /// FNV-1a 64 over 8-byte little-endian words: the checksum behind every
-/// *_checksum value a gate bench reports. Each bench keeps its own mix
-/// order, since the committed baselines pin the resulting values.
+/// *_checksum value a gate bench reports.
 struct Fnv {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   void mix(std::uint64_t v);
@@ -98,10 +97,11 @@ Trial median_trial(const std::function<std::size_t()>& pass);
 std::vector<const metrics::QueryRecord*> by_query_index(
     const metrics::Collector& c);
 
-/// FNV-1a 64 over every query's results (index, count, then each id and
-/// distance bits) in query-index order: the byte-identity fingerprint
-/// bench_shard compares across ALGAS_BENCH_HOSTS, and the one each timed
-/// trial of a run must reproduce.
+/// FNV-1a 64 over every query's results (index, disposition, count, then
+/// each id and distance bits) in query-index order: the byte-identity
+/// fingerprint the shard, serving and filtered gates compare across
+/// ALGAS_BENCH_HOSTS, and the one each timed trial of a run must reproduce.
+/// The disposition byte keeps a served/shed flip from cancelling out.
 std::uint64_t results_checksum(const metrics::Collector& c);
 
 /// The JSON report of a gate bench, written to ALGAS_BENCH_OUT (default

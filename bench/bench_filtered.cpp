@@ -31,7 +31,6 @@
 //   ALGAS_BENCH_OUT      output JSON path (default "BENCH_filtered.json")
 //   ALGAS_BENCH_HOSTS    host worker threads in the engine (default 1)
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
@@ -62,23 +61,6 @@ std::uint64_t attribute_checksum(const Dataset& ds) {
   f.mix(ds.num_base());
   for (const std::uint32_t c : ds.categories()) f.mix(c);
   for (const std::uint32_t t : ds.timestamps()) f.mix(t);
-  return f.h;
-}
-
-/// Fingerprint of every served result list: (query, id, distance bits),
-/// canonicalized by query index — the collector stores completion order,
-/// which legitimately varies with host thread count, while each query's
-/// RESULTS must not. The checksum doubles as a byte-identity pin for the
-/// null-predicate path against the pre-filter engine.
-std::uint64_t results_checksum(const metrics::Collector& col) {
-  bench::Fnv f;
-  for (const auto* rec : bench::by_query_index(col)) {
-    f.mix(rec->query_index);
-    for (const KV& kv : rec->results) {
-      f.mix(kv.id());
-      f.mix(std::bit_cast<std::uint32_t>(kv.dist));
-    }
-  }
   return f.h;
 }
 
@@ -141,7 +123,8 @@ int main() {
   // cached exact ground truth, full result lists checksummed. This is the
   // byte-identity pin — it must match the pre-filter engine exactly.
   const auto null_rep = core::AlgasEngine(ds, g, gate_cfg).run_closed_loop(nq);
-  const std::uint64_t null_checksum = results_checksum(null_rep.collector);
+  const std::uint64_t null_checksum =
+      bench::results_checksum(null_rep.collector);
   std::printf("null: recall@10 %.6f | checksum %s\n", null_rep.recall,
               bench::hex64(null_checksum).c_str());
 
@@ -164,7 +147,7 @@ int main() {
     const auto rep = engine.run_closed_loop(nq);
     r.graph_recall = metrics::served_recall(gt, rep.collector, kTopk);
     r.graph_latency_us = rep.summary.mean_service_us;
-    r.results_checksum = results_checksum(rep.collector);
+    r.results_checksum = bench::results_checksum(rep.collector);
 
     // IVF post-filter: oversized unfiltered fetch, filter, keep 10. The
     // fetch budget is k/selectivity capped — past the cap the expected

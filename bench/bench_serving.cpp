@@ -97,22 +97,6 @@ void mix_arrivals(bench::Fnv& f,
   }
 }
 
-/// Served-results fingerprint in query-index order (bench_shard's scheme,
-/// plus the disposition byte so a served/shed flip cannot cancel out).
-std::uint64_t results_checksum(const metrics::Collector& c) {
-  bench::Fnv f;
-  for (const auto* r : bench::by_query_index(c)) {
-    f.mix(r->query_index);
-    f.mix(static_cast<std::uint64_t>(r->disposition));
-    f.mix(r->results.size());
-    for (const KV& kv : r->results) {
-      f.mix(kv.id());
-      f.mix(std::bit_cast<std::uint32_t>(kv.dist));
-    }
-  }
-  return f.h;
-}
-
 struct Variant {
   std::string name;
   double mult;           ///< offered rate as a multiple of sat_qps
@@ -198,7 +182,7 @@ int main() {
         mix_arrivals(arrival_hash, row.rep.arrivals);
         if (v.name == "x025") {
           underload_checksum =
-              results_checksum(row.rep.sharded.merged.collector);
+              bench::results_checksum(row.rep.sharded.merged.collector);
           const double shed_rate = row.rep.sharded.merged.summary.shed_rate;
           if (shed_rate > 0.0) {
             std::fprintf(stderr,
@@ -212,10 +196,11 @@ int main() {
           // The wall-clock floor times repeated runs of this variant; each
           // must serve exactly the row's results.
           const std::uint64_t checksum =
-              results_checksum(row.rep.sharded.merged.collector);
+              bench::results_checksum(row.rep.sharded.merged.collector);
           const auto timed_run = [&] {
             const auto rep = serving.run(a, deadline_us);
-            if (results_checksum(rep.sharded.merged.collector) != checksum) {
+            if (bench::results_checksum(rep.sharded.merged.collector) !=
+                checksum) {
               throw std::runtime_error(
                   "bench_serving: a timed x100 run changed its results");
             }

@@ -208,6 +208,8 @@ SEEDED = [
     ("serving", 0, "serving_distance_evals_per_s", 800000.0,
      "floor: serving_distance_evals_per_s"),
     ("shard", 1, "scaling.1.monotonic", False, "true: scaling.1.monotonic"),
+    ("beam", 0, "datasets.gist.L256.beam_throughput_at_least_greedy", False,
+     "true: datasets.gist.L256.beam_throughput_at_least_greedy"),
     ("filtered", 1, "null_results_checksum", "0" * 16,
      "same_across_runs: null_results_checksum"),
     ("churn", 1, "waves.0.live", 2799, "same_across_runs: whole file"),

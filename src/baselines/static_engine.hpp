@@ -1,7 +1,8 @@
 // CAGRA-style batch-synchronous engine [Ootomo et al., ICDE'24].
 //
 // Per batch: one kernel launch, queries transferred in bulk, every query
-// searched by `n_parallel` CTAs (multi-CTA with a shared visited table),
+// searched by `n_parallel` CTAs (search::multi_cta_search, the same
+// multi-CTA search over a shared visited table that AlgasEngine runs),
 // TopK merged *on the GPU* by divide-and-conquer, results transferred in
 // bulk, and — crucially — every query returns only when the whole batch
 // finishes (static batching, Fig 4 top). With n_parallel=1 and merge

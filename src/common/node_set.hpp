@@ -7,7 +7,7 @@
 // clear() retires every member by bumping the generation instead of an O(n)
 // memset: once per search for a visited table, once per compaction epoch for
 // the tombstones. This changes HOST time only: the engines still charge the
-// GPU's bitmap memset as modeled time via core::visited_clear_words x
+// GPU's bitmap memset as modeled time via search::visited_clear_words x
 // bitmap_clear_per_word_ns (DESIGN.md "Modeled time vs. host wall-clock").
 //
 // NodeBitset: a dense bit per node, for sets that are built once and then

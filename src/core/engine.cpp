@@ -1,7 +1,6 @@
 #include "core/engine.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -19,15 +18,6 @@
 #include "simgpu/trace.hpp"
 
 namespace algas::core {
-
-std::size_t visited_clear_words(std::size_t num_base,
-                                std::size_t n_parallel) {
-  // ceil on both levels: the bitmap's trailing partial word AND the split's
-  // remainder words are charged. The seed's `words / n_parallel + 1` formula
-  // mis-sized the per-CTA share — off by one full word whenever n_parallel
-  // divides the word count, and drifting as n_parallel grows.
-  return ceil_div(ceil_div(num_base, 64), std::max<std::size_t>(1, n_parallel));
-}
 
 const char* host_sync_name(HostSync s) {
   switch (s) {
@@ -50,20 +40,13 @@ std::string query_span_name(std::size_t query_index) {
   return name;
 }
 
-/// An idle CTA waiting for its slot's Work or Quit write.
-struct ParkedCta {
-  CtaActor* cta = nullptr;
-  std::size_t index = 0;  ///< the CTA's index within its slot
-  SimTime at = 0.0;       ///< instant of the idle read that parked it
-};
-
 /// Per-slot runtime shared between the slot's CTAs and its host worker —
 /// the in-memory half of the Fig 9 single-writer matrix. Host-side fields
-/// are owned by the slot's HostWorker outright; the per-query accumulation
+/// are owned by the slot's HostWorker outright; the completion bookkeeping
 /// rotates between the CTAs (while the slot is in Work) and the host
 /// (outside Work), with the slot state machine acting as the epoch. The
-/// functional search — the visited set, the CTAs' lists and the result
-/// block — belongs to the slot's SearchJob.
+/// functional search — the visited set, the CTAs' lists, the result block
+/// and the query's search totals — belongs to the slot's SearchJob.
 struct SlotRuntime {
   bool busy ALGAS_OWNED_BY(HostWorker) = false;  // a query is in flight
   bool quit ALGAS_OWNED_BY(HostWorker) = false;  // slot retired
@@ -76,20 +59,11 @@ struct SlotRuntime {
   SimTime deadline_ns ALGAS_OWNED_BY(HostWorker) =
       std::numeric_limits<SimTime>::infinity();
   std::uint8_t priority ALGAS_OWNED_BY(HostWorker) = 0;
-  // Per-query accumulation harvested into the QueryRecord at completion.
-  search::StepCost gpu_cost ALGAS_GUARDED_BY_EPOCH(CtaActor, HostWorker);
-  std::size_t steps ALGAS_GUARDED_BY_EPOCH(CtaActor, HostWorker) = 0;
-  std::size_t rounds ALGAS_GUARDED_BY_EPOCH(CtaActor, HostWorker) = 0;
-  std::size_t scored ALGAS_GUARDED_BY_EPOCH(CtaActor, HostWorker) = 0;
   // Completion bookkeeping (interrupt path + instrumentation).
   std::size_t finished_ctas ALGAS_GUARDED_BY_EPOCH(CtaActor, HostWorker) = 0;
   bool complete ALGAS_GUARDED_BY_EPOCH(CtaActor, HostWorker) = false;
   SimTime gpu_done_ns ALGAS_GUARDED_BY_EPOCH(CtaActor, HostWorker) = 0.0;
   std::uint64_t flow_id ALGAS_OWNED_BY(HostWorker) = 0;  // trace flow arrow
-  /// Idle CTAs of this slot. CTAs join while the host owns the states;
-  /// the host's Work/Quit write (RunState::write_slot) wakes them and
-  /// empties the list.
-  std::vector<ParkedCta> parked ALGAS_GUARDED_BY_EPOCH(CtaActor, RunState);
 };
 
 struct RunState;
@@ -115,23 +89,22 @@ metrics::QueryRecord shed_record(const PendingQuery& q, SimTime when,
   return rec;
 }
 
-/// One persistent-kernel CTA: polls its slot state, runs maintenance rounds
-/// when in Work, pushes results and flags Finish, exits on Quit. Between
-/// queries it parks instead of stepping through polls that read the same
-/// idle state (see step()).
+/// One persistent-kernel CTA: runs maintenance rounds while its slot is in
+/// Work, pushes results and flags Finish, exits on Quit. Between queries it
+/// is parked: every poll would read the same idle state until the host
+/// writes Work or Quit, so the CTA records when it would poll next instead
+/// of scheduling that poll, and RunState::write_slot wakes it.
 class CtaActor final : public sim::Actor {
  public:
-  /// `first_poll` is the instant of the CTA's launch poll, which the caller
-  /// schedules.
+  /// Launched parked: `first_poll` is the instant of its launch poll.
   CtaActor(RunState& run, std::size_t slot, std::size_t cta,
-           SimTime first_poll);
+           SimTime first_poll)
+      : run_(run), slot_(slot), cta_(cta), next_poll_(first_poll) {}
   void step(sim::Simulation& sim) override;
   const char* name() const override { return "cta"; }
   double busy_ns() const { return busy_ns_; }
-  /// Where this CTA starts a query the host writes while its idle poll is
-  /// still queued: at that poll's instant, ranked by when it was scheduled.
-  SimTime queued_poll_at() const { return poll_at_; }
-  std::uint64_t queued_poll_order() const { return poll_order_; }
+  /// The instant of the parked CTA's next poll.
+  SimTime next_poll() const { return next_poll_; }
 
  private:
   RunState& run_;
@@ -139,8 +112,7 @@ class CtaActor final : public sim::Actor {
   std::size_t cta_;
   bool active_ = false;
   double busy_ns_ = 0.0;
-  SimTime poll_at_ = 0.0;
-  std::uint64_t poll_order_ = 0;
+  SimTime next_poll_ = 0.0;
 };
 
 /// The idle loop's recurrence: a CTA whose poll runs at `t` polls next at
@@ -200,11 +172,10 @@ struct RunState {
         qm(check_in),
         slots(cfg_in.slots) {
     run_len = search::normalize_config(cfg.search, g.degree()).candidate_len;
-    clear_words = visited_clear_words(ds.num_base(), plan.n_parallel);
+    clear_words = search::visited_clear_words(ds.num_base(), plan.n_parallel);
     for (std::size_t s = 0; s < slots.size(); ++s) {
       searches.push_back(std::make_unique<SearchJob>(
-          ds, g, cfg.cost, cfg.search, plan.n_parallel, run_len, clear_words,
-          cfg.seed));
+          ds, g, cfg.cost, cfg.search, plan.n_parallel, cfg.seed));
     }
   }
   /// Teardown waits for every search task the run posted: each one holds
@@ -247,9 +218,6 @@ struct RunState {
   /// through the actor at their arrival instants instead of being
   /// pre-loaded, so workload exhaustion must also wait for it.
   AdmissionActor* admission = nullptr;
-  /// Order in which CTAs scheduled their idle polls (tie rank of a queued
-  /// poll; CtaActor::queued_poll_order).
-  std::uint64_t next_poll_order ALGAS_OWNED_BY(CtaActor) = 0;
   /// Runs the slots' search jobs: ALGAS_BUILD_THREADS workers, or none, in
   /// which case the simulator thread runs each job when it needs a round.
   BuildExecutor exec;
@@ -257,13 +225,9 @@ struct RunState {
 
   /// The one host write path for slot states: moves all n_parallel words of
   /// `slot` to `next` at the current host step, and on Work or Quit — the
-  /// states an idle CTA acts on — wakes the slot's parked CTAs together. On
-  /// Work it also starts the query's search job (start_search).
+  /// states a parked CTA acts on — wakes all of the slot's CTAs together.
+  /// On Work it also starts the query's search job.
   void write_slot(std::size_t slot, SlotState next, double* elapsed);
-
-  /// Hands the slot's query to its SearchJob with each CTA's start, and
-  /// posts the job to the executor. `wake` is the parked CTAs' instant.
-  void start_search(std::size_t slot, SimTime wake);
 
   /// The one way a query's record leaves the run, whatever its outcome
   /// (served, evicted, shed at dispatch or at admission): hands it to the
@@ -345,15 +309,6 @@ SimTime RunState::next_arrival() const {
   return t;
 }
 
-CtaActor::CtaActor(RunState& run, std::size_t slot, std::size_t cta,
-                   SimTime first_poll)
-    : run_(run),
-      slot_(slot),
-      cta_(cta),
-      poll_at_(first_poll) {
-  poll_order_ = run_.next_poll_order++;
-}
-
 void CtaActor::step(sim::Simulation& sim) {
   const sim::CostModel& cm = run_.cfg.cost;
   double elapsed = 0.0;
@@ -362,32 +317,21 @@ void CtaActor::step(sim::Simulation& sim) {
   switch (st) {
     case SlotState::kWork: {
       SlotRuntime& rt = run_.slots[slot_];
-      SearchJob& job = *run_.searches[slot_];
-      // The slot's search job ran this round (DESIGN.md, "Search rounds off
-      // the simulator thread"); this event charges it. A CTA's first event
-      // also charges the start of the query: loading it to shared memory,
-      // clearing this CTA's share of the visited bitmap (§IV-B step 1) and
-      // seeding the entry point.
-      const SearchRound& round = job.next_round();
-      if (round.cta != cta_) {
-        throw std::logic_error("search job out of step with CTA s" +
-                               std::to_string(slot_) + " c" +
-                               std::to_string(cta_));
-      }
+      // The slot's search job ran this CTA's round (DESIGN.md, "Search
+      // rounds off the simulator thread"); this event charges it. A CTA's
+      // first event also charges the start of the query: loading it to
+      // shared memory, clearing this CTA's share of the visited bitmap
+      // (§IV-B step 1) and seeding the entry point.
+      const search::CtaRound& round = run_.searches[slot_]->next_round(cta_);
       const bool first = !active_;
       active_ = true;
-      charge_work(&elapsed, cm, first, run_.clear_words, round);
-      if (round.stepped) rt.gpu_cost += round.cost;
+      search::charge_work(&elapsed, cm, first, run_.clear_words, round);
       if (round.done) {
         // The job wrote this CTA's sorted list into its stripe of the
         // slot's contiguous result block; charge the push, then flag
         // Finish.
         elapsed += static_cast<double>(run_.run_len) *
                    cm.result_write_per_entry_ns;
-        const CtaTotals& totals = job.totals(cta_);
-        rt.steps += totals.expanded;
-        rt.rounds += totals.rounds;
-        rt.scored += totals.scored;
         // Base time, not sim.now()+elapsed: StateSync advances by *elapsed
         // itself, and state write-throughs are control-plane posts whose
         // cost is independent of the issue instant, so the stamp choice
@@ -407,10 +351,9 @@ void CtaActor::step(sim::Simulation& sim) {
           }
         }
         active_ = false;
-        // The poll after Finish: a Work write that lands before it runs
-        // starts this CTA there (RunState::start_search).
-        poll_at_ = sim.now() + elapsed;
-        poll_order_ = run_.next_poll_order++;
+        // Park: every poll from here on reads an idle state until the host
+        // writes Work or Quit, and write_slot wakes the slot's CTAs then.
+        next_poll_ = sim.now() + elapsed;
       }
       busy_ns_ += elapsed;
       if (run_.trace.tracer) {
@@ -424,7 +367,7 @@ void CtaActor::step(sim::Simulation& sim) {
             query_span_name(rt.query_index), sim.now(), elapsed,
             std::move(args), "cta");
       }
-      sim.schedule(this, sim.now() + elapsed);
+      if (!round.done) sim.schedule(this, sim.now() + elapsed);
       return;
     }
     case SlotState::kQuit:
@@ -433,16 +376,12 @@ void CtaActor::step(sim::Simulation& sim) {
     case SlotState::kFinish:
     case SlotState::kDone:
     case SlotState::kExpired:
-      // Idle polling between queries (the cost dynamic batching pays
-      // instead of kernel relaunches). Expired is host-owned just like
-      // Done: the CTA waits for the host to recycle or retire the slot.
-      // The modeled CTA polls again at next_idle_poll(now), but every such
-      // poll reads an idle state until the host writes Work or Quit. So the
-      // CTA parks instead, and write_slot wakes the slot's parked CTAs
-      // together after that write.
-      assert(elapsed == cm.poll_local_ns);
-      run_.slots[slot_].parked.push_back({this, cta_, sim.now()});
-      return;
+      // A CTA runs only while its slot is in Work, or once to read Quit:
+      // it parks at launch and at its Finish write, and only write_slot's
+      // Work or Quit write wakes it.
+      throw std::logic_error("CTA s" + std::to_string(slot_) + " c" +
+                             std::to_string(cta_) + " woke to state " +
+                             slot_state_name(st));
   }
 }
 
@@ -452,58 +391,36 @@ void RunState::write_slot(std::size_t slot, SlotState next,
     sync.host_write(sim.now(), slot, c, next, elapsed);
   }
   if (next != SlotState::kWork && next != SlotState::kQuit) return;
-  // The parked CTAs wake at one instant, the earliest of their own next
-  // polls at or after this step, and run in CTA-index order. The order of
-  // their first rounds decides which CTA claims a node in the shared
-  // visited set, so it must not carry the slot's history (DESIGN.md, "Idle
-  // CTAs park"). A poll tying with the step ran after it and read the
-  // write: the host scheduled its step before the CTA scheduled that poll.
-  SlotRuntime& rt = slots[slot];
+  // Every CTA of the slot is parked: each parks at launch and at its Finish
+  // write, and the host writes Work or Quit only to a slot whose CTAs have
+  // all finished. They wake at one instant and run in CTA-index order
+  // (DESIGN.md, "Idle CTAs park"): the earliest of their own next polls at
+  // or after this step (a poll at the step's own instant reads the write),
+  // but not before the last CTA parked. The DES flips a state word at the
+  // start of the event that writes it, so the host can see a CTA's Finish
+  // while that CTA's event still runs; it parks, and polls next, only when
+  // the event ends.
+  const std::size_t n = plan.n_parallel;
   SimTime wake = std::numeric_limits<SimTime>::infinity();
-  for (const ParkedCta& p : rt.parked) {
+  SimTime last_park = 0.0;
+  for (std::size_t c = 0; c < n; ++c) {
     // Each poll before the CTA's first one at or after this step was
     // skipped; walk the recurrence one poll at a time, as the CTA sums it.
-    SimTime at = next_idle_poll(cfg.cost, p.at);
+    SimTime at = ctas[slot * n + c]->next_poll();
+    last_park = std::max(last_park, at);
     while (at < sim.now()) {
       ++elided_polls;
       at = next_idle_poll(cfg.cost, at);
     }
     wake = std::min(wake, at);
   }
-  std::sort(rt.parked.begin(), rt.parked.end(),
-            [](const ParkedCta& a, const ParkedCta& b) {
-              return a.index < b.index;
-            });
-  if (next == SlotState::kWork) start_search(slot, wake);
-  for (const ParkedCta& p : rt.parked) sim.schedule(p.cta, wake);
-  rt.parked.clear();
-}
-
-void RunState::start_search(std::size_t slot, SimTime wake) {
-  // The start rule. A CTA whose idle poll is still queued reads Work at
-  // that poll's own instant, and on a tie runs ahead of the parked CTAs
-  // this write wakes, because it scheduled the poll first; queued polls
-  // among themselves run in the order they were scheduled. The parked CTAs
-  // start together at `wake`, in CTA order.
-  const SlotRuntime& rt = slots[slot];
-  const std::size_t n = plan.n_parallel;
-  std::vector<bool> parked(n, false);
-  for (const ParkedCta& p : rt.parked) parked[p.index] = true;
-  std::vector<CtaStart> starts;
-  starts.reserve(n);
-  for (std::size_t c = 0; c < n; ++c) {
-    if (!parked[c]) {
-      starts.push_back({c, ctas[slot * n + c]->queued_poll_at()});
-    }
+  wake = std::max(wake, last_park);
+  if (next == SlotState::kWork) {
+    searches[slot]->start(slots[slot].query_index, exec, posted);
   }
-  std::sort(starts.begin(), starts.end(),
-            [&](const CtaStart& a, const CtaStart& b) {
-              return ctas[slot * n + a.cta]->queued_poll_order() <
-                     ctas[slot * n + b.cta]->queued_poll_order();
-            });
-  for (const ParkedCta& p : rt.parked) starts.push_back({p.index, wake});
-
-  searches[slot]->start(rt.query_index, std::move(starts), exec, posted);
+  for (std::size_t c = 0; c < n; ++c) {
+    sim.schedule(ctas[slot * n + c].get(), wake);
+  }
 }
 
 bool HostWorker::dispatch(sim::Simulation& sim, std::size_t slot,
@@ -529,10 +446,6 @@ bool HostWorker::dispatch(sim::Simulation& sim, std::size_t slot,
   rt.arrival_ns = q->arrival_ns;
   rt.deadline_ns = q->deadline_ns;
   rt.priority = q->priority;
-  rt.gpu_cost = search::StepCost{};
-  rt.steps = 0;
-  rt.rounds = 0;
-  rt.scored = 0;
   rt.finished_ctas = 0;
   rt.complete = false;
 
@@ -615,10 +528,13 @@ void HostWorker::finish_slot(std::size_t slot, SimTime done_ns,
   rec.deadline_ns = rt.deadline_ns;
   rec.priority = rt.priority;
   rec.disposition = why;
-  rec.steps = rt.steps;
-  rec.rounds = rt.rounds;
-  rec.scored_points = rt.scored;
-  rec.gpu_cost = rt.gpu_cost;
+  // The device work that happened, served or evicted: the search's
+  // per-CTA totals, summed in CTA order.
+  const search::SearchStats work = run_.searches[slot]->totals();
+  rec.steps = work.expanded_points;
+  rec.rounds = work.rounds;
+  rec.scored_points = work.scored_points;
+  rec.gpu_cost = work.cost;
   rec.results = std::move(results);
   --run_.in_flight;
   rt.busy = false;
@@ -627,8 +543,8 @@ void HostWorker::finish_slot(std::size_t slot, SimTime done_ns,
     const int slot_tid = run_.trace.slot_tid0 + static_cast<int>(slot);
     sim::TraceArgs args;
     args.add("query", static_cast<std::uint64_t>(rt.query_index));
-    args.add("steps", static_cast<std::uint64_t>(rt.steps));
-    args.add("rounds", static_cast<std::uint64_t>(rt.rounds));
+    args.add("steps", static_cast<std::uint64_t>(rec.steps));
+    args.add("rounds", static_cast<std::uint64_t>(rec.rounds));
     // Slot occupancy: dispatch to delivery, one span per dispatched query.
     tr.complete(run_.trace.pid, slot_tid,
                 query_span_name(rt.query_index) +
@@ -899,7 +815,7 @@ struct EngineRun::Impl {
     run->total_queries = arrivals.size();
 
     // Persistent kernel: one launch, then every CTA lives for the whole
-    // run.
+    // run. Each launches parked, its first poll at the launch instant.
     const SimTime start = cfg.cost.kernel_launch_ns;
     for (std::size_t s = 0; s < cfg.slots; ++s) {
       for (std::size_t c = 0; c < engine.plan_.n_parallel; ++c) {
@@ -914,7 +830,6 @@ struct EngineRun::Impl {
                                     engine.plan_.reserved_per_block,
                                     engine.plan_.avail_per_block);
         }
-        run->sim.schedule(run->ctas.back().get(), start);
       }
     }
 

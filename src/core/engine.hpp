@@ -76,11 +76,6 @@ struct AlgasConfig {
   sim::Tracer* tracer = nullptr;
 };
 
-/// Number of 64-bit visited-bitmap words one CTA clears at start of query:
-/// the ceil_div(num_base, 64)-word bitmap is split evenly across the
-/// slot's n_parallel CTAs (§IV-B step 1).
-std::size_t visited_clear_words(std::size_t num_base, std::size_t n_parallel);
-
 /// Work counters of one engine run. Each is a plain total, so the reports
 /// of several runs (the shards of a sharded run) aggregate with +=.
 struct EngineCounters {

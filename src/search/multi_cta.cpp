@@ -26,56 +26,121 @@ std::vector<NodeId> select_entry_points(const Graph& g, std::size_t count,
   return entries;
 }
 
+std::size_t visited_clear_words(std::size_t num_base,
+                                std::size_t n_parallel) {
+  // ceil on both levels: the bitmap's trailing partial word AND the split's
+  // remainder words are charged. The seed's `words / n_parallel + 1` formula
+  // mis-sized the per-CTA share — off by one full word whenever n_parallel
+  // divides the word count, and drifting as n_parallel grows.
+  return ceil_div(ceil_div(num_base, 64), std::max<std::size_t>(1, n_parallel));
+}
+
+void charge_work(double* elapsed, const sim::CostModel& cm, bool first,
+                 std::size_t clear_words, const CtaRound& round) {
+  if (first) {
+    *elapsed += cm.cta_start_ns + static_cast<double>(clear_words) *
+                                      cm.bitmap_clear_per_word_ns;
+  }
+  if (round.stepped) *elapsed += round.cost.total_ns();
+}
+
+MultiCtaSearch::MultiCtaSearch(const Dataset& ds, const Graph& g,
+                               const sim::CostModel& cm,
+                               const SearchConfig& cfg, std::size_t num_ctas,
+                               std::uint64_t seed)
+    : g_(g),
+      cm_(cm),
+      seed_(seed),
+      run_len_(normalize_config(cfg, g.degree()).candidate_len),
+      clear_words_(visited_clear_words(ds.num_base(), num_ctas)),
+      visited_(ds.num_base()),
+      results_(num_ctas * run_len_, KV::empty()),
+      pending_(num_ctas) {
+  ctas_.reserve(num_ctas);
+  for (std::size_t c = 0; c < num_ctas; ++c) {
+    ctas_.emplace_back(ds, g, cm, cfg);
+  }
+}
+
+void MultiCtaSearch::start(std::span<const float> query,
+                           std::size_t query_index) {
+  const std::vector<NodeId> entries =
+      select_entry_points(g_, ctas_.size(), seed_, query_index);
+  visited_.clear();  // functional clear; the CTAs charge the modeled one
+  for (std::size_t c = 0; c < ctas_.size(); ++c) {
+    ctas_[c].reset(query, c < entries.size() ? entries[c] : kInvalidNode,
+                   &visited_);
+    pending_[c] = {0.0, c, true, true};
+  }
+  next_rank_ = ctas_.size();
+  live_ = ctas_.size();
+}
+
+CtaRound MultiCtaSearch::advance() {
+  std::size_t c = ctas_.size();
+  for (std::size_t k = 0; k < ctas_.size(); ++k) {
+    const Pending& p = pending_[k];
+    if (!p.live) continue;
+    if (c == ctas_.size() || p.at < pending_[c].at ||
+        (p.at == pending_[c].at && p.rank < pending_[c].rank)) {
+      c = k;
+    }
+  }
+  Pending& p = pending_[c];
+  IntraCtaSearch& cta = ctas_[c];
+  CtaRound round;
+  round.cta = static_cast<std::uint32_t>(c);
+  round.stepped = cta.step(round.cost);
+  round.done = cta.done();
+  if (round.done) {
+    const auto cand = cta.candidates();
+    std::copy(cand.begin(), cand.end(), results_.begin() + c * run_len_);
+    p.live = false;
+    --live_;
+  } else {
+    double elapsed = 0.0;
+    elapsed += cm_.poll_local_ns;  // the event's state poll
+    charge_work(&elapsed, cm_, p.first, clear_words_, round);
+    p.at = p.at + elapsed;
+    p.rank = next_rank_++;
+  }
+  p.first = false;
+  return round;
+}
+
+SearchStats MultiCtaSearch::totals() const {
+  SearchStats sum;
+  for (const IntraCtaSearch& cta : ctas_) {
+    const SearchStats& st = cta.stats();
+    sum.rounds += st.rounds;
+    sum.expanded_points += st.expanded_points;
+    sum.scored_points += st.scored_points;
+    sum.cost += st.cost;
+  }
+  return sum;
+}
+
 MultiCtaResult multi_cta_search(const Dataset& ds, const Graph& g,
                                 const sim::CostModel& cm,
                                 const SearchConfig& cfg, std::size_t num_ctas,
                                 std::span<const float> query,
                                 std::size_t query_index, std::uint64_t seed) {
+  MultiCtaSearch search(ds, g, cm, cfg, num_ctas, seed);
+  search.start(query, query_index);
+  while (!search.done()) search.advance();
+
   MultiCtaResult res;
-  const auto entries = select_entry_points(g, num_ctas, seed, query_index);
-  if (entries.empty()) {
-    res.run_len = normalize_config(cfg, g.degree()).candidate_len;
-    return res;  // empty graph: empty TopK, zero cost
-  }
-
-  StampedSet visited(ds.num_base());
-  std::vector<IntraCtaSearch> ctas;
-  ctas.reserve(entries.size());
-  for (std::size_t t = 0; t < entries.size(); ++t) {
-    ctas.emplace_back(ds, g, cm, cfg);
-    ctas.back().reset(query, entries[t], &visited);
-  }
-
-  // Round-robin stepping approximates the virtual-time interleaving the DES
-  // engines produce: all CTAs advance one maintenance round per sweep.
-  bool any_active = true;
-  while (any_active) {
-    any_active = false;
-    for (auto& cta : ctas) {
-      StepCost cost;
-      if (cta.step(cost)) any_active = true;
-    }
-  }
-
-  const std::size_t run_len = ctas.front().config().candidate_len;
-  res.run_len = run_len;
-  std::vector<KV> concat;
-  concat.reserve(ctas.size() * run_len);
-  for (auto& cta : ctas) {
-    const auto span = cta.candidates();
-    concat.insert(concat.end(), span.begin(), span.end());
-    const auto& st = cta.stats();
+  res.run_len = search.run_len();
+  res.per_cta_total = search.totals();
+  for (std::size_t c = 0; c < search.num_ctas(); ++c) {
+    const SearchStats& st = search.stats(c);
     res.per_cta_ns.push_back(st.cost.total_ns());
-    res.per_cta_total.rounds += st.rounds;
-    res.per_cta_total.expanded_points += st.expanded_points;
-    res.per_cta_total.scored_points += st.scored_points;
-    res.per_cta_total.cost += st.cost;
     res.critical_path_ns =
         std::max(res.critical_path_ns, st.cost.total_ns());
     res.rounds_max = std::max(res.rounds_max, st.rounds);
   }
-  res.topk =
-      merge_sorted_runs(concat, ctas.size(), run_len, cfg.topk, cfg.accept);
+  res.topk = merge_sorted_runs(search.results(), search.num_ctas(),
+                               search.run_len(), cfg.topk, cfg.accept);
   return res;
 }
 

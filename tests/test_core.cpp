@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -17,6 +18,7 @@
 #include "core/state_sync.hpp"
 #include "core/tuner.hpp"
 #include "search/greedy.hpp"
+#include "search/multi_cta.hpp"
 #include "simgpu/checker.hpp"
 #include "test_util.hpp"
 
@@ -526,20 +528,20 @@ TEST(QueryManager, EmptyNextArrivalIsInfinite) {
   EXPECT_TRUE(std::isinf(qm.next_arrival()));
 }
 
-// ---------------- engine.hpp ----------------
+// ---------------- search/multi_cta.hpp ----------------
 
 TEST(VisitedClearWords, NonDivisibleWordCountPinned) {
   // num_base=1001 -> ceil(1001/64) = 16 bitmap words. Split across 4 CTAs
   // each clears ceil(16/4) = 4. The seed formula (16/4 + 1 = 5) charged a
   // phantom extra word whenever n_parallel divided the word count.
-  EXPECT_EQ(visited_clear_words(1001, 4), 4u);
+  EXPECT_EQ(search::visited_clear_words(1001, 4), 4u);
   // 17 words over 4 CTAs: the remainder word is charged (ceil, not floor).
-  EXPECT_EQ(visited_clear_words(1025, 4), 5u);
+  EXPECT_EQ(search::visited_clear_words(1025, 4), 5u);
   // Degenerate inputs stay sane.
-  EXPECT_EQ(visited_clear_words(1, 1), 1u);
-  EXPECT_EQ(visited_clear_words(64, 1), 1u);
-  EXPECT_EQ(visited_clear_words(65, 1), 2u);
-  EXPECT_EQ(visited_clear_words(1000, 0), 16u);  // n_parallel clamped to 1
+  EXPECT_EQ(search::visited_clear_words(1, 1), 1u);
+  EXPECT_EQ(search::visited_clear_words(64, 1), 1u);
+  EXPECT_EQ(search::visited_clear_words(65, 1), 2u);
+  EXPECT_EQ(search::visited_clear_words(1000, 0), 16u);  // n_parallel clamped to 1
 }
 
 TEST(VisitedClearWords, PerCtaSharesCoverWholeBitmap) {
@@ -548,7 +550,7 @@ TEST(VisitedClearWords, PerCtaSharesCoverWholeBitmap) {
   for (std::size_t num_base : {63u, 64u, 65u, 1000u, 1001u, 4096u, 100000u}) {
     const std::size_t words = ceil_div(num_base, std::size_t{64});
     for (std::size_t n : {1u, 2u, 3u, 4u, 7u, 16u}) {
-      const std::size_t share = visited_clear_words(num_base, n);
+      const std::size_t share = search::visited_clear_words(num_base, n);
       EXPECT_GE(share * n, words) << num_base << "/" << n;
       EXPECT_LT((share - 1) * n, words) << num_base << "/" << n;
     }
@@ -558,7 +560,7 @@ TEST(VisitedClearWords, PerCtaSharesCoverWholeBitmap) {
 TEST(VisitedClearWords, ChargedCostMatchesFormula) {
   // The virtual nanoseconds a CTA pays at query start for its bitmap share.
   const sim::CostModel cm;
-  const double charged = static_cast<double>(visited_clear_words(1001, 4)) *
+  const double charged = static_cast<double>(search::visited_clear_words(1001, 4)) *
                          cm.bitmap_clear_per_word_ns;
   EXPECT_DOUBLE_EQ(charged, 4.0 * cm.bitmap_clear_per_word_ns);
 }
@@ -568,7 +570,10 @@ TEST(VisitedClearWords, ChargedCostMatchesFormula) {
 /// Runs `queries` queries back to back through one slot's SearchJob on
 /// `exec`, starting each as soon as the previous query's last round is
 /// taken (tighter than any engine, which merges and dispatches in
-/// between), and returns a digest of each query's rounds and result block.
+/// between), and returns a digest of each query's rounds, result block and
+/// totals. Each CTA takes its own rounds, the last CTA first, so a CTA's
+/// rounds are found past its siblings' in the job's log. Every query must
+/// also equal search::multi_cta_search's.
 std::vector<std::uint64_t> run_search_job(BuildExecutor& exec,
                                           std::size_t queries) {
   const auto& world = algas::testing::tiny_world();
@@ -577,32 +582,60 @@ std::vector<std::uint64_t> run_search_job(BuildExecutor& exec,
   cfg.candidate_len = 16;
   const sim::CostModel cm;
   const std::size_t n_parallel = 2;
+  const std::uint64_t seed = 7;
   const std::size_t run_len =
       search::normalize_config(cfg, world.nsw.degree()).candidate_len;
-  SearchJob job(world.ds, world.nsw, cm, cfg, n_parallel, run_len,
-                visited_clear_words(world.ds.num_base(), n_parallel), 7);
+  SearchJob job(world.ds, world.nsw, cm, cfg, n_parallel, seed);
   TaskGroup tasks;
   std::vector<std::uint64_t> digests;
   for (std::size_t q = 0; q < queries; ++q) {
-    // CTA 1 starts first, as a CTA whose idle poll was still queued would.
-    const SimTime t = 1000.0 * static_cast<double>(q);
-    job.start(q % world.ds.num_queries(), {{1, t}, {0, t + 37.0}}, exec,
-              tasks);
+    const std::size_t query = q % world.ds.num_queries();
+    job.start(query, exec, tasks);
     std::uint64_t h = 0xcbf29ce484222325ull;
     const auto mix = [&h](std::uint64_t v) { h = (h ^ v) * 0x100000001b3ull; };
-    for (std::size_t live = n_parallel; live > 0;) {
-      const SearchRound& r = job.next_round();
-      mix(r.cta);
-      mix(r.stepped);
-      mix(r.done);
-      mix(std::bit_cast<std::uint64_t>(r.cost.total_ns()));
-      if (r.done) --live;
+    for (std::size_t c = n_parallel; c-- > 0;) {
+      for (bool done = false; !done;) {
+        const search::CtaRound& r = job.next_round(c);
+        EXPECT_EQ(r.cta, c);
+        mix(r.stepped);
+        mix(std::bit_cast<std::uint64_t>(r.cost.total_ns()));
+        done = r.done;
+      }
     }
     for (const KV& kv : job.results()) {
       mix(std::bit_cast<std::uint32_t>(kv.dist));
       mix(kv.key);
     }
+    const search::SearchStats work = job.totals();
+    mix(work.rounds);
+    mix(work.expanded_points);
+    mix(work.scored_points);
+    mix(std::bit_cast<std::uint64_t>(work.cost.total_ns()));
     digests.push_back(h);
+
+    if (q < world.ds.num_queries()) {
+      const auto ref = search::multi_cta_search(world.ds, world.nsw, cm, cfg,
+                                                n_parallel,
+                                                world.ds.query(query), query,
+                                                seed);
+      const auto topk = search::merge_sorted_runs(
+          job.results(), n_parallel, run_len, cfg.topk, cfg.accept);
+      EXPECT_EQ(topk.size(), ref.topk.size()) << "query " << query;
+      for (std::size_t i = 0; i < std::min(topk.size(), ref.topk.size());
+           ++i) {
+        EXPECT_EQ(topk[i].key, ref.topk[i].key) << "query " << query;
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(topk[i].dist),
+                  std::bit_cast<std::uint32_t>(ref.topk[i].dist))
+            << "query " << query;
+      }
+      EXPECT_EQ(work.rounds, ref.per_cta_total.rounds) << "query " << query;
+      EXPECT_EQ(work.scored_points, ref.per_cta_total.scored_points)
+          << "query " << query;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(work.cost.total_ns()),
+                std::bit_cast<std::uint64_t>(
+                    ref.per_cta_total.cost.total_ns()))
+          << "query " << query;
+    }
   }
   tasks.wait();
   return digests;

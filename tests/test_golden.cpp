@@ -1,7 +1,7 @@
 // Golden virtual-time fingerprints of the engine on the tiny world.
 //
 // Idle persistent-kernel CTAs park between queries instead of running one
-// queue event per poll, and a slot's parked CTAs wake together when the
+// queue event per poll, and all of a slot's CTAs wake together when the
 // host writes Work or Quit (DESIGN.md, "Idle CTAs park"). Each case pins an
 // FNV-1a over every field of every record (slot, timestamps, deadline,
 // priority, disposition, device work and results), and the event count
@@ -11,12 +11,12 @@
 // The cases cover every HostSync mode in a closed loop and in a bounded-
 // admission open loop whose deadlines both shed and evict, each unsharded
 // and over K=4 shards; one run with more slots than queries, where sibling
-// CTAs idle in lockstep from launch until late arrivals; one where
-// siblings that parked apart must start every query at one instant, in
-// CTA order; one where a CTA whose poll is still queued at the Work write
-// starts at that poll's own instant; and accept-predicate runs whose
-// filter bitset and tombstone set reject results while the rejected nodes
-// keep routing. The search rounds of every case run on the build executor
+// CTAs idle in lockstep from launch until late arrivals; runs where
+// siblings that parked apart, or a slot whose host worker writes Work
+// right after its last Finish, must start every query at one instant, in
+// CTA order; and accept-predicate runs whose filter bitset and tombstone
+// set reject results while the rejected nodes keep routing. The search
+// rounds of every case run on the build executor
 // (DESIGN.md, "Search rounds off the simulator thread"); one case checks
 // that records, event counts and trace bytes are the same at 1, 2 and 4
 // executor threads.
@@ -215,12 +215,12 @@ constexpr HostSync kModes[] = {HostSync::kPollNaive, HostSync::kPollMirrored,
 TEST(VirtualTimeGolden, ClosedLoopEveryModeAndShardCount) {
   // Index: mode * 2 + (K == 4).
   const Fingerprint want[] = {
-      {0x1a67e7c55d451261ull, 26989, 379, 1131, 170604, 379, 672},
-      {0xab9942b247a6690dull, 127421, 1391, 4399, 190396, 1391, 2688},
-      {0x33966f26d507b591ull, 19103, 1295, 1072, 170368, 0, 992},
-      {0x7a7f286238448e96ull, 66060, 1717, 4288, 189952, 0, 3968},
-      {0x580536ac7824171bull, 24707, 0, 752, 169088, 0, 672},
-      {0x324d8cf08f811c72ull, 75294, 0, 3008, 184832, 0, 2688},
+      {0xe70c736dc2922dcdull, 26829, 376, 1128, 170592, 376, 672},
+      {0xdef5c04922dc6f65ull, 127039, 1381, 4389, 190356, 1381, 2688},
+      {0xd671cfaf19274e40ull, 18747, 1300, 1072, 170368, 0, 992},
+      {0x9c84b24b765537ccull, 66745, 1716, 4288, 189952, 0, 3968},
+      {0x4b0702bba49a6f88ull, 24609, 0, 752, 169088, 0, 672},
+      {0xaeadabd560101ea4ull, 76015, 0, 3008, 184832, 0, 2688},
   };
   for (std::size_t m = 0; m < 3; ++m) {
     const AlgasConfig cfg = golden_config(kModes[m]);
@@ -235,12 +235,12 @@ TEST(VirtualTimeGolden, ClosedLoopEveryModeAndShardCount) {
 
 TEST(VirtualTimeGolden, OpenLoopShedAndEvictEveryModeAndShardCount) {
   const Fingerprint want[] = {
-      {0x0eea849465cc39efull, 29632, 433, 888, 66372, 433, 416},
-      {0x188b36556063a7a0ull, 128866, 1146, 3366, 108264, 1146, 2016},
-      {0xb008f44a508926c8ull, 28855, 1430, 778, 90784, 0, 728},
-      {0xab84a3d64dc6d867ull, 126032, 1775, 3236, 130304, 0, 3008},
-      {0xb36eabc608261844ull, 28871, 0, 528, 85632, 0, 480},
-      {0x803a82c16ee06e0full, 127783, 0, 2256, 105984, 0, 2048},
+      {0x1f1eb578e804bcdcull, 28553, 422, 879, 74520, 422, 416},
+      {0xa91f3ae4fc324197ull, 128867, 1136, 3374, 109376, 1136, 2032},
+      {0xd3ac5e3c18edfd14ull, 28693, 1386, 778, 90784, 0, 728},
+      {0x1f207be1b5a5afa3ull, 126469, 1765, 3236, 130304, 0, 3008},
+      {0x6b7862a48e168b5cull, 29309, 0, 528, 85632, 0, 480},
+      {0x5dfe8f3f7413f1ccull, 128097, 0, 2256, 105984, 0, 2048},
   };
   const auto arrivals = open_arrivals();
   for (std::size_t m = 0; m < 3; ++m) {
@@ -274,32 +274,46 @@ TEST(VirtualTimeGolden, MoreSlotsThanQueriesIdleInLockstep) {
   const auto rep = run_single(cfg, &arrivals, 0);
   EXPECT_GT(rep.elided_polls, rep.sim_events);
   expect_fingerprint(
-      rep, {0x7c25ee5d011cea86ull, 15647, 201, 148, 13216, 0, 136},
+      rep, {0x378649b2aa46e809ull, 15647, 201, 148, 13216, 0, 136},
       "lockstep");
 }
 
 TEST(VirtualTimeGolden, SiblingsWakeTogetherInCtaOrder) {
-  // Twenty-four slots of eight greedy CTAs on one host worker. Idle
-  // siblings park at different instants, yet every query's CTAs must start
-  // it at one instant and in CTA-index order, whatever history parked them.
-  const Fingerprint want[] = {
-      {0x31c6452f3e81f75bull, 190725, 240, 972, 67008, 240, 672},
-      {0xe8c7920f1302efe9ull, 113450, 0, 732, 66048, 0, 672},
+  // Every query's CTAs must start it at one instant and in CTA-index
+  // order, whatever history parked them: twenty-four slots of eight greedy
+  // CTAs on one host worker, where idle siblings park at different
+  // instants, and four host workers of one slot each, where a worker can
+  // write Work right after the slot's last CTA wrote Finish.
+  struct Case {
+    std::string name;
+    AlgasConfig cfg;
+    std::size_t queries;
+    Fingerprint want;
   };
-  const HostSync modes[] = {HostSync::kPollNaive, HostSync::kBlocking};
-  for (std::size_t m = 0; m < 2; ++m) {
-    const std::string mode = host_sync_name(modes[m]);
-    AlgasConfig cfg = golden_config(modes[m]);
+  std::vector<Case> cases;
+  for (const HostSync sync : {HostSync::kPollNaive, HostSync::kBlocking}) {
+    AlgasConfig cfg = golden_config(sync);
     cfg.search.candidate_len = 32;
     cfg.search.beam_width = 1;
     cfg.search.offset_beam = 8;
     cfg.slots = 24;
     cfg.host_threads = 1;
     cfg.seed = 5;
+    cases.push_back({std::string("siblings ") + host_sync_name(sync), cfg, 30,
+                     {}});
+  }
+  AlgasConfig four = golden_config(HostSync::kPollMirrored);
+  four.host_threads = 4;
+  cases.push_back({"four host workers", four, 40, {}});
+  cases[0].want = {0x43bd14332c6f6ed8ull, 190758, 240, 972, 67008, 240, 672};
+  cases[1].want = {0xb3df0a8cd0885a12ull, 113482, 0, 732, 66048, 0, 672};
+  cases[2].want = {0xa4dd2a11df3450ddull, 18978, 2016, 1072, 170368, 0, 992};
+
+  for (Case& c : cases) {
     sim::Tracer tracer;
-    cfg.tracer = &tracer;
-    const auto rep = run_single(cfg, nullptr, 30);
-    expect_fingerprint(rep, want[m], "siblings " + mode);
+    c.cfg.tracer = &tracer;
+    const auto rep = run_single(c.cfg, nullptr, c.queries);
+    expect_fingerprint(rep, c.want, c.name);
 
     // Each query's first span on every CTA lane, in trace order.
     std::map<std::string, std::vector<const sim::TraceEventRec*>> firsts;
@@ -309,49 +323,16 @@ TEST(VirtualTimeGolden, SiblingsWakeTogetherInCtaOrder) {
         firsts[e.name].push_back(&e);
       }
     }
-    ASSERT_EQ(firsts.size(), 30u) << mode;
+    ASSERT_EQ(firsts.size(), c.queries) << c.name;
     for (const auto& [query, spans] : firsts) {
-      EXPECT_EQ(spans.size(), rep.plan.n_parallel) << mode << " " << query;
-      for (std::size_t c = 1; c < spans.size(); ++c) {
-        EXPECT_EQ(spans[c]->ts_ns, spans[0]->ts_ns) << mode << " " << query;
-        EXPECT_EQ(spans[c]->tid, spans[0]->tid + static_cast<int>(c))
-            << mode << " " << query;
+      EXPECT_EQ(spans.size(), rep.plan.n_parallel) << c.name << " " << query;
+      for (std::size_t k = 1; k < spans.size(); ++k) {
+        EXPECT_EQ(spans[k]->ts_ns, spans[0]->ts_ns) << c.name << " " << query;
+        EXPECT_EQ(spans[k]->tid, spans[0]->tid + static_cast<int>(k))
+            << c.name << " " << query;
       }
     }
   }
-}
-
-TEST(VirtualTimeGolden, QueuedPollStartsAtItsOwnInstant) {
-  // Four host workers, one slot each: a worker can write Work while the
-  // last CTA's poll after its Finish write is still queued. That CTA reads
-  // Work at the poll's own instant, ahead of its siblings' shared wake on a
-  // tie, so some query's CTAs start apart (DESIGN.md, "Search rounds off
-  // the simulator thread").
-  AlgasConfig cfg = golden_config(HostSync::kPollMirrored);
-  cfg.host_threads = 4;
-  sim::Tracer tracer;
-  cfg.tracer = &tracer;
-  const auto rep = run_single(cfg, nullptr, 40);
-  expect_fingerprint(
-      rep, {0x224fda55e5acf305ull, 19098, 2018, 1072, 170368, 0, 992},
-      "queued poll");
-
-  // Each query's first span on every CTA lane.
-  std::map<std::string, std::vector<SimTime>> starts;
-  std::set<std::pair<std::string, int>> seen;
-  for (const sim::TraceEventRec& e : tracer.events()) {
-    if (e.cat == "cta" && seen.insert({e.name, e.tid}).second) {
-      starts[e.name].push_back(e.ts_ns);
-    }
-  }
-  ASSERT_EQ(starts.size(), 40u);
-  std::size_t apart = 0;
-  for (const auto& [query, ts] : starts) {
-    ASSERT_EQ(ts.size(), rep.plan.n_parallel) << query;
-    apart += std::adjacent_find(ts.begin(), ts.end(), std::not_equal_to<>()) !=
-             ts.end();
-  }
-  EXPECT_GT(apart, 0u);
 }
 
 TEST(VirtualTimeGolden, AcceptPredicateFilterAndTombstones) {
@@ -386,9 +367,9 @@ TEST(VirtualTimeGolden, AcceptPredicateFilterAndTombstones) {
     }
     EXPECT_GT(returned, 0u) << name;
     const Fingerprint want =
-        sharded ? Fingerprint{0xf1974e246f22ea5cull, 69107, 1814, 4288,
+        sharded ? Fingerprint{0x7374070cf3df37d4ull, 69844, 1809, 4288,
                               435712, 0, 3968}
-                : Fingerprint{0x159dc2876242ce36ull, 53388, 5931, 1072,
+                : Fingerprint{0xdad82bbd2d6c057aull, 51432, 5855, 1072,
                               661888, 0, 992};
     expect_fingerprint(rep, want, name);
   }
