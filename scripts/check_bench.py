@@ -32,7 +32,9 @@ even after one fails; the exit status is 1 if any gate failed.
 
 --self-test runs no bench. It checks every committed baseline against
 copies of itself, which must pass, and then against seeded violations, one
-per check kind, each of which must fail.
+per check kind, each of which must fail. It also fails on a baseline key
+ending in "checksum" that no check other than "informational" reads: a pin
+nothing compares means nothing.
 """
 import argparse
 import copy
@@ -131,6 +133,25 @@ def check_gate(baseline, texts):
     return results
 
 
+def unread_checksums(baseline):
+    """Baseline keys ending in "checksum" that no check can fail on."""
+    read = [path for check in baseline["gate"]["checks"]
+            if check["kind"] != "informational"
+            for pattern in check.get("paths", [])
+            for path in resolve(baseline, pattern)]
+
+    def walk(value, at):
+        for key, child in children(value):
+            path = f"{at}.{key}" if at else key
+            if path != "gate":
+                yield path
+                yield from walk(child, path)
+
+    return [path for path in walk(baseline, "")
+            if path.rpartition(".")[2].endswith("checksum")
+            and not any(path == r or path.startswith(r + ".") for r in read)]
+
+
 def varied(gate):
     """(env var, its values) of the gate's runs; (None, [None]) for one run."""
     return next(iter(gate.get("vary", {None: [None]}).items()))
@@ -210,6 +231,8 @@ SEEDED = [
     ("shard", 1, "scaling.1.monotonic", False, "true: scaling.1.monotonic"),
     ("beam", 0, "datasets.gist.L256.beam_throughput_at_least_greedy", False,
      "true: datasets.gist.L256.beam_throughput_at_least_greedy"),
+    ("mirroring", 0, "datasets.glove.hosts2.mirrored_throughput_above_naive",
+     False, "true: datasets.glove.hosts2.mirrored_throughput_above_naive"),
     ("filtered", 1, "null_results_checksum", "0" * 16,
      "same_across_runs: null_results_checksum"),
     ("churn", 1, "waves.0.live", 2799, "same_across_runs: whole file"),
@@ -234,9 +257,17 @@ def self_test():
     bad = 0
     for name, baseline in baselines.items():
         got = failures(baseline, copies(baseline))
+        got += [f"unread pin {path}" for path in unread_checksums(baseline)]
         print(f"{name}: baseline as its own run: "
               f"{'FAIL ' + '; '.join(got) if got else 'passes'}")
         bad += bool(got)
+    # Seeded unread pin: a checksum no check reads must be reported.
+    seeded = copy.deepcopy(baselines["shard"])
+    seeded["variants"]["full"]["graph_checksum"] = "0" * 16
+    caught = unread_checksums(seeded) == ["variants.full.graph_checksum"]
+    print(f"shard: unread variants.full.graph_checksum: "
+          f"{'caught' if caught else 'MISSED'}")
+    bad += not caught
     for name, target, path, value, expect in SEEDED:
         baseline = copy.deepcopy(baselines[name])
         runs = copies(baseline)
@@ -253,7 +284,7 @@ def self_test():
         print(f"check_bench self-test: {bad} case(s) FAILED", file=sys.stderr)
         return 1
     print(f"check_bench self-test: {len(baselines)} baselines pass, "
-          f"{len(SEEDED)} seeded violations caught")
+          f"{len(SEEDED) + 1} seeded violations caught")
     return 0
 
 

@@ -25,8 +25,8 @@
 //                         ALGAS_SIMCHECK CMake default.
 //   ALGAS_BUILD_THREADS — worker threads of the pool that runs construction
 //                         work (graph builds, ground truth, k-means) and
-//                         the engines' search jobs (core/search_job.hpp).
-//                         0 / unset picks
+//                         the engines' searches ahead of dispatch
+//                         (core/search_ahead.hpp). 0 / unset picks
 //                         std::thread::hardware_concurrency(); 1 runs both
 //                         on the calling thread.
 //   ALGAS_BENCH_OUT     — JSON report path of a gate bench (bench_walltime,
@@ -78,7 +78,7 @@ double dataset_scale();
 /// Cache directory (RuntimeOptions::cache_dir). Empty disables caching.
 std::string cache_dir();
 
-/// Worker count for construction and the engines' search jobs
+/// Worker count for construction and the engines' searches
 /// (RuntimeOptions::build_threads, 0 = hardware concurrency).
 std::size_t build_threads();
 

@@ -14,7 +14,7 @@ namespace {
 /// thread are covered uniformly.
 thread_local bool tl_in_parallel_for = false;
 
-/// Process-wide pool for construction work and the engines' search jobs
+/// Process-wide pool for construction work and the engines' searches
 /// (lazily constructed; sized by ALGAS_BUILD_THREADS — see common/env.hpp —
 /// falling back to hardware concurrency).
 ThreadPool& global_pool() {

@@ -2,10 +2,10 @@
 // counted in a TaskGroup that their poster waits on. It serves the work
 // the simulated system's clock does not see: graph construction, k-means
 // and brute-force ground truth through parallel_for, and the engines'
-// search jobs through post(), which compute a query's functional search
-// while the single-threaded discrete-event simulation
-// (simgpu/simulation.hpp) replays its costs (DESIGN.md, "Search rounds off
-// the simulator thread"). The simulation itself stays on one thread, for
+// searches through post(), which compute upcoming queries' functional
+// searches while the single-threaded discrete-event simulation
+// (simgpu/simulation.hpp) replays the dispatched ones' costs (DESIGN.md,
+// "Search ahead by query"). The simulation itself stays on one thread, for
 // determinism.
 //
 // Error handling: the first exception thrown inside a parallel_for chunk is
@@ -28,7 +28,7 @@
 namespace algas {
 
 /// Counts the tasks posted to a pool on one poster's behalf, so it can wait
-/// for all of them: parallel_for's chunks, or an engine run's search jobs.
+/// for all of them: parallel_for's chunks, or an engine run's searches.
 /// post() adds each task and the worker marks it done after it returns.
 class TaskGroup {
  public:
@@ -88,7 +88,7 @@ class ThreadPool {
 };
 
 /// Routes a `threads` knob (BuildConfig::threads, CLI --threads) to an
-/// executor for one build, or for one engine run's search jobs (knob 0):
+/// executor for one build, or for one engine run's searches (knob 0):
 ///
 ///   knob 0  → ALGAS_BUILD_THREADS, which itself defaults to hardware
 ///   resolved 1  → run chunks inline on the caller, no pool involved
@@ -98,8 +98,8 @@ class ThreadPool {
 ///
 /// parallel_for must produce results independent of the thread count; the
 /// graph builders rely on that (see DESIGN.md "Deterministic parallel
-/// construction"). So must work handed to post(): the engines' search jobs
-/// produce the same rounds whichever thread runs them.
+/// construction"). So must work handed to post(): an engine's search is the
+/// same whichever thread runs it.
 class BuildExecutor {
  public:
   explicit BuildExecutor(std::size_t threads = 0);

@@ -1,6 +1,7 @@
 #include "core/engine.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -10,10 +11,9 @@
 #include "common/ownership.hpp"
 #include "common/thread_pool.hpp"
 #include "core/protocol_checker.hpp"
-#include "core/search_job.hpp"
+#include "core/search_ahead.hpp"
 #include "core/state_sync.hpp"
 #include "metrics/recall.hpp"
-#include "search/topk_merge.hpp"
 #include "simgpu/simulation.hpp"
 #include "simgpu/trace.hpp"
 
@@ -44,9 +44,7 @@ std::string query_span_name(std::size_t query_index) {
 /// the in-memory half of the Fig 9 single-writer matrix. Host-side fields
 /// are owned by the slot's HostWorker outright; the completion bookkeeping
 /// rotates between the CTAs (while the slot is in Work) and the host
-/// (outside Work), with the slot state machine acting as the epoch. The
-/// functional search — the visited set, the CTAs' lists, the result block
-/// and the query's search totals — belongs to the slot's SearchJob.
+/// (outside Work), with the slot state machine acting as the epoch.
 struct SlotRuntime {
   bool busy ALGAS_OWNED_BY(HostWorker) = false;  // a query is in flight
   bool quit ALGAS_OWNED_BY(HostWorker) = false;  // slot retired
@@ -59,6 +57,9 @@ struct SlotRuntime {
   SimTime deadline_ns ALGAS_OWNED_BY(HostWorker) =
       std::numeric_limits<SimTime>::infinity();
   std::uint8_t priority ALGAS_OWNED_BY(HostWorker) = 0;
+  /// The in-flight query's finished search, taken at dispatch and dropped
+  /// with its record: the CTAs' round charges, totals and merged TopK.
+  search::MultiCtaResult searched ALGAS_OWNED_BY(HostWorker);
   // Completion bookkeeping (interrupt path + instrumentation).
   std::size_t finished_ctas ALGAS_GUARDED_BY_EPOCH(CtaActor, HostWorker) = 0;
   bool complete ALGAS_GUARDED_BY_EPOCH(CtaActor, HostWorker) = false;
@@ -68,6 +69,33 @@ struct SlotRuntime {
 
 struct RunState;
 class AdmissionActor;
+
+/// EngineRun's input check, before anything runs: each arrival names one of
+/// the dataset's queries, arrives at a finite instant no earlier than the
+/// arrival before it, and has a deadline that is not NaN.
+void check_arrivals(const Dataset& ds,
+                    const std::vector<PendingQuery>& arrivals) {
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    const PendingQuery& a = arrivals[i];
+    std::string bad;
+    if (a.query_index >= ds.num_queries()) {
+      bad = "query index " + std::to_string(a.query_index) +
+            " is past the dataset's " + std::to_string(ds.num_queries()) +
+            " queries";
+    } else if (!std::isfinite(a.arrival_ns)) {
+      bad = "arrival instant is not finite";
+    } else if (i > 0 && a.arrival_ns < arrivals[i - 1].arrival_ns) {
+      bad = "arrives before the arrival before it (arrivals must be "
+            "nondecreasing)";
+    } else if (std::isnan(a.deadline_ns)) {
+      bad = "deadline is NaN";
+    }
+    if (!bad.empty()) {
+      throw std::invalid_argument("AlgasEngine: arrival " +
+                                  std::to_string(i) + ": " + bad);
+    }
+  }
+}
 
 /// Builds the zero-results record for a query that never ran: the shed
 /// instant stamps dispatch/gpu_done/done so service_ns is zero rather than
@@ -110,7 +138,7 @@ class CtaActor final : public sim::Actor {
   RunState& run_;
   std::size_t slot_;
   std::size_t cta_;
-  bool active_ = false;
+  std::size_t round_ = 0;  ///< this query's events so far
   double busy_ns_ = 0.0;
   SimTime next_poll_ = 0.0;
 };
@@ -170,17 +198,11 @@ struct RunState {
         sync(&channel, cfg_in.cost, cfg_in.slots, plan_in.n_parallel,
              cfg_in.host_sync == HostSync::kPollMirrored),
         qm(check_in),
-        slots(cfg_in.slots) {
+        slots(cfg_in.slots),
+        searchers(exec.threads() + 1) {
     run_len = search::normalize_config(cfg.search, g.degree()).candidate_len;
     clear_words = search::visited_clear_words(ds.num_base(), plan.n_parallel);
-    for (std::size_t s = 0; s < slots.size(); ++s) {
-      searches.push_back(std::make_unique<SearchJob>(
-          ds, g, cfg.cost, cfg.search, plan.n_parallel, cfg.seed));
-    }
   }
-  /// Teardown waits for every search task the run posted: each one holds
-  /// its slot's SearchJob.
-  ~RunState() { posted.wait(); }
 
   const Dataset& ds;
   const Graph& g;
@@ -193,7 +215,15 @@ struct RunState {
   QueryManager qm;
   metrics::Collector collector;
   std::vector<SlotRuntime> slots;
-  std::vector<std::unique_ptr<SearchJob>> searches;  // one per slot
+  /// Runs the searches ahead: ALGAS_BUILD_THREADS workers, or none, in
+  /// which case the simulator thread runs each search at its take.
+  BuildExecutor exec;
+  /// One MultiCtaSearch per searching thread (SearchAhead's lanes), made on
+  /// first use.
+  std::vector<std::unique_ptr<search::MultiCtaSearch>> searchers;
+  /// The arrivals' searches. Declared after what its tasks use, so its
+  /// destructor waits for them before those go.
+  std::unique_ptr<SearchAhead> ahead;
   std::vector<std::unique_ptr<CtaActor>> ctas;  // slot-major, CTA order
   std::vector<std::unique_ptr<HostWorker>> workers;
   std::vector<HostWorker*> worker_of_slot;  // interrupt routing (blocking)
@@ -218,15 +248,10 @@ struct RunState {
   /// through the actor at their arrival instants instead of being
   /// pre-loaded, so workload exhaustion must also wait for it.
   AdmissionActor* admission = nullptr;
-  /// Runs the slots' search jobs: ALGAS_BUILD_THREADS workers, or none, in
-  /// which case the simulator thread runs each job when it needs a round.
-  BuildExecutor exec;
-  TaskGroup posted;
 
   /// The one host write path for slot states: moves all n_parallel words of
   /// `slot` to `next` at the current host step, and on Work or Quit — the
   /// states a parked CTA acts on — wakes all of the slot's CTAs together.
-  /// On Work it also starts the query's search job.
   void write_slot(std::size_t slot, SlotState next, double* elapsed);
 
   /// The one way a query's record leaves the run, whatever its outcome
@@ -264,6 +289,7 @@ class AdmissionActor final : public sim::Actor {
         // kRejectNew returns the newcomer; kDropOldest returns the evicted
         // queue entry. Either way the victim's record is stamped now — the
         // instant the admission decision was made.
+        run_.ahead->release(victim->query_index);
         run_.deliver(
             shed_record(*victim, sim.now(), metrics::Disposition::kShedQueue));
       }
@@ -317,19 +343,19 @@ void CtaActor::step(sim::Simulation& sim) {
   switch (st) {
     case SlotState::kWork: {
       SlotRuntime& rt = run_.slots[slot_];
-      // The slot's search job ran this CTA's round (DESIGN.md, "Search
-      // rounds off the simulator thread"); this event charges it. A CTA's
-      // first event also charges the start of the query: loading it to
-      // shared memory, clearing this CTA's share of the visited bitmap
-      // (§IV-B step 1) and seeding the entry point.
-      const search::CtaRound& round = run_.searches[slot_]->next_round(cta_);
-      const bool first = !active_;
-      active_ = true;
-      search::charge_work(&elapsed, cm, first, run_.clear_words, round);
-      if (round.done) {
-        // The job wrote this CTA's sorted list into its stripe of the
-        // slot's contiguous result block; charge the push, then flag
-        // Finish.
+      // The query's search ran ahead (DESIGN.md, "Search ahead by query");
+      // this event charges this CTA's next round of it. A CTA's first event
+      // also charges the start of the query: loading it to shared memory,
+      // clearing this CTA's share of the visited bitmap (§IV-B step 1) and
+      // seeding the entry point.
+      const std::size_t at = rt.searched.round_begin[cta_] + round_;
+      search::charge_work(&elapsed, cm, round_ == 0, run_.clear_words,
+                          rt.searched.round_ns[at]);
+      ++round_;
+      const bool done = at + 1 == rt.searched.round_begin[cta_ + 1];
+      if (done) {
+        // This CTA's sorted list goes into its stripe of the slot's
+        // contiguous result block; charge the push, then flag Finish.
         elapsed += static_cast<double>(run_.run_len) *
                    cm.result_write_per_entry_ns;
         // Base time, not sim.now()+elapsed: StateSync advances by *elapsed
@@ -350,7 +376,7 @@ void CtaActor::step(sim::Simulation& sim) {
                              run_.cfg.cost.interrupt_latency_ns);
           }
         }
-        active_ = false;
+        round_ = 0;
         // Park: every poll from here on reads an idle state until the host
         // writes Work or Quit, and write_slot wakes the slot's CTAs then.
         next_poll_ = sim.now() + elapsed;
@@ -367,7 +393,7 @@ void CtaActor::step(sim::Simulation& sim) {
             query_span_name(rt.query_index), sim.now(), elapsed,
             std::move(args), "cta");
       }
-      if (!round.done) sim.schedule(this, sim.now() + elapsed);
+      if (!done) sim.schedule(this, sim.now() + elapsed);
       return;
     }
     case SlotState::kQuit:
@@ -415,9 +441,6 @@ void RunState::write_slot(std::size_t slot, SlotState next,
     wake = std::min(wake, at);
   }
   wake = std::max(wake, last_park);
-  if (next == SlotState::kWork) {
-    searches[slot]->start(slots[slot].query_index, exec, posted);
-  }
   for (std::size_t c = 0; c < n; ++c) {
     sim.schedule(ctas[slot * n + c].get(), wake);
   }
@@ -435,6 +458,7 @@ bool HostWorker::dispatch(sim::Simulation& sim, std::size_t slot,
   // this loop a no-op on every pre-serving workload.
   while (q && q->deadline_ns < sim.now() + *elapsed) {
     *elapsed += cm.host_shed_ns;
+    run_.ahead->release(q->query_index);
     run_.deliver(shed_record(*q, sim.now() + *elapsed,
                              metrics::Disposition::kShedDeadline));
     q = run_.qm.pop_ready(sim.now() + *elapsed);
@@ -456,6 +480,7 @@ bool HostWorker::dispatch(sim::Simulation& sim, std::size_t slot,
                                 run_.ds.dim() * run_.ds.elem_bytes(),
                                 sim::Xfer::kQuery);
   rt.dispatch_ns = sim.now() + *elapsed;
+  rt.searched = run_.ahead->take(q->query_index);
   run_.write_slot(slot, SlotState::kWork, elapsed);
   ++run_.in_flight;
   if (run_.trace.tracer) {
@@ -473,24 +498,21 @@ bool HostWorker::dispatch(sim::Simulation& sim, std::size_t slot,
 void HostWorker::fetch_and_complete(sim::Simulation& sim, std::size_t slot,
                                     double* elapsed) {
   const sim::CostModel& cm = run_.cfg.cost;
-  const std::span<const KV> block = run_.searches[slot]->results();
   run_.write_slot(slot, SlotState::kDone, elapsed);
   // One sequential read of the slot's whole result block (§IV-B), issued
   // through this worker's private IO stream (§V-B).
   *elapsed += cm.host_io_submit_ns;
-  *elapsed += run_.channel.transfer(sim.now() + *elapsed,
-                                    block.size() * sim::kListEntryBytes,
-                                    sim::Xfer::kResult);
-  // Merge & filter on the host (§IV-B step 4).
+  *elapsed += run_.channel.transfer(
+      sim.now() + *elapsed,
+      run_.plan.n_parallel * run_.run_len * sim::kListEntryBytes,
+      sim::Xfer::kResult);
+  // Merge & filter on the host (§IV-B step 4). The searching thread ran
+  // the merge with the search; the accept predicate was consulted there,
+  // at the accept step: filtered and tombstoned ids routed the traversal
+  // but never surface in the merged TopK.
   *elapsed += cm.host_topk_merge_ns(run_.plan.n_parallel, run_.cfg.search.topk);
-  // The accept predicate is consulted here, at the accept step: filtered
-  // and tombstoned ids routed the traversal but never surface in the
-  // merged TopK.
-  auto topk = search::merge_sorted_runs(block, run_.plan.n_parallel,
-                                        run_.run_len, run_.cfg.search.topk,
-                                        run_.cfg.search.accept);
   finish_slot(slot, sim.now() + *elapsed, metrics::Disposition::kServed,
-              std::move(topk));
+              std::move(run_.slots[slot].searched.topk));
 }
 
 /// The Expired path of the Fig 5 extension: the slot finished its search
@@ -530,12 +552,13 @@ void HostWorker::finish_slot(std::size_t slot, SimTime done_ns,
   rec.disposition = why;
   // The device work that happened, served or evicted: the search's
   // per-CTA totals, summed in CTA order.
-  const search::SearchStats work = run_.searches[slot]->totals();
+  const search::SearchStats& work = rt.searched.per_cta_total;
   rec.steps = work.expanded_points;
   rec.rounds = work.rounds;
   rec.scored_points = work.scored_points;
   rec.gpu_cost = work.cost;
   rec.results = std::move(results);
+  rt.searched = {};
   --run_.in_flight;
   rt.busy = false;
   if (run_.trace.tracer) {
@@ -733,6 +756,7 @@ struct EngineRun::Impl {
       : engine(e) {
     const AlgasConfig& cfg = engine.cfg_;
     const Dataset& ds = engine.ds_;
+    check_arrivals(ds, arrivals);
 
     // SimCheck wiring: an explicit checker from the config wins; otherwise
     // a private one is constructed when the build/environment default says
@@ -813,6 +837,25 @@ struct EngineRun::Impl {
       for (const auto& a : arrivals) run->qm.push(a);
     }
     run->total_queries = arrivals.size();
+
+    // Search ahead: the next `slots` arrivals' searches run on the build
+    // executor while the DES replays the dispatched ones.
+    std::vector<std::size_t> queries;
+    queries.reserve(arrivals.size());
+    for (const auto& a : arrivals) queries.push_back(a.query_index);
+    RunState* rs = run.get();
+    run->ahead = std::make_unique<SearchAhead>(
+        std::move(queries), cfg.slots,
+        [rs](std::size_t q, std::size_t lane) {
+          auto& searcher = rs->searchers[lane];
+          if (!searcher) {
+            searcher = std::make_unique<search::MultiCtaSearch>(
+                rs->ds, rs->g, rs->cfg.cost, rs->cfg.search,
+                rs->plan.n_parallel, rs->cfg.seed);
+          }
+          return searcher->run(rs->ds.query(q), q);
+        },
+        run->exec);
 
     // Persistent kernel: one launch, then every CTA lives for the whole
     // run. Each launches parked, its first poll at the launch instant.

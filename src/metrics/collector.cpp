@@ -5,16 +5,6 @@
 
 namespace algas::metrics {
 
-const char* disposition_name(Disposition d) {
-  switch (d) {
-    case Disposition::kServed: return "served";
-    case Disposition::kShedQueue: return "shed-queue";
-    case Disposition::kShedDeadline: return "shed-deadline";
-    case Disposition::kEvicted: return "evicted";
-  }
-  return "invalid";
-}
-
 void Collector::add(QueryRecord rec) { records_.push_back(std::move(rec)); }
 
 void Collector::add_batch_idle(double idle_ns, double active_ns) {

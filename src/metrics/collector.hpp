@@ -26,8 +26,6 @@ enum class Disposition : std::uint8_t {
   kEvicted,       ///< finished on the device past deadline; results dropped
 };
 
-const char* disposition_name(Disposition d);
-
 struct QueryRecord {
   /// Sentinel for `slot`: the query never occupied a slot (it was shed at
   /// admission or expired in the host queue before dispatch).

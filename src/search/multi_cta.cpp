@@ -36,12 +36,12 @@ std::size_t visited_clear_words(std::size_t num_base,
 }
 
 void charge_work(double* elapsed, const sim::CostModel& cm, bool first,
-                 std::size_t clear_words, const CtaRound& round) {
+                 std::size_t clear_words, double round_ns) {
   if (first) {
     *elapsed += cm.cta_start_ns + static_cast<double>(clear_words) *
                                       cm.bitmap_clear_per_word_ns;
   }
-  if (round.stepped) *elapsed += round.cost.total_ns();
+  *elapsed += round_ns;
 }
 
 MultiCtaSearch::MultiCtaSearch(const Dataset& ds, const Graph& g,
@@ -51,73 +51,81 @@ MultiCtaSearch::MultiCtaSearch(const Dataset& ds, const Graph& g,
     : g_(g),
       cm_(cm),
       seed_(seed),
+      topk_(cfg.topk),
+      accept_(cfg.accept),
       run_len_(normalize_config(cfg, g.degree()).candidate_len),
       clear_words_(visited_clear_words(ds.num_base(), num_ctas)),
       visited_(ds.num_base()),
       results_(num_ctas * run_len_, KV::empty()),
-      pending_(num_ctas) {
+      pending_(num_ctas),
+      charges_(num_ctas) {
   ctas_.reserve(num_ctas);
   for (std::size_t c = 0; c < num_ctas; ++c) {
     ctas_.emplace_back(ds, g, cm, cfg);
   }
 }
 
-void MultiCtaSearch::start(std::span<const float> query,
-                           std::size_t query_index) {
+MultiCtaResult MultiCtaSearch::run(std::span<const float> query,
+                                   std::size_t query_index) {
+  const std::size_t n = ctas_.size();
   const std::vector<NodeId> entries =
-      select_entry_points(g_, ctas_.size(), seed_, query_index);
+      select_entry_points(g_, n, seed_, query_index);
   visited_.clear();  // functional clear; the CTAs charge the modeled one
-  for (std::size_t c = 0; c < ctas_.size(); ++c) {
+  for (std::size_t c = 0; c < n; ++c) {
     ctas_[c].reset(query, c < entries.size() ? entries[c] : kInvalidNode,
                    &visited_);
     pending_[c] = {0.0, c, true, true};
+    charges_[c].clear();
   }
-  next_rank_ = ctas_.size();
-  live_ = ctas_.size();
-}
-
-CtaRound MultiCtaSearch::advance() {
-  std::size_t c = ctas_.size();
-  for (std::size_t k = 0; k < ctas_.size(); ++k) {
-    const Pending& p = pending_[k];
-    if (!p.live) continue;
-    if (c == ctas_.size() || p.at < pending_[c].at ||
-        (p.at == pending_[c].at && p.rank < pending_[c].rank)) {
-      c = k;
+  std::uint64_t next_rank = n;
+  for (std::size_t live = n; live > 0;) {
+    // The earliest pending event, the earliest scheduled on a tie.
+    std::size_t c = n;
+    for (std::size_t k = 0; k < n; ++k) {
+      const Pending& p = pending_[k];
+      if (!p.live) continue;
+      if (c == n || p.at < pending_[c].at ||
+          (p.at == pending_[c].at && p.rank < pending_[c].rank)) {
+        c = k;
+      }
     }
+    Pending& p = pending_[c];
+    IntraCtaSearch& cta = ctas_[c];
+    StepCost cost;  // stays zero when the CTA ended at reset
+    cta.step(cost);
+    charges_[c].push_back(cost.total_ns());
+    if (cta.done()) {
+      const auto cand = cta.candidates();
+      std::copy(cand.begin(), cand.end(), results_.begin() + c * run_len_);
+      p.live = false;
+      --live;
+    } else {
+      double elapsed = cm_.poll_local_ns;  // the event's state poll
+      charge_work(&elapsed, cm_, p.first, clear_words_, cost.total_ns());
+      p.at = p.at + elapsed;
+      p.rank = next_rank++;
+    }
+    p.first = false;
   }
-  Pending& p = pending_[c];
-  IntraCtaSearch& cta = ctas_[c];
-  CtaRound round;
-  round.cta = static_cast<std::uint32_t>(c);
-  round.stepped = cta.step(round.cost);
-  round.done = cta.done();
-  if (round.done) {
-    const auto cand = cta.candidates();
-    std::copy(cand.begin(), cand.end(), results_.begin() + c * run_len_);
-    p.live = false;
-    --live_;
-  } else {
-    double elapsed = 0.0;
-    elapsed += cm_.poll_local_ns;  // the event's state poll
-    charge_work(&elapsed, cm_, p.first, clear_words_, round);
-    p.at = p.at + elapsed;
-    p.rank = next_rank_++;
-  }
-  p.first = false;
-  return round;
-}
 
-SearchStats MultiCtaSearch::totals() const {
-  SearchStats sum;
-  for (const IntraCtaSearch& cta : ctas_) {
-    const SearchStats& st = cta.stats();
-    sum.rounds += st.rounds;
-    sum.expanded_points += st.expanded_points;
-    sum.scored_points += st.scored_points;
-    sum.cost += st.cost;
+  MultiCtaResult res;
+  res.run_len = run_len_;
+  res.round_begin.push_back(0);
+  for (std::size_t c = 0; c < n; ++c) {
+    const SearchStats& st = ctas_[c].stats();
+    res.per_cta_total.rounds += st.rounds;
+    res.per_cta_total.expanded_points += st.expanded_points;
+    res.per_cta_total.scored_points += st.scored_points;
+    res.per_cta_total.cost += st.cost;
+    res.per_cta_ns.push_back(st.cost.total_ns());
+    res.critical_path_ns = std::max(res.critical_path_ns, st.cost.total_ns());
+    res.rounds_max = std::max(res.rounds_max, st.rounds);
+    res.round_ns.insert(res.round_ns.end(), charges_[c].begin(),
+                        charges_[c].end());
+    res.round_begin.push_back(res.round_ns.size());
   }
-  return sum;
+  res.topk = merge_sorted_runs(results_, n, run_len_, topk_, accept_);
+  return res;
 }
 
 MultiCtaResult multi_cta_search(const Dataset& ds, const Graph& g,
@@ -125,23 +133,8 @@ MultiCtaResult multi_cta_search(const Dataset& ds, const Graph& g,
                                 const SearchConfig& cfg, std::size_t num_ctas,
                                 std::span<const float> query,
                                 std::size_t query_index, std::uint64_t seed) {
-  MultiCtaSearch search(ds, g, cm, cfg, num_ctas, seed);
-  search.start(query, query_index);
-  while (!search.done()) search.advance();
-
-  MultiCtaResult res;
-  res.run_len = search.run_len();
-  res.per_cta_total = search.totals();
-  for (std::size_t c = 0; c < search.num_ctas(); ++c) {
-    const SearchStats& st = search.stats(c);
-    res.per_cta_ns.push_back(st.cost.total_ns());
-    res.critical_path_ns =
-        std::max(res.critical_path_ns, st.cost.total_ns());
-    res.rounds_max = std::max(res.rounds_max, st.rounds);
-  }
-  res.topk = merge_sorted_runs(search.results(), search.num_ctas(),
-                               search.run_len(), cfg.topk, cfg.accept);
-  return res;
+  return MultiCtaSearch(ds, g, cm, cfg, num_ctas, seed).run(query,
+                                                            query_index);
 }
 
 }  // namespace algas::search

@@ -381,7 +381,7 @@ TEST(ThreadPool, TaskGroupWaitsForEveryPostedTask) {
 }
 
 TEST(ThreadPool, ParallelForWaitsOnlyForItsOwnChunks) {
-  // A posted task still running (an engine's search job) must not hold up
+  // A posted task still running (an engine's search) must not hold up
   // a parallel_for on the same pool.
   ThreadPool pool(2);
   TaskGroup group;

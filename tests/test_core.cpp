@@ -1,25 +1,33 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <limits>
+#include <mutex>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.hpp"
 #include "core/engine.hpp"
 #include "core/protocol_checker.hpp"
 #include "core/query_manager.hpp"
-#include "core/search_job.hpp"
+#include "core/search_ahead.hpp"
 #include "core/slot.hpp"
 #include "core/state_sync.hpp"
 #include "core/tuner.hpp"
 #include "search/greedy.hpp"
 #include "search/multi_cta.hpp"
 #include "simgpu/checker.hpp"
+#include "simgpu/trace.hpp"
 #include "test_util.hpp"
 
 namespace algas::core {
@@ -565,95 +573,192 @@ TEST(VisitedClearWords, ChargedCostMatchesFormula) {
   EXPECT_DOUBLE_EQ(charged, 4.0 * cm.bitmap_clear_per_word_ns);
 }
 
-// ---------------- search_job.hpp ----------------
+// ---------------- search_ahead.hpp ----------------
 
-/// Runs `queries` queries back to back through one slot's SearchJob on
-/// `exec`, starting each as soon as the previous query's last round is
-/// taken (tighter than any engine, which merges and dispatches in
-/// between), and returns a digest of each query's rounds, result block and
-/// totals. Each CTA takes its own rounds, the last CTA first, so a CTA's
-/// rounds are found past its siblings' in the job's log. Every query must
-/// also equal search::multi_cta_search's.
-std::vector<std::uint64_t> run_search_job(BuildExecutor& exec,
-                                          std::size_t queries) {
+/// FNV-1a over every field of a finished search, floats by their bits.
+std::uint64_t digest(const search::MultiCtaResult& r) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t v) { h = (h ^ v) * 0x100000001b3ull; };
+  const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+  for (const KV& kv : r.topk) {
+    mix(std::bit_cast<std::uint32_t>(kv.dist));
+    mix(kv.key);
+  }
+  mix(r.per_cta_total.rounds);
+  mix(r.per_cta_total.expanded_points);
+  mix(r.per_cta_total.scored_points);
+  mix(bits(r.per_cta_total.cost.total_ns()));
+  for (double ns : r.per_cta_ns) mix(bits(ns));
+  mix(r.run_len);
+  mix(bits(r.critical_path_ns));
+  mix(r.rounds_max);
+  for (double ns : r.round_ns) mix(bits(ns));
+  for (std::size_t b : r.round_begin) mix(b);
+  return h;
+}
+
+/// One step of a search-ahead schedule: take or release `query`.
+struct AheadStep {
+  std::size_t query;
+  bool take;
+};
+
+/// Runs `steps` through a SearchAhead over `queries` on `exec`, searching
+/// with one MultiCtaSearch per lane as the engine does, and returns the
+/// digest of each take. Flags a search that starts while more than
+/// `window` arrivals past those consumed so far have started.
+std::vector<std::uint64_t> run_ahead(BuildExecutor& exec,
+                                     const std::vector<std::size_t>& queries,
+                                     const std::vector<AheadStep>& steps,
+                                     std::size_t window,
+                                     std::atomic<bool>* over_window) {
   const auto& world = algas::testing::tiny_world();
   search::SearchConfig cfg;
   cfg.topk = 4;
   cfg.candidate_len = 16;
   const sim::CostModel cm;
-  const std::size_t n_parallel = 2;
-  const std::uint64_t seed = 7;
-  const std::size_t run_len =
-      search::normalize_config(cfg, world.nsw.degree()).candidate_len;
-  SearchJob job(world.ds, world.nsw, cm, cfg, n_parallel, seed);
-  TaskGroup tasks;
+  std::vector<std::unique_ptr<search::MultiCtaSearch>> searchers(
+      exec.threads() + 1);
+  std::atomic<std::size_t> started{0};
+  std::atomic<std::size_t> consumed{0};
   std::vector<std::uint64_t> digests;
-  for (std::size_t q = 0; q < queries; ++q) {
-    const std::size_t query = q % world.ds.num_queries();
-    job.start(query, exec, tasks);
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    const auto mix = [&h](std::uint64_t v) { h = (h ^ v) * 0x100000001b3ull; };
-    for (std::size_t c = n_parallel; c-- > 0;) {
-      for (bool done = false; !done;) {
-        const search::CtaRound& r = job.next_round(c);
-        EXPECT_EQ(r.cta, c);
-        mix(r.stepped);
-        mix(std::bit_cast<std::uint64_t>(r.cost.total_ns()));
-        done = r.done;
+  {
+    SearchAhead ahead(
+        queries, window,
+        [&](std::size_t q, std::size_t lane) {
+          if (started.fetch_add(1) + 1 > consumed.load() + window) {
+            over_window->store(true);
+          }
+          auto& s = searchers[lane];
+          if (!s) {
+            s = std::make_unique<search::MultiCtaSearch>(world.ds, world.nsw,
+                                                         cm, cfg, 2, 7);
+          }
+          return s->run(world.ds.query(q), q);
+        },
+        exec);
+    for (const AheadStep& step : steps) {
+      consumed.fetch_add(1);
+      if (step.take) {
+        digests.push_back(digest(ahead.take(step.query)));
+      } else {
+        ahead.release(step.query);
       }
     }
-    for (const KV& kv : job.results()) {
-      mix(std::bit_cast<std::uint32_t>(kv.dist));
-      mix(kv.key);
-    }
-    const search::SearchStats work = job.totals();
-    mix(work.rounds);
-    mix(work.expanded_points);
-    mix(work.scored_points);
-    mix(std::bit_cast<std::uint64_t>(work.cost.total_ns()));
-    digests.push_back(h);
-
-    if (q < world.ds.num_queries()) {
-      const auto ref = search::multi_cta_search(world.ds, world.nsw, cm, cfg,
-                                                n_parallel,
-                                                world.ds.query(query), query,
-                                                seed);
-      const auto topk = search::merge_sorted_runs(
-          job.results(), n_parallel, run_len, cfg.topk, cfg.accept);
-      EXPECT_EQ(topk.size(), ref.topk.size()) << "query " << query;
-      for (std::size_t i = 0; i < std::min(topk.size(), ref.topk.size());
-           ++i) {
-        EXPECT_EQ(topk[i].key, ref.topk[i].key) << "query " << query;
-        EXPECT_EQ(std::bit_cast<std::uint32_t>(topk[i].dist),
-                  std::bit_cast<std::uint32_t>(ref.topk[i].dist))
-            << "query " << query;
-      }
-      EXPECT_EQ(work.rounds, ref.per_cta_total.rounds) << "query " << query;
-      EXPECT_EQ(work.scored_points, ref.per_cta_total.scored_points)
-          << "query " << query;
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(work.cost.total_ns()),
-                std::bit_cast<std::uint64_t>(
-                    ref.per_cta_total.cost.total_ns()))
-          << "query " << query;
-    }
-  }
-  tasks.wait();
+  }  // the rest are never consumed: teardown drops them
   return digests;
 }
 
-TEST(SearchJob, BackToBackQueriesOnFourWorkersMatchInline) {
-  // Stresses the hand-off between the simulator thread and the pool: a
-  // worker still releasing the job when the next query starts must neither
-  // lose that query nor change a bit of it.
+TEST(SearchAhead, StressOnFourWorkersMatchesInlineAndMultiCtaSearch) {
+  // Takes out of arrival order (each block of 12 backwards, past a window
+  // of 4), every query index repeated, every fifth arrival shed and the
+  // last block never consumed. Each take must equal the inline run's and
+  // multi_cta_search's.
+  const auto& world = algas::testing::tiny_world();
+  const std::size_t nq = world.ds.num_queries();
+  const std::size_t n = 4000;
+  const std::size_t block = 12;
+  const std::size_t window = 4;
+  std::vector<std::size_t> queries(n);
+  for (std::size_t a = 0; a < n; ++a) queries[a] = a / 2 * 7 % nq;
+  std::vector<AheadStep> steps;
+  for (std::size_t b = 0; b + 2 * block <= n; b += block) {
+    for (std::size_t a = b + block; a-- > b;) {
+      steps.push_back({queries[a], a % 5 != 3});
+    }
+  }
+  std::atomic<bool> over_window{false};
   BuildExecutor inline_exec(1);
   BuildExecutor pool_exec(4);
-  const std::size_t queries = 20000;
-  const auto want = run_search_job(inline_exec, queries);
-  const auto got = run_search_job(pool_exec, queries);
+  const auto want =
+      run_ahead(inline_exec, queries, steps, window, &over_window);
+  const auto got = run_ahead(pool_exec, queries, steps, window, &over_window);
+  EXPECT_FALSE(over_window.load());
   ASSERT_EQ(got.size(), want.size());
-  for (std::size_t q = 0; q < queries; ++q) {
-    ASSERT_EQ(got[q], want[q]) << "query " << q;
+
+  search::SearchConfig cfg;
+  cfg.topk = 4;
+  cfg.candidate_len = 16;
+  std::vector<std::uint64_t> ref(nq);
+  for (std::size_t q = 0; q < nq; ++q) {
+    ref[q] = digest(search::multi_cta_search(world.ds, world.nsw,
+                                             sim::CostModel{}, cfg, 2,
+                                             world.ds.query(q), q, 7));
   }
+  std::size_t t = 0;
+  for (const AheadStep& step : steps) {
+    if (!step.take) continue;
+    ASSERT_EQ(got[t], want[t]) << "take " << t;
+    ASSERT_EQ(got[t], ref[step.query]) << "take " << t;
+    ++t;
+  }
+}
+
+TEST(SearchAhead, FailureIsRethrownAtItsTakeAndTeardownWaits) {
+  // Two workers hold arrivals 0 and 1 until the test thread runs a
+  // search; so take(0) finds arrival 0 held and runs arrival 2 meanwhile,
+  // which throws. Arrival 1 throws on its worker. Each failure must come
+  // back at its own query's take, and teardown must wait for the searches
+  // still running on the workers.
+  std::mutex mu;
+  std::condition_variable cv;
+  int holding = 0;
+  int sleeping = 0;
+  bool open = false;
+  std::atomic<int> running{0};
+  const std::thread::id test_thread = std::this_thread::get_id();
+  const auto search = [&](std::size_t q, std::size_t) {
+    running.fetch_add(1);
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      if (std::this_thread::get_id() == test_thread) {
+        open = true;
+        cv.notify_all();
+      } else if (q < 2) {
+        ++holding;
+        cv.notify_all();
+        // Bounded, so a broken hand-off fails the test instead of hanging.
+        cv.wait_for(lock, std::chrono::seconds(30), [&] { return open; });
+      } else if (q >= 8) {
+        ++sleeping;
+        cv.notify_all();
+      }
+    }
+    if (q >= 8) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    running.fetch_sub(1);
+    if (q == 1 || q == 2) throw std::runtime_error("query " + std::to_string(q));
+    search::MultiCtaResult r;
+    r.run_len = q;
+    return r;
+  };
+  const auto message_of = [](SearchAhead& ahead, std::size_t q) {
+    try {
+      ahead.take(q);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  BuildExecutor exec(2);
+  {
+    SearchAhead ahead({0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, 6, search,
+                      exec);
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
+                              [&] { return holding == 2; }));
+    }
+    EXPECT_EQ(ahead.take(0).run_len, 0u);
+    EXPECT_EQ(message_of(ahead, 2), "query 2");
+    EXPECT_EQ(message_of(ahead, 1), "query 1");
+    EXPECT_EQ(ahead.take(3).run_len, 3u);
+    // Arrivals 4-11 are never taken; 8 and 9 are posted and sleep on a
+    // worker when they run. Tear down while one does.
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
+                            [&] { return sleeping > 0; }));
+  }
+  EXPECT_EQ(running.load(), 0);
 }
 
 AlgasConfig tiny_engine_config() {
@@ -843,6 +948,41 @@ TEST(AlgasEngine, RejectsUntunableConfig) {
   cfg.slots = 64;  // 64 > 16 resident blocks
   EXPECT_THROW(AlgasEngine(world.ds, world.nsw, cfg),
                std::invalid_argument);
+}
+
+TEST(AlgasEngine, RejectsBadArrivalsBeforeAnythingRuns) {
+  // A query index past the dataset's queries, a non-finite or decreasing
+  // arrival instant and a NaN deadline all throw from the run, on the
+  // pre-loaded (unbounded) path and through bounded admission, before the
+  // run traces anything.
+  const auto& world = algas::testing::tiny_world();
+  const std::size_t nq = world.ds.num_queries();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::vector<PendingQuery>> bad = {
+      {{0, 0.0}, {nq, 10.0}},
+      {{0, 0.0}, {1, nan}},
+      {{0, 0.0}, {1, inf}},
+      {{0, 0.0}, {1, -inf}},
+      {{0, 50.0}, {1, 10.0}},
+      {{0, 0.0}, {1, 10.0, nan}},
+  };
+  for (bool bounded : {false, true}) {
+    sim::Tracer tracer;
+    auto cfg = tiny_engine_config();
+    cfg.tracer = &tracer;
+    if (bounded) cfg.admission.capacity = 8;
+    AlgasEngine engine(world.ds, world.nsw, cfg);
+    for (std::size_t i = 0; i < bad.size(); ++i) {
+      EXPECT_THROW(engine.run(bad[i]), std::invalid_argument)
+          << "case " << i << (bounded ? ", bounded" : ", unbounded");
+    }
+    EXPECT_EQ(tracer.events_recorded(), 0u);
+    // The boundary values themselves are fine: the last query, equal
+    // arrival instants and an infinite deadline.
+    const auto rep = engine.run({{nq - 1, 5.0}, {0, 5.0, inf}});
+    EXPECT_EQ(rep.summary.queries, 2u);
+  }
 }
 
 TEST(AlgasEngine, UtilizationIsSane) {

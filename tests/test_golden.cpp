@@ -15,9 +15,9 @@
 // siblings that parked apart, or a slot whose host worker writes Work
 // right after its last Finish, must start every query at one instant, in
 // CTA order; and accept-predicate runs whose filter bitset and tombstone
-// set reject results while the rejected nodes keep routing. The search
-// rounds of every case run on the build executor
-// (DESIGN.md, "Search rounds off the simulator thread"); one case checks
+// set reject results while the rejected nodes keep routing. The searches
+// of every case run ahead on the build executor
+// (DESIGN.md, "Search ahead by query"); one case checks
 // that records, event counts and trace bytes are the same at 1, 2 and 4
 // executor threads.
 //
