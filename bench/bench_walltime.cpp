@@ -11,8 +11,10 @@
 //             and gather6_int8 score the same gathers from quantized rows.
 //   bulk      brute_force_topk() scans — the batched gather/score path.
 //   search    greedy graph searches — gather-then-score + visited table.
-//   candidate_merge  CandidateList::merge_sorted of a sorted 64-entry
-//             expand list into an L = 128 list (the per-round upkeep).
+//   candidate_merge  steady-state list upkeep at L = 128: search-sized
+//             rounds on a full list, each a take_unchecked, then ~10
+//             scored entries of which about half can enter, pruned,
+//             sorted and merged (rounds/s, informational).
 //   topk_merge  host merge_sorted_runs of 4 sorted runs of 128 into a
 //             TopK of 16 (the slot's host merge).
 //   engine    AlgasEngine closed loop on the Fig 10/11 configuration
@@ -199,24 +201,69 @@ int main() {
     sections.push_back(s);
   }
 
-  // --- candidate-list upkeep: one expand round's merge at L = 128 -------
+  // --- candidate-list upkeep: steady-state rounds at L = 128 -----------
+  // Each query fills the list once, then runs kRounds rounds: take the best
+  // unchecked entry, drop the round's entries that cannot enter, sort and
+  // merge the rest. A round scores kScored entries spread over [0.5, 1.5)
+  // times the last entry's distance, so about half can enter. The rounds
+  // are drawn once, against the list they will meet; every pass replays
+  // them.
   {
-    constexpr std::size_t kMerges = 1000;
-    search::CandidateList list(128);
-    const auto expand = random_kvs(64, 64 * 977);
-    std::size_t sink = 0;
-    const Trial t = median_trial([&] {
-      for (std::size_t i = 0; i < kMerges; ++i) {
-        list.reset();
-        sink += list.merge_sorted(expand);
+    constexpr std::size_t kL = 128, kQueries = 16, kRounds = 64, kScored = 10;
+    struct Query {
+      std::vector<KV> fill;
+      std::vector<std::vector<KV>> rounds;
+    };
+    std::vector<Query> queries(kQueries);
+    search::CandidateList list(kL);
+    std::vector<KV> expand;
+    std::array<std::size_t, 1> taken{};
+    // One round's upkeep, as IntraCtaSearch::step runs it; returns whether
+    // any entry entered.
+    const auto upkeep = [&](const std::vector<KV>& round) {
+      list.take_unchecked(1, taken);
+      expand.clear();
+      for (const KV& kv : round) {
+        if (list.can_enter(kv)) expand.push_back(kv);
       }
-      return kMerges;
+      if (expand.empty()) return false;
+      std::sort(expand.begin(), expand.end());
+      list.merge_sorted(expand);
+      return true;
+    };
+    Rng rng(kL * 977);
+    for (Query& q : queries) {
+      NodeId next_id = 0;
+      for (std::size_t i = 0; i < kL; ++i) {
+        q.fill.push_back(KV::make(1.0f + rng.next_float(), next_id++));
+      }
+      std::sort(q.fill.begin(), q.fill.end());
+      list.reset();
+      list.merge_sorted(q.fill);
+      for (std::size_t r = 0; r < kRounds; ++r) {
+        std::vector<KV>& round = q.rounds.emplace_back();
+        const float last = list.at(kL - 1).dist;
+        for (std::size_t i = 0; i < kScored; ++i) {
+          round.push_back(
+              KV::make(last * (0.5f + rng.next_float()), next_id++));
+        }
+        upkeep(round);
+      }
+    }
+    std::size_t merged = 0;
+    const Trial t = median_trial([&] {
+      for (const Query& q : queries) {
+        list.reset();
+        list.merge_sorted(q.fill);
+        for (const auto& round : q.rounds) merged += upkeep(round);
+      }
+      return kQueries * kRounds;
     });
     Section s{"candidate_merge"};
     s.wall_s = t.wall_s;
     s.merges_per_s = t.rate();
     sections.push_back(s);
-    if (sink == 0) throw std::runtime_error("candidate merge ran no network");
+    if (merged == 0) throw std::runtime_error("candidate upkeep merged nothing");
   }
 
   // --- host TopK merge: 4 sorted runs of 128 into a TopK of 16 ----------

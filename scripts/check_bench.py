@@ -236,6 +236,8 @@ SEEDED = [
     ("filtered", 1, "null_results_checksum", "0" * 16,
      "same_across_runs: null_results_checksum"),
     ("churn", 1, "waves.0.live", 2799, "same_across_runs: whole file"),
+    ("churn", 0, "variants.churned.mean_latency_us", 74.0429935811,
+     "equal: variants.churned.mean_latency_us"),
     ("walltime", 0, "n_base", 4001, "equal: n_base"),
     ("recall", "baseline", "gate.checks.0.paths.0", "datset",
      "equal: datset: matches nothing"),

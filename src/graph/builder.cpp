@@ -110,7 +110,7 @@ std::vector<KV> build_beam_search(const Dataset& ds, const Graph& g,
   const auto query_norm = ds.query_norm(query);  // one norm for every batch
   std::vector<NodeId> fresh;  // this expansion's unvisited neighbours
   std::vector<float> dists;   // their batched distances
-  std::vector<KV> expand;     // both, sorted and cut to ef
+  std::vector<KV> expand;     // those that can enter, sorted, cut to ef
   for (std::size_t at = 0; list.take_unchecked(1, {&at, 1}) == 1;) {
     fresh.clear();
     for (NodeId n : g.neighbors(list.at(at).id())) {
@@ -122,8 +122,10 @@ std::vector<KV> build_beam_search(const Dataset& ds, const Graph& g,
     scored += fresh.size();
     expand.clear();
     for (std::size_t i = 0; i < fresh.size(); ++i) {
-      expand.push_back(KV::make(dists[i], fresh[i]));
+      const KV kv = KV::make(dists[i], fresh[i]);
+      if (list.can_enter(kv)) expand.push_back(kv);
     }
+    if (expand.empty()) continue;
     std::sort(expand.begin(), expand.end());
     expand.resize(std::min(expand.size(), ef));
     list.merge_sorted(expand);

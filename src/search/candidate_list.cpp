@@ -6,8 +6,7 @@
 
 namespace algas::search {
 
-CandidateList::CandidateList(std::size_t capacity)
-    : entries_(capacity), scratch_(capacity) {
+CandidateList::CandidateList(std::size_t capacity) : entries_(capacity) {
   if (capacity == 0) {
     throw std::invalid_argument("candidate list capacity must be at least 1");
   }
@@ -15,6 +14,7 @@ CandidateList::CandidateList(std::size_t capacity)
 
 void CandidateList::reset() {
   std::fill(entries_.begin(), entries_.end(), KV::empty());
+  cursor_ = 0;
 }
 
 void CandidateList::seed(KV entry) {
@@ -24,19 +24,22 @@ void CandidateList::seed(KV entry) {
   if (it == entries_.end()) return;
   std::rotate(it, entries_.end() - 1, entries_.end());
   *it = entry;
+  cursor_ = std::min(cursor_, static_cast<std::size_t>(it - entries_.begin()));
 }
 
 std::size_t CandidateList::take_unchecked(std::size_t max_count,
                                           std::span<std::size_t> out_indices) {
   assert(out_indices.size() >= max_count);
   std::size_t found = 0;
-  for (std::size_t i = 0; i < entries_.size() && found < max_count; ++i) {
+  std::size_t i = cursor_;
+  for (; i < entries_.size() && found < max_count; ++i) {
     KV& e = entries_[i];
     if (e.is_empty()) break;  // ascending: empties are the tail
     if (e.checked()) continue;
     e.mark_checked();
     out_indices[found++] = i;
   }
+  cursor_ = i;
   return found;
 }
 
@@ -49,20 +52,29 @@ std::size_t CandidateList::merge_sorted(std::span<const KV> expand) {
   // The kernel concatenates [candidates | reversed expand padded to L] and
   // runs a 2L bitonic merge, keeping the lower half. The visited bitmap
   // guarantees each id is scored at most once per query, so every non-empty
-  // key in the two halves is distinct under KV ordering and a bounded linear
-  // merge produces the bitwise-identical lower half in O(L) host time
-  // instead of O(L log 2L), into scratch_, which then becomes the list. The
+  // key in the two halves is distinct under KV ordering, and a merge from
+  // the back produces the bitwise-identical lower half: drop the union's
+  // expand.size() largest entries, then merge what is left of both lists
+  // into the vacated tail, stopping once the expand list is placed. On
+  // equal keys the list's entry stays first, as in a stable merge. The
   // modeled cost still charges the full 2L network via the returned size.
-  std::size_t i = 0;
-  std::size_t j = 0;
-  for (std::size_t out = 0; out < cap; ++out) {
-    if (j < expand.size() && expand[j] < entries_[i]) {
-      scratch_[out] = expand[j++];
+  std::size_t i = cap;            // entries_[0, i) are still in the union
+  std::size_t j = expand.size();  // expand[0, j) are still in the union
+  for (std::size_t drop = expand.size(); drop > 0; --drop) {
+    if (i > 0 && expand[j - 1] < entries_[i - 1]) {
+      --i;
     } else {
-      scratch_[out] = entries_[i++];
+      --j;
     }
   }
-  entries_.swap(scratch_);
+  for (std::size_t out = i + j; j > 0;) {
+    if (i > 0 && expand[j - 1] < entries_[i - 1]) {
+      entries_[--out] = entries_[--i];
+    } else {
+      entries_[--out] = expand[--j];
+    }
+  }
+  cursor_ = std::min(cursor_, i);  // the first slot written, if any
   return 2 * cap;
 }
 

@@ -98,30 +98,37 @@ bool IntraCtaSearch::step(StepCost& cost) {
       gathered_.push_back(nb);
     }
   }
-  round_dists_.resize(gathered_.size());
+  const std::size_t scored = gathered_.size();
+  round_dists_.resize(scored);
   ds_.distance_batch(query_, gathered_, round_dists_, query_norm_);
+  // Only entries below the list's last entry can enter it; the rest are
+  // dropped here, before the sort (CandidateList::can_enter).
   expand_.clear();
-  for (std::size_t k = 0; k < gathered_.size(); ++k) {
-    expand_.push_back(KV::make(round_dists_[k], gathered_[k]));
+  for (std::size_t k = 0; k < scored; ++k) {
+    const KV kv = KV::make(round_dists_[k], gathered_[k]);
+    if (list_.can_enter(kv)) expand_.push_back(kv);
   }
-  stats_.scored_points += gathered_.size();
+  stats_.scored_points += scored;
   c.compute_ns +=
-      cm_.distance_round_ns(ds_.dim(), expand_.size(), 32, ds_.elem_bytes());
+      cm_.distance_round_ns(ds_.dim(), scored, 32, ds_.elem_bytes());
 
   // --- 4. one bitonic sort + merge for the whole round -------------------
-  if (!expand_.empty()) {
+  if (scored > 0) {
     // All ids in expand_ are distinct (the visited bitmap filtered the
     // gather), so std::sort produces the exact array the kernel's bitonic
-    // network would; the modeled cost below still charges the padded
-    // network the kernel runs.
-    const std::size_t padded = next_pow2(expand_.size());
-    std::sort(expand_.begin(), expand_.end());
-    const std::size_t network = list_.merge_sorted(expand_);
+    // network would, and an entry dropped above could never have entered.
+    // The modeled cost below charges the network the kernel runs over every
+    // scored entry: the padded sort and the 2L merge.
+    const std::size_t network = 2 * list_.capacity();
+    if (!expand_.empty()) {
+      std::sort(expand_.begin(), expand_.end());
+      list_.merge_sorted(expand_);
+    }
     if (cfg_.full_sort_maintenance) {
       // GANNS-style: full re-sort of the merged buffer every round.
       c.sort_ns += cm_.bitonic_sort_ns(network);
     } else {
-      c.sort_ns += cm_.bitonic_sort_ns(padded);
+      c.sort_ns += cm_.bitonic_sort_ns(next_pow2(scored));
       c.sort_ns += cm_.bitonic_merge_ns(network);
     }
   }

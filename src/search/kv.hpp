@@ -1,8 +1,11 @@
 // Candidate-list entry: (distance, id) with the "checked" flag packed into
 // the id's top bit — the layout the GPU kernels keep in shared memory
-// (8 bytes/entry, see simgpu::kListEntryBytes).
+// (8 bytes/entry, see simgpu::kListEntryBytes). An empty entry carries
+// +inf: KV::empty() (KV{}) is its only constructor, and KV::make takes a
+// real id only.
 #pragma once
 
+#include <cassert>
 #include <cmath>
 #include <cstdint>
 
@@ -21,6 +24,7 @@ struct KV {
   static KV empty() { return KV{}; }
 
   static KV make(float d, NodeId id) {
+    assert(id <= kMaxNodeId);  // never an empty's key, never the flag
     return KV{d, static_cast<std::uint32_t>(id)};
   }
 
@@ -32,10 +36,12 @@ struct KV {
   /// The one order of queries and builders: ascending distance (±0 equal),
   /// ties by id, NaN after every number, empties last; the checked flag
   /// never counts. Distinct distances decide in the first two comparisons.
+  /// Comparing distances first is exact because an empty's +inf is at or
+  /// past every number, so only +inf and NaN keys reach the empty rule.
   friend bool operator<(const KV& a, const KV& b) {
-    if (a.is_empty() != b.is_empty()) return b.is_empty();
     if (a.dist < b.dist) return true;
     if (b.dist < a.dist) return false;
+    if (a.is_empty() != b.is_empty()) return b.is_empty();
     if (std::isnan(a.dist) != std::isnan(b.dist)) return std::isnan(b.dist);
     return a.id() < b.id();
   }

@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <tuple>
 
@@ -26,31 +30,108 @@ class CandidateListProperty : public ::testing::TestWithParam<std::uint64_t> {
 };
 
 TEST_P(CandidateListProperty, MergeSequenceMatchesSortedReference) {
-  // Random sequence of merge_sorted calls must leave the list equal to the
-  // L best of everything ever inserted: at the query path's power-of-two
-  // length and at a builder's ef_construction of 48.
+  // Random rounds of takes and merges, at the query path's lengths, a
+  // builder's ef_construction of 48 and a tiny 3. After every merge the list
+  // must equal the first L entries of the sorted union (id, distance bits,
+  // checked flag), and every take must return the indices a scan from index
+  // 0 would. Keys cover NaN, ±0, +inf, equal distances broken by id and
+  // entries at or past the list's last entry; ids are distinct, as the
+  // visited set makes them within a query. One list merges each whole
+  // expand list, the other only what can_enter keeps.
   Rng rng(GetParam());
-  for (const std::size_t cap : {64u, 48u}) {
-    search::CandidateList list(cap);
-    list.reset();
-    std::vector<KV> inserted;
-    for (int round = 0; round < 10; ++round) {
-      const std::size_t n = 1 + rng.next_below(cap);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const auto bits = [](float f) { return std::bit_cast<std::uint32_t>(f); };
+  for (const std::size_t cap : {128u, 64u, 48u, 3u}) {
+    search::CandidateList full(cap);
+    search::CandidateList pruned(cap);
+    std::vector<KV> ref;  // sorted, at most cap entries, flags included
+    std::set<NodeId> used;
+    const auto fresh_id = [&] {
+      NodeId id = 0;
+      do {
+        id = static_cast<NodeId>(rng.next_below(1u << 20));
+      } while (!used.insert(id).second);
+      return id;
+    };
+    const auto expect_list = [&](const search::CandidateList& list,
+                                 const char* which, int round) {
+      for (std::size_t i = 0; i < cap; ++i) {
+        const KV& got = list.at(i);
+        if (i >= ref.size()) {
+          EXPECT_TRUE(got.is_empty()) << which << " cap " << cap << " round "
+                                      << round << " slot " << i;
+          continue;
+        }
+        EXPECT_EQ(got.id(), ref[i].id())
+            << which << " cap " << cap << " round " << round << " slot " << i;
+        EXPECT_EQ(bits(got.dist), bits(ref[i].dist))
+            << which << " cap " << cap << " round " << round << " slot " << i;
+        EXPECT_EQ(got.checked(), ref[i].checked())
+            << which << " cap " << cap << " round " << round << " slot " << i;
+      }
+    };
+    const auto take = [&](int round) {
+      const std::size_t want = 1 + rng.next_below(4);
+      std::vector<std::size_t> expected;
+      for (std::size_t i = 0; i < ref.size() && expected.size() < want; ++i) {
+        if (ref[i].checked()) continue;
+        ref[i].mark_checked();
+        expected.push_back(i);
+      }
+      for (search::CandidateList* list : {&full, &pruned}) {
+        std::vector<std::size_t> got(want);
+        got.resize(list->take_unchecked(want, got));
+        EXPECT_EQ(got, expected) << "cap " << cap << " round " << round;
+      }
+    };
+    const auto seed = [&](float d) {
+      const KV kv = KV::make(d, fresh_id());
+      full.seed(kv);
+      pruned.seed(kv);
+      ref.insert(std::upper_bound(ref.begin(), ref.end(), kv), kv);
+      if (ref.size() > cap) ref.pop_back();
+    };
+
+    full.reset();
+    pruned.reset();
+    seed(5.0f);
+    take(-1);
+    seed(2.0f);  // in front of the cursor
+    for (int round = 0; round < 40; ++round) {
+      for (std::size_t t = rng.next_below(3); t > 0; --t) take(round);
+      const std::size_t n =
+          1 + rng.next_below(std::min<std::size_t>(cap, 24));
       std::vector<KV> expand;
       for (std::size_t i = 0; i < n; ++i) {
-        // Unique ids so the reference is unambiguous.
-        const auto id = static_cast<NodeId>(inserted.size() + expand.size());
-        expand.push_back(KV::make(rng.next_float() * 10.0f, id));
+        const float last = ref.empty() ? 1.0f : ref.back().dist;
+        float d = 0.0f;
+        switch (rng.next_below(9)) {
+          case 0: d = nan; break;
+          case 1: d = -0.0f; break;
+          case 2: d = 0.0f; break;
+          case 3: d = inf; break;
+          case 4: d = static_cast<float>(rng.next_below(4)); break;
+          case 5: d = last; break;  // ties the last entry; the id decides
+          case 6: d = std::nextafter(last, inf); break;
+          default: d = rng.next_float() * 4.0f; break;
+        }
+        expand.push_back(KV::make(d, fresh_id()));
       }
       std::sort(expand.begin(), expand.end());
-      list.merge_sorted(expand);
-      inserted.insert(inserted.end(), expand.begin(), expand.end());
-    }
-    std::sort(inserted.begin(), inserted.end());
-    for (std::size_t i = 0; i < std::min(cap, inserted.size()); ++i) {
-      EXPECT_EQ(list.at(i).id(), inserted[i].id())
-          << "capacity " << cap << " position " << i;
-      EXPECT_FLOAT_EQ(list.at(i).dist, inserted[i].dist);
+      std::vector<KV> kept;
+      for (const KV& e : expand) {
+        const bool enters = ref.size() < cap || e < ref.back();
+        EXPECT_EQ(pruned.can_enter(e), enters) << "cap " << cap;
+        if (enters) kept.push_back(e);
+      }
+      EXPECT_EQ(full.merge_sorted(expand), 2 * cap);
+      EXPECT_EQ(pruned.merge_sorted(kept), 2 * cap);
+      ref.insert(ref.end(), expand.begin(), expand.end());
+      std::stable_sort(ref.begin(), ref.end());
+      if (ref.size() > cap) ref.resize(cap);
+      expect_list(full, "full", round);
+      expect_list(pruned, "pruned", round);
     }
   }
 }

@@ -66,6 +66,10 @@ TEST(Kv, StrictWeakOrderOverEveryKindOfKey) {
     }
   }
   keys.push_back(KV::empty());
+  // The order compares distances first; that is exact only because an
+  // empty always carries +inf.
+  EXPECT_EQ(KV::empty().dist, inf);
+  EXPECT_EQ(KV{}.dist, inf);
   const auto equiv = [](const KV& a, const KV& b) {
     return !(a < b) && !(b < a);
   };
@@ -435,6 +439,79 @@ TEST(IntraCta, TombstonesFilterResultsNotRouting) {
       EXPECT_EQ(masked[j].dist, plain[i].dist);
       ++j;
     }
+  }
+}
+
+TEST(IntraCta, FullyPrunedRoundIsChargedInFull) {
+  // Points on a line, query at the origin, L = 2. Round 1 expands the entry
+  // (node 0) and fills the list with nodes 1 and 2; round 2 expands node 1,
+  // whose neighbours 3 and 4 both lie past the full list's last entry. That
+  // round sorts and merges nothing, yet counts its scored points and is
+  // charged what the kernel runs: the padded sort of every scored entry and
+  // the 2L merge, or the GANNS path's 2L sort.
+  Dataset ds("line", 4, Metric::kL2);
+  std::vector<float> rows;
+  for (const float x : {0.5f, 0.1f, 0.2f, 3.0f, 4.0f}) {
+    rows.insert(rows.end(), {x, 0.0f, 0.0f, 0.0f});
+  }
+  ds.set_base(std::move(rows));
+  Graph g(5, 2);
+  g.mutable_neighbors(0)[0] = 1;
+  g.mutable_neighbors(0)[1] = 2;
+  g.mutable_neighbors(1)[0] = 3;
+  g.mutable_neighbors(1)[1] = 4;
+  const std::vector<float> query(4, 0.0f);
+  const sim::CostModel cm;
+  for (const bool full_sort : {false, true}) {
+    SearchConfig cfg;
+    cfg.topk = 2;
+    cfg.candidate_len = 2;
+    cfg.full_sort_maintenance = full_sort;
+    IntraCtaSearch cta(ds, g, cm, cfg);
+    ASSERT_EQ(cta.config().candidate_len, 2u);
+    StampedSet visited(ds.num_base());
+    cta.reset(query, 0, &visited);
+    StepCost cost;
+    ASSERT_TRUE(cta.step(cost));
+    const std::vector<KV> before(cta.candidates().begin(),
+                                 cta.candidates().end());
+    ASSERT_EQ(before.size(), 2u);
+    EXPECT_EQ(before[0].id(), 1u);
+    EXPECT_EQ(before[1].id(), 2u);
+    EXPECT_FALSE(before[0].checked());
+    const std::size_t scored = cta.stats().scored_points;
+
+    ASSERT_TRUE(cta.step(cost));
+    // The list is as round 1 left it, save round 2's own take of node 1.
+    const auto after = cta.candidates();
+    ASSERT_EQ(after.size(), 2u);
+    for (std::size_t i = 0; i < 2; ++i) {
+      EXPECT_EQ(after[i].id(), before[i].id()) << "slot " << i;
+      EXPECT_EQ(after[i].dist, before[i].dist) << "slot " << i;
+      EXPECT_EQ(after[i].checked(), i == 0) << "slot " << i;
+    }
+    EXPECT_EQ(cta.stats().scored_points, scored + 2);
+    EXPECT_EQ(cta.stats().rounds, 2u);
+
+    StepCost expected;
+    expected.select_ns += cm.select_ns(2);
+    for (int nb = 0; nb < 2; ++nb) {
+      expected.gather_ns += cm.gather_per_neighbor_ns;
+      expected.gather_ns += cm.bitmap_check_ns;
+    }
+    expected.compute_ns += cm.distance_round_ns(4, 2, 32, ds.elem_bytes());
+    if (full_sort) {
+      expected.sort_ns += cm.bitonic_sort_ns(4);
+    } else {
+      expected.sort_ns += cm.bitonic_sort_ns(2);
+      expected.sort_ns += cm.bitonic_merge_ns(4);
+    }
+    EXPECT_EQ(cost.select_ns, expected.select_ns) << "full_sort " << full_sort;
+    EXPECT_EQ(cost.gather_ns, expected.gather_ns) << "full_sort " << full_sort;
+    EXPECT_EQ(cost.compute_ns, expected.compute_ns)
+        << "full_sort " << full_sort;
+    EXPECT_EQ(cost.sort_ns, expected.sort_ns) << "full_sort " << full_sort;
+    EXPECT_GT(cost.sort_ns, 0.0);
   }
 }
 
